@@ -384,11 +384,12 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _eval_poly_float(p: Poly, y: float) -> float:
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * y + float(c)
-    return acc
+def _at_time(p: Poly, t: float) -> str:
+    """p at y = e^(-t): exact at the binary64 value of y, then rounded once."""
+    try:
+        return format(float(p(Fraction(math.exp(-t)))), ".17g")
+    except (OverflowError, ValueError):
+        raise ValueError(f"y or the value at t = {t} is not a finite binary64 number") from None
 
 
 def _eval_target(args, parser: argparse.ArgumentParser) -> Poly | None:
@@ -412,8 +413,7 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         if args.y is not None:
             sys.stdout.write(format_rational(poly(args.y)) + "\n")
         else:
-            y = math.exp(-args.t)
-            sys.stdout.write(format(_eval_poly_float(poly, y), ".17g") + "\n")
+            sys.stdout.write(_at_time(poly, args.t) + "\n")
         return 0
     # series kinds: W and B
     if args.k is None or args.order is None:
@@ -427,9 +427,8 @@ def cmd_eval(args, parser: argparse.ArgumentParser) -> int:
         for m, value in enumerate(zs.eval_inner(args.y)):
             lines.append(f"{m},{format_rational(value)}")
     else:
-        y = math.exp(-args.t)
         for m, coeff in enumerate(zs.coeffs):
-            lines.append(f"{m},{format(_eval_poly_float(coeff, y), '.17g')}")
+            lines.append(f"{m},{_at_time(coeff, args.t)}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -455,11 +454,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_gosper(args) -> int:
     try:
         term = hypsum.parse_term(args.term, args.var)
-        ratio = hypsum.term_ratio(term)
+        certificate = hypsum.gosper(hypsum.term_ratio(term))
     except (hypsum.TermSyntaxError, hypsum.TermSemanticError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    certificate = hypsum.gosper(ratio)
     if certificate is None:
         sys.stdout.write("NOT GOSPER-SUMMABLE\n")
         if args.range is not None:
@@ -507,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_eval.add_mutually_exclusive_group(required=True)
     group.add_argument("--y", type=_parse_rational,
                        help="exact evaluation point y = e^(-t), as p/q")
-    group.add_argument("--t", type=float, help="binary64 evaluation at time t")
+    group.add_argument("--t", type=float,
+                       help="evaluation at time t, rounded once to binary64")
 
     p_verify = sub.add_parser("verify", help="run an identity verification suite")
     p_verify.add_argument(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -45,6 +46,15 @@ class TermSemanticError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"column {position}: {message}")
+
+
+class GosperLimitError(ValueError):
+    """Gosper's algorithm would need more work than GOSPER_WORK_LIMIT."""
+
+
+# bound on deg c and on the degree bound for x in gosper; the linear system
+# costs about cube of its size, 4 s at a degree bound of 100
+GOSPER_WORK_LIMIT = 100
 
 
 # ---------------------------------------------------------------------------
@@ -460,53 +470,64 @@ def term_value(term: HypTerm, l: int) -> Fraction:
     return result
 
 
-def _factorial_shift(a: int, b: Fraction, var: str) -> RationalFunction:
-    """fact(a(l+1) + b) / fact(a l + b) as a rational function of l."""
-    one = Poly.const(1, var)
-    num, den = one, one
-    if a > 0:
+class ShiftQuotient(RationalFunction):
+    """A shift quotient scale * prod (l - root)^exponent with distinct roots
+    and nonzero exponents; as a rational function it is num / den, reduced,
+    with the positive exponents in num and scale = num.leading."""
+
+    __slots__ = ("roots",)
+
+    roots: tuple[tuple[Fraction, int], ...]
+
+    def __init__(self, scale: Fraction, roots: Counter, var: str):
+        object.__setattr__(self, "num", _from_roots(+roots, var) * scale)
+        object.__setattr__(self, "den", _from_roots(-roots, var))
+        object.__setattr__(self, "roots", tuple(sorted((r, e) for r, e in roots.items() if e)))
+
+
+def _from_roots(roots: dict[Fraction, int], var: str) -> Poly:
+    """The monic polynomial prod (l - root)^multiplicity."""
+    p = Poly.const(1, var)
+    for r, m in roots.items():
+        for _ in range(m):
+            p = p * Poly((-r, 1), var)
+    return p
+
+
+def _factorial_roots(roots: Counter, a: int, b: Fraction, e: int) -> Fraction:
+    """Enter (fact(a(l+1) + b) / fact(a l + b))^e into roots; returns the
+    constant a^(a e) left over from making its linear factors monic."""
+    if a > 0:  # the factors a l + b + i, i = 1..a, in the numerator
         for i in range(1, a + 1):
-            num = num * Poly([b + i, a], var)
-    elif a < 0:
+            roots[-(b + i) / a] += e
+    else:  # the factors a l + b - i, i = 0..-a-1, in the denominator
         for i in range(-a):
-            den = den * Poly([b - i, a], var)
-    return RationalFunction(num, den)
+            roots[(i - b) / a] -= e
+    return Fraction(a) ** (a * e)
 
 
-def term_ratio(term: HypTerm) -> RationalFunction:
-    """The shift quotient b_{l+1} / b_l as a reduced rational function."""
+def term_ratio(term: HypTerm) -> ShiftQuotient:
+    """The shift quotient b_{l+1} / b_l, reduced and factored into roots."""
     if term.is_zero():
         raise ValueError("the zero term has no shift quotient")
-    var = term.var
-    ratio = RationalFunction.const(1, var)
+    scale = Fraction(1)
+    roots: Counter = Counter()
     for f in term.factors:
         if isinstance(f, LinearFactor):
-            step = RationalFunction(
-                Poly([f.a + f.b, f.a], var), Poly([f.b, f.a], var)
-            )
-            ratio = ratio * _rf_int_pow(step, f.exponent)
+            # (a l + a + b) / (a l + b) = (l + b/a + 1) / (l + b/a)
+            r = -f.b / f.a
+            roots[r - 1] += f.exponent
+            roots[r] -= f.exponent
         elif isinstance(f, FactorialFactor):
-            ratio = ratio * _rf_int_pow(_factorial_shift(f.a, f.b, var), f.exponent)
+            scale *= _factorial_roots(roots, f.a, f.b, f.exponent)
         elif isinstance(f, BinomialFactor):
-            step = (
-                _factorial_shift(f.a1, f.b1, var)
-                / _factorial_shift(f.a2, f.b2, var)
-                / _factorial_shift(f.a1 - f.a2, f.b1 - f.b2, var)
-            )
-            ratio = ratio * _rf_int_pow(step, f.exponent)
+            e = f.exponent
+            scale *= _factorial_roots(roots, f.a1, f.b1, e)
+            scale *= _factorial_roots(roots, f.a2, f.b2, -e)
+            scale *= _factorial_roots(roots, f.a1 - f.a2, f.b1 - f.b2, -e)
         else:
-            ratio = ratio * RationalFunction.const(f.base**f.a, var)
-    return ratio
-
-
-def _rf_int_pow(rf: RationalFunction, e: int) -> RationalFunction:
-    if e < 0:
-        rf = 1 / rf
-        e = -e
-    result = RationalFunction.const(1, rf.var)
-    for _ in range(e):
-        result = result * rf
-    return result
+            scale *= f.base**f.a
+    return ShiftQuotient(scale, roots, term.var)
 
 
 # ---------------------------------------------------------------------------
@@ -526,51 +547,6 @@ class GosperCertificate:
         """Check R(l) - R(l-1) / r(l-1) = 1 as rational functions."""
         down = self.multiplier.shift(-1) / self.ratio.shift(-1)
         return (self.multiplier - down).is_one()
-
-
-def _integer_roots(p: Poly) -> list[int]:
-    """Nonnegative integer roots via divisor enumeration of the constant term."""
-    if p.is_zero():
-        raise ValueError("cannot enumerate roots of the zero polynomial")
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    roots = [0] if low > 0 else []
-    constant = abs(ints[low])
-    divisors = set()
-    d = 1
-    while d * d <= constant:
-        if constant % d == 0:
-            divisors.add(d)
-            divisors.add(constant // d)
-        d += 1
-    for h in sorted(divisors):
-        if p(h) == 0:
-            roots.append(h)
-    return roots
-
-
-def _dispersion(a: Poly, b: Poly) -> list[int]:
-    """Nonnegative integers h with gcd(a(l), b(l + h)) nontrivial, computed
-    as integer roots of the resultant Res_l(a(l), b(l+h)), which is
-    reconstructed in h by exact interpolation."""
-    if a.degree < 1 or b.degree < 1:
-        return []
-    deg = a.degree * b.degree
-    points = [(Fraction(h), a.resultant(b.shift(h))) for h in range(deg + 1)]
-    # Newton's divided differences give the resultant as a polynomial in h
-    coeffs = [v for _, v in points]
-    for level in range(1, deg + 1):
-        for i in range(deg, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (
-                points[i][0] - points[i - level][0]
-            )
-    poly = Poly.zero("h")
-    for i in range(deg, -1, -1):
-        poly = poly * Poly([-points[i][0], 1], "h") + coeffs[i]
-    return [h for h in _integer_roots(poly) if not a.gcd(b.shift(h)).is_const()]
 
 
 def _degree_bound(a: Poly, b_shifted: Poly, c: Poly) -> Optional[int]:
@@ -627,33 +603,49 @@ def _solve_linear_system(columns: list[Poly], rhs: Poly) -> Optional[list[Fracti
     return solution
 
 
-def gosper(ratio: RationalFunction) -> Optional[GosperCertificate]:
+def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
     """Decide hypergeometric antidifference existence for a term with the
-    given shift quotient; returns the certificate, or None when the term is
-    not Gosper-summable.
+    given shift quotient, as returned by term_ratio; returns the
+    certificate, or None when the term is not Gosper-summable.
 
     The quotient is factored as r(l) = (a(l)/b(l)) (c(l+1)/c(l)) with
     gcd(a(l), b(l+h)) = 1 for every integer h >= 0, the polynomial equation
     a(l) x(l+1) - b(l-1) x(l) = c(l) is solved with the classical degree
-    bound, and the multiplier is R(l) = a(l) x(l+1) / c(l).
+    bound, and the multiplier is R(l) = a(l) x(l+1) / c(l).  The dispersion
+    set is read off the roots of r: h = s - r for a root r of a and a root
+    s of b.  Raises GosperLimitError when deg c or the degree bound exceeds
+    GOSPER_WORK_LIMIT.
     """
     if ratio.is_zero():
         raise ValueError("shift quotient must be nonzero")
+    if not isinstance(ratio, ShiftQuotient):
+        raise TypeError("gosper needs the factored quotient returned by term_ratio")
     var = ratio.var
-    a, b = ratio.num, ratio.den
-    c = Poly.const(1, var)
-    for h in _dispersion(a, b):
-        g = a.gcd(b.shift(h))
-        if g.is_const():
-            continue
-        a = a.exact_div(g)
-        b = b.exact_div(g.shift(-h))
-        for i in range(1, h + 1):
-            c = c * g.shift(-i)
-    b_shifted = b.shift(-1)
+    a_roots = Counter({r: e for r, e in ratio.roots if e > 0})
+    b_roots = Counter({s: -e for s, e in ratio.roots if e < 0})
+    c_roots: Counter = Counter()
+    differences = {s - r for r in a_roots for s in b_roots}
+    deg_c = 0
+    for h in sorted(int(d) for d in differences if d.denominator == 1 and d >= 0):
+        for r in list(a_roots):
+            m = min(a_roots[r], b_roots[r + h])
+            if m == 0:
+                continue
+            deg_c += h * m
+            if deg_c > GOSPER_WORK_LIMIT:
+                raise GosperLimitError(f"Gosper work limit: deg c > {GOSPER_WORK_LIMIT}")
+            a_roots[r] -= m
+            b_roots[r + h] -= m
+            for i in range(1, h + 1):
+                c_roots[r + i] += m
+    a = _from_roots(a_roots, var) * ratio.num.leading
+    b_shifted = _from_roots({s + 1: m for s, m in b_roots.items()}, var)
+    c = _from_roots(c_roots, var)
     bound = _degree_bound(a, b_shifted, c)
     if bound is None:
         return None
+    if bound > GOSPER_WORK_LIMIT:
+        raise GosperLimitError(f"Gosper work limit: degree bound {bound} > {GOSPER_WORK_LIMIT}")
     columns = []
     l_power = Poly.const(1, var)  # l^j, built up incrementally
     for j in range(bound + 1):

@@ -1,11 +1,15 @@
 """Command line contract: formats, determinism, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from debranges import cli
+from debranges import cli, lowner
 
 
 def run(capsys, *argv):
@@ -98,6 +102,20 @@ class TestEval:
         assert code == 0
         y = math.exp(-0.25)
         assert abs(float(out) - (2 * y - 2 * y * y)) < 1e-15
+
+    def test_float_path_rounds_exact_value_once(self, capsys):
+        # binary64 Horner on A(40)'s alternating coefficients printed 1.7e11
+        code, out, _ = run(capsys, "eval", "A", "--n", "40", "--t", "0.001")
+        assert code == 0
+        exact = lowner.chain_poly(40)(Fraction(math.exp(-0.001)))
+        assert float(out) == float(exact) == 0.0007748081369449619
+
+    @pytest.mark.parametrize("kind", [["A", "--n", "3"], ["W", "--k", "1", "--order", "4"]])
+    def test_nonfinite_time_point_exits_2(self, capsys, kind):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", *kind, "--t=-1000"])
+        assert excinfo.value.code == 2
+        assert "not a finite binary64 number" in capsys.readouterr().err
 
     def test_weinstein_series_lines(self, capsys):
         code, out, _ = run(
@@ -209,3 +227,23 @@ class TestGosper:
         )
         assert code == 0
         assert out.splitlines()[1] == "sum[0..4] = 34"
+
+    @pytest.mark.parametrize(
+        "term, code, out",
+        [
+            ("1/((l+1)*(l+1000003))", 2, ""),  # deg c about 10^6
+            ("fact(l-1)/fact(l+999999)", 2, ""),  # degree bound about 10^6
+            ("(l+123456789012)/(l+98765432109)", 0, "NOT GOSPER-SUMMABLE\n"),
+            ("l*binom(3*l,l+1)^3", 0, "NOT GOSPER-SUMMABLE\n"),
+        ],
+    )
+    def test_large_dispersion_returns_within_a_second(self, term, code, out):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "debranges.cli", "gosper", term, "--var", "l"],
+            capture_output=True, text=True, env=env, timeout=1,
+        )
+        assert (done.returncode, done.stdout) == (code, out)
+        if code == 2:
+            assert done.stderr.startswith("error: Gosper work limit")

@@ -9,8 +9,10 @@ from debranges.exact import Poly, RationalFunction, binomial
 from debranges.hypsum import (
     BinomialFactor,
     FactorialFactor,
+    GOSPER_WORK_LIMIT,
     GeometricFactor,
     GosperCertificate,
+    GosperLimitError,
     LinearFactor,
     TermSemanticError,
     TermSyntaxError,
@@ -148,7 +150,11 @@ class TestTermRatio:
         assert term_ratio(parse_term("5^l", "l")) == RationalFunction.const(5, "l")
 
     def test_ratio_matches_values(self):
-        for src in ("l*(l+2)", "fact(l+1)/fact(l-1)", "binom(2*l, l)", "3^l / fact(l)"):
+        for src in (
+            "l*(l+2)", "fact(l+1)/fact(l-1)", "binom(2*l, l)", "3^l / fact(l)",
+            "fact(-l+20)", "binom(3*l,l+1)^3", "fact(2*l)/fact(3*l-1)",
+            "binom(-l+30,l)",
+        ):
             term = parse_term(src, "l")
             ratio = term_ratio(term)
             for l in range(2, 9):
@@ -249,7 +255,11 @@ class TestGosper:
                 assert telescoped_sum(term, cert, j, n) == closed, (n, j)
 
     def test_symbolic_identity_of_certificates(self):
-        for src in ("l", "l*(l+1)", "binom(2*l, l)/4^l", "(2*l+1)*binom(2*l,l)/4^l"):
+        for src in (
+            "l", "l*(l+1)", "binom(2*l, l)/4^l", "(2*l+1)*binom(2*l,l)/4^l",
+            "fact(-l+20)", "binom(3*l,l+1)^3", "fact(2*l)/fact(3*l-1)",
+            "binom(-l+30,l)",
+        ):
             ratio = term_ratio(parse_term(src, "l"))
             cert = gosper(ratio)
             if cert is not None:
@@ -265,6 +275,21 @@ class TestGosper:
     def test_zero_ratio_rejected(self):
         with pytest.raises(ValueError):
             gosper(RationalFunction(Poly.zero("l"), Poly.const(1, "l")))
+
+    def test_unfactored_ratio_rejected(self):
+        l = Poly.variable("l")
+        with pytest.raises(TypeError):
+            gosper(RationalFunction(l + 1, l))
+
+    def test_work_limit(self):
+        # deg c = h - 1 for 1/((l+1)(l+1+h)); the degree bound is k for
+        # fact(l-1)/fact(l+k), whose c is 1
+        for src in (
+            f"1/((l+1)*(l+{GOSPER_WORK_LIMIT + 3}))",
+            f"fact(l-1)/fact(l+{GOSPER_WORK_LIMIT + 2})",
+        ):
+            with pytest.raises(GosperLimitError):
+                gosper(term_ratio(parse_term(src, "l")))
 
     def test_cross_check_with_sympy(self):
         sympy = pytest.importorskip("sympy")
