@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -118,27 +119,29 @@ def _suite_lowner(n_max: int) -> Report:
     return report
 
 
+def _mismatch(n: int, k: int, got, want) -> str | None:
+    """None when got == want, else a witness naming (n, k) and both values."""
+    if got == want:
+        return None
+    show = format_rational if isinstance(got, Fraction) else str
+    return f"(n,k)=({n},{k}): {show(got)} != {show(want)}"
+
+
 def _suite_theorem2(n_max: int) -> Report:
     report = Report("theorem2", n_max)
     for n in range(1, n_max + 1):
-        slope_ok = True
-        init_ok = True
-        parity_ok = True
-        witness = None
+        # the first failing k of each check, as a witness
+        slope = init = parity = None
         for k in range(1, n + 1):
             tau = dbw.debranges_poly(n, k)
             lam = dbw.weinstein_poly(n, k)
-            if series.time_derivative(tau) != -k * lam:
-                slope_ok = False
-                witness = f"(n,k)=({n},{k})"
-            if tau(1) != n + 1 - k:
-                init_ok = False
+            slope = slope or _mismatch(n, k, series.time_derivative(tau), -k * lam)
+            init = init or _mismatch(n, k, tau(1), Fraction(n + 1 - k))
             expected = Fraction(-k) if (n - k) % 2 == 0 else Fraction(0)
-            if dbw.debranges_slope_at_zero(n, k) != expected:
-                parity_ok = False
-        report.add("slope-identity", [n], slope_ok, witness)
-        report.add("initial-value", [n], init_ok)
-        report.add("slope-parity", [n], parity_ok)
+            parity = parity or _mismatch(n, k, dbw.debranges_slope_at_zero(n, k), expected)
+        report.add("slope-identity", [n], slope is None, slope)
+        report.add("initial-value", [n], init is None, init)
+        report.add("slope-parity", [n], parity is None, parity)
     series_max = min(n_max, 25)
     for k in range(1, series_max + 1):
         w_series = dbw.weinstein_series(k, series_max + 1)
@@ -526,8 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "table":
         if args.n < 1:

@@ -2,8 +2,11 @@
 reduced rational functions, and combinatorial primitives.
 
 Every scalar in this package is an arbitrary-precision ``fractions.Fraction``;
-floats never enter the core.  Polynomials are immutable dense coefficient
-tuples tagged with a variable name, so that quantities living in different
+floats never enter the core.  A polynomial is stored as a dense tuple of
+integer numerators over one positive denominator, kept canonical, so that
+its arithmetic runs on Python integers and normalises once per result; its
+coefficients are still read as ``Fraction``.  Polynomials are immutable and
+tagged with a variable name, so that quantities living in different
 variables (``y``, ``x``, a summation variable) cannot be mixed by accident.
 """
 
@@ -51,34 +54,122 @@ def format_rational(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact scalar."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+
+
+def _numerators(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator."""
+    cs = list(coeffs)
+    if all(type(c) is int for c in cs):
+        return cs, 1
+    pairs = [_ratio(c) for c in cs]
+    den = math.lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical storage of the coefficients nums[i] / den (den nonzero):
+    no trailing zero numerator, den positive and coprime to the content."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den != 1:
+        if den < 0:
+            den, nums = -den, [-n for n in nums]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+    return tuple(nums), den
+
+
+def _raw(num: tuple[int, ...], den: int, var: str) -> "Poly":
+    """A Poly from storage that is already canonical."""
+    p = object.__new__(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
+    _set_var(p, var)
+    return p
+
+
+def _make(nums: list[int], den: int, var: str) -> "Poly":
+    """The Poly with coefficients nums[i] / den, normalised once."""
+    return _raw(*_canonical(nums, den), var)
+
+
+def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int], scale: int) -> None:
+    """out[i+j] += scale * a[i] * b[j] for every i, j; b must not be all zero."""
+    lo = 0
+    while not b[lo]:  # chain powers start with many zero numerators
+        lo += 1
+    b = b[lo:]
+    for i, x in enumerate(a):
+        if x:
+            if scale != 1:
+                x *= scale
+            for j, y in enumerate(b, i + lo):
+                out[j] += x * y
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Integer division s*a = q*b + r with s > 0 and deg r < deg b.
+
+    Each step scales by lb/gcd(t, lb) only, for the top remainder
+    coefficient t and the leading coefficient lb of b, so a divisor with
+    leading coefficient +-1 never scales at all."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    quot = [0] * max(len(rem) - db, 0)
+    s = 1
+    for k in range(len(quot) - 1, -1, -1):
+        t = rem[k + db]
+        if not t:
+            continue
+        g = math.gcd(t, lb) if lb > 0 else -math.gcd(t, lb)
+        f, m = lb // g, t // g
+        if f != 1:
+            s *= f
+            rem = [f * x for x in rem]
+            quot = [f * x for x in quot]
+        quot[k] = m
+        for i, y in enumerate(b, k):
+            rem[i] -= m * y
+    return s, quot, rem[:db]
 
 
 class Poly:
     """Dense univariate polynomial over Q with a variable tag.
 
-    coeffs[i] is the coefficient of var**i; the highest stored coefficient is
-    nonzero, and the zero polynomial stores no coefficients at all.  Instances
-    are immutable and hashable, so they are safe to share between threads and
-    to use as cache keys.
+    Stored as a tuple of integer numerators over one positive denominator:
+    the coefficient of var**i is ``_num[i] / _den``.  The storage is kept
+    canonical, so equality and hashing are structural: there is no trailing
+    zero numerator, ``_den`` is coprime to the content of ``_num``, and the
+    zero polynomial is ``()`` over 1.  Arithmetic runs on the integers and
+    normalises once per result.  The storage is private to this module:
+    ``coeffs``, ``coeff()``, ``leading`` and ``const_value()`` give the
+    coefficients as ``Fraction``.  Instances are immutable and hashable, so
+    they are safe to share between threads and to use as cache keys.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("_num", "_den", "var")
 
-    coeffs: tuple[Fraction, ...]
+    _num: tuple[int, ...]
+    _den: int
     var: str
 
     def __init__(self, coeffs: Iterable[Scalar], var: str):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
+        num, den = _canonical(*_numerators(coeffs))
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_var(self, var)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -87,50 +178,57 @@ class Poly:
 
     @classmethod
     def zero(cls, var: str) -> "Poly":
-        return cls((), var)
+        return _raw((), 1, var)
 
     @classmethod
     def const(cls, value: Scalar, var: str) -> "Poly":
-        return cls((value,), var)
+        p, q = _ratio(value)
+        return _make([p], q, var)
 
     @classmethod
     def variable(cls, var: str) -> "Poly":
-        return cls((0, 1), var)
+        return _raw((0, 1), 1, var)
 
     @classmethod
     def monomial(cls, coeff: Scalar, power: int, var: str) -> "Poly":
-        return cls((0,) * power + (coeff,), var)
+        p, q = _ratio(coeff)
+        return _make([0] * power + [p], q, var)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """coeffs[i] is the coefficient of var**i; the last one is nonzero."""
+        return tuple(Fraction(n, self._den) for n in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     def coeff(self, power: int) -> Fraction:
         """Coefficient of var**power (zero beyond the degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     def const_value(self) -> Fraction:
         """The value of a constant polynomial."""
         if not self.is_const():
             raise ValueError(f"{self!r} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeff(0)
 
     def _check_var(self, other: "Poly") -> None:
         if self.var != other.var:
@@ -138,31 +236,39 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "Poly | Scalar") -> "Poly":
+    def _add(self, other: "Poly | Scalar", sign: int) -> "Poly":
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(other, self.var)
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
+        den = self._den
+        if den != other._den:
+            g = math.gcd(den, other._den)
+            sa, sb = other._den // g, den // g
+            den *= sa
+            a = [n * sa for n in a]
+            b = [n * sb for n in b]
+        if sign < 0:
+            b = [-n for n in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out, self.var)
+        for i, n in enumerate(b):
+            out[i] += n
+        return _make(out, den, self.var)
+
+    def __add__(self, other: "Poly | Scalar") -> "Poly":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly((-c for c in self.coeffs), self.var)
+        return _raw(tuple(-n for n in self._num), self._den, self.var)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(other, self.var)
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other: Scalar) -> "Poly":
         return (-self) + other
@@ -171,20 +277,15 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            c = _coerce(other)
-            if c == 0:
-                return Poly.zero(self.var)
-            return Poly((c * a for a in self.coeffs), self.var)
+            p, q = _ratio(other)
+            return _make([p * n for n in self._num], q * self._den, self.var)
         self._check_var(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self._num, other._num
+        if not a or not b:
             return Poly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out, self.var)
+        out = [0] * (len(a) + len(b) - 1)
+        _convolve_into(out, a, b, 1)
+        return _make(out, self._den * other._den, self.var)
 
     __rmul__ = __mul__
 
@@ -201,53 +302,65 @@ class Poly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.var == other.var and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly.const(other, self.var).coeffs
+            other = Poly.const(other, self.var)
+        if isinstance(other, Poly):
+            return (
+                self._num == other._num
+                and self._den == other._den
+                and self.var == other.var
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     # -- calculus and substitution --------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly((i * c for i, c in enumerate(self.coeffs) if i), self.var)
+        return _make([i * n for i, n in enumerate(self._num) if i], self._den, self.var)
 
     def __call__(self, value: Scalar) -> Fraction:
-        """Evaluate at an exact scalar (Horner)."""
-        value = _coerce(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Evaluate at an exact scalar: Horner on integers at p/q, with
+        the numerators weighted by powers of q, and one Fraction at the end."""
+        p, q = _ratio(value)
+        acc, q_power = 0, 1
+        for n in reversed(self._num):
+            acc = acc * p + n * q_power
+            q_power *= q
+        # q_power is now q**(degree + 1)
+        return Fraction(acc * q, self._den * q_power)
 
     def shift(self, c: Scalar = 1) -> "Poly":
         """Substitute var -> var + c."""
-        c = _coerce(c)
-        acc = Poly.zero(self.var)
-        x_plus_c = Poly((c, 1), self.var)
-        for coeff in reversed(self.coeffs):
-            acc = acc * x_plus_c + coeff
-        return acc
+        p, q = _ratio(c)
+        deg = self.degree
+        # den q^deg self(x + p/q) = T(q x) for T(u) = sum_i n_i q^(deg-i) (u + p)^i,
+        # and T comes from n_i q^(deg-i) by the integer Taylor shift
+        t = [n * q ** (deg - i) for i, n in enumerate(self._num)]
+        for i in range(deg):
+            for k in range(deg - 1, i - 1, -1):
+                t[k] += p * t[k + 1]
+        if q != 1:
+            t = [n * q**j for j, n in enumerate(t)]
+        return _make(t, self._den * q ** max(deg, 0), self.var)
 
     def subs_linear(self, a: Scalar, b: Scalar, var: str) -> "Poly":
         """Substitute var -> a*new_var + b, returning a polynomial in new_var."""
-        inner = Poly((b, a), var)
-        acc = Poly.zero(var)
-        for coeff in reversed(self.coeffs):
-            acc = acc * inner + coeff
-        return acc
+        shifted = self.shift(b)
+        p, q = _ratio(a)
+        deg = shifted.degree
+        nums = [n * p**j * q ** (deg - j) for j, n in enumerate(shifted._num)]
+        return _make(nums, shifted._den * q ** max(deg, 0), var)
 
     def divide_by_var(self) -> "Poly":
         """Exact division by the variable; the constant term must vanish."""
-        if self.coeffs and self.coeffs[0] != 0:
+        if self._num and self._num[0] != 0:
             raise ValueError(f"{self!r} is not divisible by {self.var}")
-        return Poly(self.coeffs[1:], self.var)
+        return _raw(self._num[1:], self._den, self.var)
 
     # -- euclidean structure --------------------------------------------
 
@@ -256,19 +369,15 @@ class Poly:
         self._check_var(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if self.degree < other.degree:
             return Poly.zero(self.var), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] -= c * b
-        return Poly(quot, self.var), Poly(rem, self.var)
+        # s*A = Q*B + R on the numerators, so self = (Q*den_B)/(s*den_A) * other + R/(s*den_A)
+        s, quot, rem = _pseudo_divmod(self._num, other._num)
+        den = s * self._den
+        return (
+            _make([n * other._den for n in quot], den, self.var),
+            _make(rem, den, self.var),
+        )
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Division known to be exact; raises on a nonzero remainder."""
@@ -280,15 +389,17 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * (1 / self.leading)
+        return _make(list(self._num), self._num[-1], self.var)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (Euclid over Q)."""
+        """Monic greatest common divisor: Euclid on the numerators, with
+        each remainder reduced to its primitive part."""
         self._check_var(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        a, b = self._num, other._num
+        while b:
+            rem = _pseudo_divmod(a, b)[2]
+            a, b = b, _canonical(rem, math.gcd(*rem) or 1)[0]
+        return _raw(a, 1, self.var).monic()
 
     def resultant(self, other: "Poly") -> Fraction:
         """Resultant of self and other with respect to the shared variable."""
@@ -309,18 +420,37 @@ class Poly:
         # g is now a nonzero constant
         return sign * acc * g.const_value() ** f.degree
 
+    @staticmethod
+    def sum_of_products(
+        pairs: Iterable[tuple["Poly", "Poly"]], var: str, scale: Scalar = 1
+    ) -> "Poly":
+        """scale times the sum of x*y over the pairs, all polynomials in var.
+
+        The fused inner step of series products: the products are summed on
+        integer numerators over one common denominator, and the result is
+        normalised once instead of once per product and per sum."""
+        terms = [(x._num, y._num, x._den * y._den) for x, y in pairs if x._num and y._num]
+        p, q = _ratio(scale)
+        if not terms or not p:
+            return Poly.zero(var)
+        den = math.lcm(*(d for _, _, d in terms))
+        out = [0] * max(len(a) + len(b) - 1 for a, b, _ in terms)
+        for a, b, d in terms:
+            _convolve_into(out, a, b, p * (den // d))
+        return _make(out, den * q, var)
+
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
+            n = self._num[power]
+            if n == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
+            sign = "-" if n < 0 else "+"
+            mag = Fraction(abs(n), self._den)
             if power == 0:
                 body = format_rational(mag)
             elif mag == 1:
@@ -337,6 +467,11 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self}, var={self.var!r})"
+
+
+_set_num = Poly._num.__set__
+_set_den = Poly._den.__set__
+_set_var = Poly.var.__set__
 
 
 class RationalFunction:

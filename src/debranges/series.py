@@ -123,17 +123,14 @@ class ZSeries:
         if not isinstance(other, ZSeries):
             return ZSeries([c * other for c in self.coeffs], self.var)
         self._check(other)
-        n = min(self.order, other.order)
-        out = [Poly.zero(self.var) for _ in range(n + 1)]
-        for i in range(min(self.order, n) + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(min(other.order, n - i) + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return ZSeries(out, self.var)
+        a, b = self.coeffs, other.coeffs
+        return ZSeries(
+            [
+                Poly.sum_of_products(zip(a[: m + 1], reversed(b[: m + 1])), self.var)
+                for m in range(min(self.order, other.order) + 1)
+            ],
+            self.var,
+        )
 
     __rmul__ = __mul__
 
@@ -158,12 +155,9 @@ class ZSeries:
         inv0 = 1 / c0.const_value()
         out = [Poly.const(inv0, self.var)]
         for n in range(1, self.order + 1):
-            acc = Poly.zero(self.var)
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if not ak.is_zero():
-                    acc = acc + ak * out[n - k]
-            out.append(acc * (-inv0))
+            # b_n = -inv0 * (a_1 b_(n-1) + ... + a_n b_0)
+            pairs = zip(self.coeffs[1 : n + 1], reversed(out))
+            out.append(Poly.sum_of_products(pairs, self.var, -inv0))
         return ZSeries(out, self.var)
 
     def __truediv__(self, other: "ZSeries") -> "ZSeries":
@@ -232,7 +226,7 @@ def koebe_chain(order: int) -> ZSeries:
     if order < 1:
         raise ValueError("order must be at least 1")
     y = Poly.variable("y")
-    target = ZSeries([Poly.monomial(n, 1, "y") for n in range(order + 1)])  # y*K(z)
+    target = koebe(order) * y
     w = ZSeries([Poly.zero("y"), y])
     max_steps = math.ceil(math.log2(order)) + 2 if order > 1 else 3
     for _ in range(max_steps + 1):

@@ -1,5 +1,6 @@
 """Command line contract: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from debranges import cli, lowner
+from debranges import cli, dbw, lowner
 
 
 def run(capsys, *argv):
@@ -185,6 +186,48 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["verify", "nosuch"])
         assert excinfo.value.code == 2
+
+    def test_theorem2_witness_names_first_failure(self, capsys, monkeypatch):
+        real = dbw.debranges_poly
+
+        def broken(n, k):
+            # twice the true T(4, 2) and T(4, 3)
+            return real(n, k) * 2 if (n, k) in ((4, 2), (4, 3)) else real(n, k)
+
+        monkeypatch.setattr(dbw, "debranges_poly", broken)
+        code, out, _ = run(capsys, "verify", "theorem2", "--n", "5")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {
+            ("slope-identity", (4,)): (
+                "(n,k)=(4,2): -112*y^4 + 192*y^3 - 84*y^2"
+                " != -56*y^4 + 96*y^3 - 42*y^2"
+            ),
+            ("initial-value", (4,)): "(n,k)=(4,2): 6 != 3",
+            ("slope-parity", (4,)): "(n,k)=(4,2): -4 != -2",
+        }
+
+
+# sha256 of stdout, taken before the integer polynomial kernel; the output
+# must stay byte-identical across refactors of the arithmetic
+PINNED_STDOUT = [
+    (["table", "tau", "--n", "60"],
+     "bd4e32f59c9654621ad4f08d94ea1f012f59bfe0ca6c612a50c9937f23eb35d1"),
+    (["verify", "all", "--n", "12"],
+     "bca79f22b5f14df6b049ac52327b12e54c4dd50a72cdf3afcc07b77800401d3a"),
+    (["gosper", "(8-l)*binom(l+2,l-3)", "--var", "l", "--range", "3..7"],
+     "4af29632a55eaaf20d2c32f4d98ae847741819508a9d4761b6a8d2925f9bd9d6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["table", "verify", "gosper"])
+def test_stdout_is_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGosper:

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -133,6 +135,177 @@ class TestPoly:
         sq = sum(sympy.Rational(c) * l**i for i, c in enumerate(q.coeffs))
         expected = sylvester(sp, sq, l).det()
         assert sympy.Rational(str(p.resultant(q))) == expected
+
+
+# A plain reference: coefficient lists of Fractions, lowest power first,
+# with the operations written out the textbook way.
+
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] -= c * y
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_compose_linear(a, s, t):
+    """a(s*x + t) by Horner on lists."""
+    acc = []
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, [t, s]), [c])
+    return acc
+
+
+def ref_eval(a, v):
+    return sum((c * Fraction(v) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def canonical(p):
+    """The storage invariant: integer numerators, no trailing zero, a
+    positive denominator coprime to the content, zero as () over 1."""
+    num, den = p._num, p._den
+    assert all(type(n) is int for n in num) and type(den) is int
+    if not num:
+        assert den == 1
+        return True
+    assert num[-1] != 0 and den > 0 and math.gcd(den, *num) == 1
+    return True
+
+
+coeff_lists = st.lists(rationals, min_size=0, max_size=7)
+
+
+class TestKernelAgainstReference:
+    """Every Poly operation agrees with the Fraction-list reference and
+    returns canonical storage."""
+
+    def check(self, p, ref, var="y"):
+        assert canonical(p)
+        assert p.var == var
+        assert list(p.coeffs) == ref
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+    @given(a=coeff_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_construction(self, a):
+        self.check(Poly(a, "y"), ref_trim(a))
+
+    @given(a=coeff_lists, b=coeff_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_add_sub_mul(self, a, b):
+        p, q = Poly(a, "y"), Poly(b, "y")
+        a, b = ref_trim(a), ref_trim(b)
+        self.check(p + q, ref_add(a, b))
+        self.check(p - q, ref_add(a, b, -1))
+        self.check(-p, ref_add([], a, -1))
+        self.check(p * q, ref_mul(a, b))
+
+    @given(a=coeff_lists, c=rationals | st.integers(-30, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_scalar_mul(self, a, c):
+        p = Poly(a, "y")
+        self.check(p * c, ref_mul(ref_trim(a), ref_trim([c])))
+        self.check(c * p, ref_mul(ref_trim(a), ref_trim([c])))
+        self.check(p + c, ref_add(ref_trim(a), ref_trim([c])))
+
+    @given(a=st.lists(rationals, max_size=4), n=st.integers(0, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_power(self, a, n):
+        want = [Fraction(1)]
+        for _ in range(n):
+            want = ref_mul(want, ref_trim(a))
+        self.check(Poly(a, "y") ** n, want)
+
+    @given(a=coeff_lists, b=coeff_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_divmod_and_gcd(self, a, b):
+        p, q = Poly(a, "y"), Poly(b, "y")
+        a, b = ref_trim(a), ref_trim(b)
+        if b:
+            quot, rem = p.divmod(q)
+            want_q, want_r = ref_divmod(a, b)
+            self.check(quot, want_q)
+            self.check(rem, want_r)
+        if a or b:
+            self.check(p.gcd(q), ref_gcd(a, b))
+
+    @given(a=coeff_lists, c=rationals | st.integers(-30, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_shift(self, a, c):
+        self.check(Poly(a, "y").shift(c), ref_compose_linear(ref_trim(a), 1, c))
+
+    @given(a=coeff_lists, s=rationals, t=rationals)
+    @settings(max_examples=25, deadline=None)
+    def test_subs_linear(self, a, s, t):
+        got = Poly(a, "y").subs_linear(s, t, "x")
+        self.check(got, ref_compose_linear(ref_trim(a), s, t), "x")
+
+    @given(a=coeff_lists, v=rationals | st.integers(-30, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_derivative_and_evaluation(self, a, v):
+        p = Poly(a, "y")
+        a = ref_trim(a)
+        self.check(p.derivative(), ref_trim(i * c for i, c in enumerate(a) if i))
+        value = p(v)
+        assert type(value) is Fraction and value == ref_eval(a, v)
+
+    @given(a=coeff_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_divide_by_var(self, a):
+        p = Poly([0] + a, "y")
+        self.check(p.divide_by_var(), ref_trim(a))
+
+    def test_equal_values_store_equally(self):
+        half = Poly([Fraction(2, 4)], "y")
+        assert half == Poly([Fraction(1, 2)], "y")
+        assert hash(half) == hash(Poly([Fraction(1, 2)], "y"))
+        assert Poly([2, 4], "y") * Fraction(1, 2) == Poly([1, 2], "y")
+        assert hash(Poly([Fraction(6, 3)], "y")) == hash(Poly([2], "y"))
+
+    def test_accessors_return_fractions(self):
+        p = Poly([Fraction(1, 2), 0, Fraction(-3, 4)], "y")
+        assert p.coeffs == (Fraction(1, 2), Fraction(0), Fraction(-3, 4))
+        assert p.coeff(2) == Fraction(-3, 4) and type(p.coeff(2)) is Fraction
+        assert p.coeff(7) == 0 and type(p.coeff(7)) is Fraction
+        assert p.leading == Fraction(-3, 4) and type(p.leading) is Fraction
+        assert Poly.const(Fraction(5, 3), "y").const_value() == Fraction(5, 3)
+        assert type(Poly.zero("y").const_value()) is Fraction
+
+    def test_non_exact_scalars_rejected(self):
+        with pytest.raises(TypeError):
+            Poly([0.5], "y")
+        with pytest.raises(TypeError):
+            Poly([1], "y")(0.5)
 
 
 class TestRationalFunction:

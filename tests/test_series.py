@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from debranges.exact import Poly
 from debranges.series import (
@@ -66,6 +67,88 @@ class TestRingOperations:
         assert s.truncate(1) == ZSeries([1, 2])
         with pytest.raises(ValueError):
             s.truncate(5)
+
+
+# Naive reference: a series is a list of coefficient lists of Fractions.
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def ref_series_mul(s, t):
+    out = []
+    for m in range(min(len(s), len(t))):
+        acc = []
+        for i in range(m + 1):
+            acc = _poly_add(acc, _poly_mul(s[i], t[m - i]))
+        out.append(acc)
+    return out
+
+
+def ref_series_inverse(s):
+    inv0 = 1 / s[0][0]
+    out = [[inv0]]
+    for n in range(1, len(s)):
+        acc = []
+        for k in range(1, n + 1):
+            acc = _poly_add(acc, _poly_mul(s[k], out[n - k]))
+        out.append(_trim(-inv0 * c for c in acc))
+    return out
+
+
+def as_lists(series):
+    return [list(c.coeffs) for c in series.coeffs]
+
+
+def as_series(lists):
+    return ZSeries([Poly(c, "y") for c in lists])
+
+
+poly_lists = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=4
+).map(_trim)
+series_lists = st.integers(0, 5).flatmap(
+    lambda n: st.lists(poly_lists, min_size=n + 1, max_size=n + 1)
+)
+unit = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+class TestFusedProductsAgainstReference:
+    """Series product and inverse against the naive coefficient loops, with
+    coefficients over unequal denominators."""
+
+    @given(s=series_lists, t=series_lists)
+    @example(
+        s=[[Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 5)], [Fraction(-3, 7)]],
+        t=[[Fraction(5, 6)], [0, Fraction(1, 9)], [Fraction(4, 11), 1]],
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_product(self, s, t):
+        assert as_lists(as_series(s) * as_series(t)) == ref_series_mul(s, t)
+
+    @given(c0=unit, tail=series_lists)
+    @example(c0=Fraction(2, 3), tail=[[Fraction(1, 2), Fraction(1, 5)], [Fraction(-1, 7)]])
+    @settings(max_examples=25, deadline=None)
+    def test_inverse(self, c0, tail):
+        s = [[c0]] + tail
+        assert as_lists(as_series(s).inverse()) == ref_series_inverse(s)
 
 
 class TestKoebe:
