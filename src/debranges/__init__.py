@@ -31,7 +31,9 @@ from .orthopoly import (
     gegenbauer_expansion_check,
     gegenbauer_minus_half,
     gegenbauer_partial_sum,
+    gegenbauer_partial_sum_poly,
     gegenbauer_partial_sum_scan,
+    jacobi_partial_sum_poly,
     jacobi_poly,
     jacobi_value,
     to_x,
@@ -81,9 +83,11 @@ __all__ = [
     "gegenbauer_expansion_check",
     "gegenbauer_minus_half",
     "gegenbauer_partial_sum",
+    "gegenbauer_partial_sum_poly",
     "gegenbauer_partial_sum_scan",
     "gosper",
     "jacobi_decomposition_check",
+    "jacobi_partial_sum_poly",
     "jacobi_poly",
     "jacobi_value",
     "koebe",

@@ -265,15 +265,13 @@ def _suite_askey_gasper(n_max: int) -> Report:
     grid = [Fraction(i, 10) for i in range(-10, 11)]
     sum_max = min(n_max, 20)
     for k in range(0, 9):
-        ok = True
-        witness = None
+        witness = None  # the first failing (n, x)
         for n in range(sum_max + 1):
             for x in grid:
                 value = orthopoly.askey_gasper_sum(n, k, x)
-                if value < 0:
-                    ok = False
+                if value < 0 and witness is None:
                     witness = f"n={n}, x={format_rational(x)}: {format_rational(value)}"
-        report.add("jacobi-partial-sums", [k], ok, witness)
+        report.add("jacobi-partial-sums", [k], witness is None, witness)
     scan = orthopoly.gegenbauer_partial_sum_scan(sum_max, grid)
     report.add(
         "sqrt-coefficient-positivity", [sum_max], not scan,
@@ -463,20 +461,29 @@ def cmd_gosper(args) -> int:
         return 2
     if certificate is None:
         sys.stdout.write("NOT GOSPER-SUMMABLE\n")
-        if args.range is not None:
-            lo, hi = args.range
-            total = sum(
-                (hypsum.term_value(term, l) for l in range(lo, hi + 1)), Fraction(0)
-            )
-            sys.stdout.write(f"sum[{lo}..{hi}] = {format_rational(total)}\n")
-        return 0
-    r = certificate.multiplier
-    sys.stdout.write(f"R({args.var}) = ({r.num}) / ({r.den})\n")
+    else:
+        r = certificate.multiplier
+        sys.stdout.write(f"R({args.var}) = ({r.num}) / ({r.den})\n")
     if args.range is not None:
         lo, hi = args.range
-        total = hypsum.telescoped_sum(term, certificate, lo, hi)
+        try:
+            total = _range_sum(term, certificate, lo, hi)
+        except (ValueError, ZeroDivisionError) as exc:  # the term is undefined
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
         sys.stdout.write(f"sum[{lo}..{hi}] = {format_rational(total)}\n")
     return 0
+
+
+def _range_sum(term, certificate, lo: int, hi: int) -> Fraction:
+    """The sum over lo..hi: telescoped by the certificate where R(l) b_l is
+    defined at l = lo - 1 and l = hi, else term by term."""
+    if certificate is not None:
+        try:
+            return hypsum.telescoped_sum(term, certificate, lo, hi)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return sum((hypsum.term_value(term, l) for l in range(lo, hi + 1)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

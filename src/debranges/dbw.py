@@ -169,17 +169,10 @@ def jacobi_decomposition_check(k: int, order: int) -> bool:
     """
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
-    inner = order - (k + 1)
-    jac_sum = Poly.zero("y")
-    geg_sum = Poly.zero("y")
-    jac_coeffs = []
-    geg_coeffs = []
-    for n in range(inner + 1):
-        jac_sum = jac_sum + orthopoly.to_y(orthopoly.jacobi_poly(n, 2 * k))
-        geg_sum = geg_sum + orthopoly.to_y(orthopoly.gegenbauer_minus_half(n))
-        jac_coeffs.append(jac_sum)
-        geg_coeffs.append(geg_sum)
-    product = ZSeries(jac_coeffs) * ZSeries(geg_coeffs)
+    inner = range(order - k)  # n = 0 .. order - (k + 1)
+    jac = [orthopoly.to_y(orthopoly.jacobi_partial_sum_poly(n, 2 * k)) for n in inner]
+    geg = [orthopoly.to_y(orthopoly.gegenbauer_partial_sum_poly(n)) for n in inner]
+    product = ZSeries(jac) * ZSeries(geg)
     rhs = (product * Poly.monomial(1, k, "y")).shift_up(k + 1)
     return rhs == debranges_generating_series(k, order)
 

@@ -3,8 +3,9 @@
 Ingredients for the positivity side of the story: the Gegenbauer polynomials
 C_n^(-1/2) defined as the z-coefficients of sqrt(1 - 2xz + z^2), Jacobi
 polynomials P_n^(alpha, 0) from the classical three-term recurrence, the
-Askey-Gasper partial sums, and exact sign scans.  The x and y pictures are
-linked by x = 1 - 2y, i.e. y = e^(-t) and x = 1 - 2e^(-t).
+Askey-Gasper partial sums, and exact sign scans.  Every value is the Horner
+evaluation of a cached exact polynomial.  The x and y pictures are linked
+by x = 1 - 2y, i.e. y = e^(-t) and x = 1 - 2e^(-t).
 
 The lambda = -1/2 Gegenbauer normalization is the generating-function one;
 the square root series is expanded binomially, which collapses to monomials
@@ -16,6 +17,7 @@ gegenbauer_expansion_check).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -106,16 +108,14 @@ def chain_gegenbauer_check(n: int) -> bool:
     return to_y(quotient) == lowner.chain_poly(n)
 
 
-def _jacobi_sequence(alpha: Fraction, x):
-    """Yield P_0^(alpha,0), P_1^(alpha,0), ... at x, which may be an exact
-    scalar or a polynomial; the three-term recurrence is the same either way."""
-    one = x * 0 + 1
-    yield one
-    prev = one
-    curr = x * Fraction(alpha + 2, 2) + Fraction(alpha, 2)
+def _jacobi_sequence(alpha: Fraction):
+    """Yield P_0^(alpha,0), P_1^(alpha,0), ... as x-polynomials by the
+    classical three-term recurrence."""
+    x = Poly.variable("x")
+    prev, curr = Poly.const(1, "x"), x * Fraction(alpha + 2, 2) + Fraction(alpha, 2)
+    yield prev
     yield curr
-    n = 2
-    while True:
+    for n in itertools.count(2):
         lead = Fraction(2 * n) * (n + alpha) * (2 * n + alpha - 2)
         if lead == 0:
             raise ValueError(
@@ -127,17 +127,6 @@ def _jacobi_sequence(alpha: Fraction, x):
         back = Fraction(2) * (n + alpha - 1) * (n - 1) * (2 * n + alpha)
         prev, curr = curr, (mid * curr - back * prev) * (1 / lead)
         yield curr
-        n += 1
-
-
-def jacobi_value(n: int, alpha: Scalar, x: Scalar) -> Fraction:
-    """P_n^(alpha, 0)(x) by the three-term recurrence, exactly."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    seq = _jacobi_sequence(Fraction(alpha), Fraction(x))
-    for _ in range(n):
-        next(seq)
-    return next(seq)
 
 
 @lru_cache(maxsize=None)
@@ -145,28 +134,44 @@ def jacobi_poly(n: int, alpha: Scalar) -> Poly:
     """P_n^(alpha, 0) as an exact polynomial in x."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    seq = _jacobi_sequence(Fraction(alpha), Poly.variable("x"))
-    for _ in range(n):
-        next(seq)
-    return next(seq)
+    return next(itertools.islice(_jacobi_sequence(Fraction(alpha)), n, None))
+
+
+def jacobi_value(n: int, alpha: Scalar, x: Scalar) -> Fraction:
+    """P_n^(alpha, 0)(x), exactly."""
+    return jacobi_poly(n, alpha)(Fraction(x))
+
+
+@lru_cache(maxsize=None)
+def jacobi_partial_sum_poly(n: int, alpha: Scalar) -> Poly:
+    """sum_{j=0..n} P_j^(alpha, 0) as an exact polynomial in x."""
+    return sum((jacobi_poly(j, alpha) for j in range(n + 1)), Poly.zero("x"))
+
+
+@lru_cache(maxsize=None)
+def gegenbauer_partial_sum_poly(n: int) -> Poly:
+    """sum_{j=0..n} C_j^(-1/2) as an exact polynomial in x."""
+    return sum((gegenbauer_minus_half(j) for j in range(n + 1)), Poly.zero("x"))
+
+
+def _in_interval(x: Scalar) -> Fraction:
+    x = Fraction(x)
+    if not -1 <= x <= 1:
+        raise ValueError(f"x = {x} outside [-1, 1]")
+    return x
 
 
 def askey_gasper_sum(n: int, k: int, x: Scalar) -> Fraction:
     """Partial sum sum_{j=0..n} P_j^(2k, 0)(x); nonnegative on [-1, 1]."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    x = Fraction(x)
-    if not -1 <= x <= 1:
-        raise ValueError(f"x = {x} outside [-1, 1]")
-    seq = _jacobi_sequence(Fraction(2 * k), x)
-    return sum(next(seq) for _ in range(n + 1))
+    return jacobi_partial_sum_poly(n, 2 * k)(_in_interval(x))
 
 
 def gegenbauer_partial_sum(n: int, x: Scalar) -> Fraction:
     """sum_{j=0..n} C_j^(-1/2)(x): the z^n Taylor coefficient of
     sqrt(1 - 2xz + z^2) / (1 - z)."""
-    x = Fraction(x)
-    return sum((gegenbauer_minus_half(j)(x) for j in range(n + 1)), Fraction(0))
+    return gegenbauer_partial_sum_poly(n)(Fraction(x))
 
 
 def gegenbauer_partial_sum_scan(
@@ -175,13 +180,9 @@ def gegenbauer_partial_sum_scan(
     """Scan the partial sums for negativity over an x grid in [-1, 1];
     returns (n, x, value) triples with value < 0 (expected: none)."""
     violations = []
-    for x in x_grid:
-        x = Fraction(x)
-        if not -1 <= x <= 1:
-            raise ValueError(f"x = {x} outside [-1, 1]")
-        running = Fraction(0)
+    for x in map(_in_interval, x_grid):
         for n in range(n_max + 1):
-            running += gegenbauer_minus_half(n)(x)
-            if running < 0:
-                violations.append((n, x, running))
+            value = gegenbauer_partial_sum_poly(n)(x)
+            if value < 0:
+                violations.append((n, x, value))
     return violations

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from debranges import cli, dbw, lowner
+from debranges import cli, dbw, lowner, orthopoly
 
 
 def run(capsys, *argv):
@@ -157,6 +157,23 @@ class TestVerify:
             assert set(check) == {"id", "indices", "pass", "witness"}
             assert check["pass"] is True and check["witness"] is None
 
+    def test_askey_gasper_witness_names_first_failure(self, capsys, monkeypatch):
+        real = orthopoly.askey_gasper_sum
+
+        def broken(n, k, x):
+            return Fraction(-1) if n >= 3 and x >= Fraction(1, 2) else real(n, k, x)
+
+        monkeypatch.setattr(orthopoly, "askey_gasper_sum", broken)
+        code, out, _ = run(capsys, "verify", "askey-gasper", "--n", "5")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {
+            ("jacobi-partial-sums", (k,)): "n=3, x=1/2: -1" for k in range(9)
+        }
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "verify", "gosper", "--n", "4", "--format", "csv")
         assert code == 0
@@ -272,12 +289,35 @@ class TestGosper:
         assert out.splitlines()[1] == "sum[0..4] = 34"
 
     @pytest.mark.parametrize(
+        "term, span, lines",
+        [
+            # R(l) has its pole at l = 9, where the term (9-l) l vanishes
+            ("(9-l)*binom(l,l-1)", "2..9",
+             ["R(l) = (1/3*l^2 - 4*l - 13/3) / (l - 9)", "sum[2..9] = 112"]),
+            # the term is undefined at l = lo - 1 = -1
+            ("l*fact(l)", "0..3", ["R(l) = (l + 1) / (l)", "sum[0..3] = 23"]),
+        ],
+    )
+    def test_undefined_range_end_sums_directly(self, capsys, term, span, lines):
+        code, out, err = run(capsys, "gosper", term, "--var", "l", "--range", span)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
+
+    def test_undefined_term_in_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "gosper", "1/(l-3)", "--var", "l", "--range", "1..5")
+        assert code == 2
+        assert out == "NOT GOSPER-SUMMABLE\n"
+        assert err.startswith("error: pole of") and "at l = 3" in err
+
+    @pytest.mark.parametrize(
         "term, code, out",
         [
             ("1/((l+1)*(l+1000003))", 2, ""),  # deg c about 10^6
             ("fact(l-1)/fact(l+999999)", 2, ""),  # degree bound about 10^6
             ("(l+123456789012)/(l+98765432109)", 0, "NOT GOSPER-SUMMABLE\n"),
             ("l*binom(3*l,l+1)^3", 0, "NOT GOSPER-SUMMABLE\n"),
+            ("(l+1)^3000", 2, ""),  # 6000 linear factors in the quotient
+            ("fact(3000*l)", 2, ""),  # 3000 linear factors
         ],
     )
     def test_large_dispersion_returns_within_a_second(self, term, code, out):

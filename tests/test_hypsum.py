@@ -291,6 +291,14 @@ class TestGosper:
             with pytest.raises(GosperLimitError):
                 gosper(term_ratio(parse_term(src, "l")))
 
+    def test_term_ratio_limit(self):
+        # (l+1)^e enters 2e linear factors; fact(a*l) enters |a|
+        limit = 5 * GOSPER_WORK_LIMIT
+        term_ratio(parse_term(f"(l+1)^{limit // 2}", "l"))
+        for src in (f"(l+1)^{limit // 2 + 1}", f"fact({limit + 1}*l)", "l^(10^12)"):
+            with pytest.raises(GosperLimitError, match="linear factors"):
+                term_ratio(parse_term(src, "l"))
+
     def test_cross_check_with_sympy(self):
         sympy = pytest.importorskip("sympy")
         from sympy.abc import l

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from debranges import lowner
+from debranges import lowner, orthopoly
 from debranges.exact import Poly
 from debranges.orthopoly import (
     askey_gasper_sum,
@@ -142,6 +142,18 @@ class TestJacobi:
         for n in range(8):
             assert jacobi_poly(n, 4)(x) == jacobi_value(n, 4, x)
 
+    def test_degenerate_recurrence_rejected(self):
+        # the leading factor 2n (n + alpha) (2n + alpha - 2) vanishes at n = 2
+        assert jacobi_value(1, -2, 0) == -1
+        with pytest.raises(ValueError, match="degenerates at n=2"):
+            jacobi_value(2, -2, 0)
+
+    @pytest.mark.parametrize("x", [0, -1, Fraction(1, 4), 0.25, 0.1])
+    def test_value_accepts_int_fraction_and_float(self, x):
+        value = jacobi_value(3, 2, x)
+        assert type(value) is Fraction
+        assert value == jacobi_poly(3, 2)(Fraction(x))
+
 
 class TestAskeyGasperSums:
     def test_constant_term(self):
@@ -165,6 +177,32 @@ class TestAskeyGasperSums:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             askey_gasper_sum(2, 1, Fraction(3, 2))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_generating_function_oracle(self, k):
+        # the z^n coefficient of 2^a / (R (1 - z + R)^a) / (1 - z), a = 2k
+        order = 12
+        ones = ZSeries([Poly.const(1, "x")] * (order + 1), "x")
+        sums = jacobi_gf_oracle(2 * k, order) * ones
+        for n in range(order + 1):
+            for x in (-1, Fraction(-3, 5), 0, Fraction(2, 7), 1):
+                assert askey_gasper_sum(n, k, x) == sums.coefficient(n)(x)
+
+    @pytest.mark.parametrize("x", [0, -1, 1, Fraction(1, 4), 0.25, -0.1])
+    def test_accepts_int_fraction_and_float(self, x):
+        value = askey_gasper_sum(4, 1, x)
+        assert type(value) is Fraction
+        assert value == sum(jacobi_value(j, 2, x) for j in range(5))
+
+    def test_each_partial_sum_built_once(self):
+        orthopoly.jacobi_partial_sum_poly.cache_clear()
+        grid = [Fraction(i, 4) for i in range(-4, 5)]
+        for _ in range(2):
+            for k in range(3):
+                for n in range(7):
+                    for x in grid:
+                        askey_gasper_sum(n, k, x)
+        assert orthopoly.jacobi_partial_sum_poly.cache_info().misses == 3 * 7
 
 
 class TestSqrtCoefficientPositivity:
