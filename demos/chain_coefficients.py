@@ -18,7 +18,7 @@ from debranges import (
 
 N = 8
 
-print("=== Newton reversion of the implicit equation ===")
+print("=== the chain read off its quadratic (1-z)^2 w = y z (1-w)^2 ===")
 w = koebe_chain(N)
 for n in range(1, N + 1):
     print(f"  z^{n}: {w.coefficient(n)}")
@@ -32,18 +32,23 @@ agree = all(
     for n in range(1, N + 1)
     for j in range(1, n + 1)
 )
-print(f"  recurrence == closed form == Newton series for n <= {N}: {agree}")
+assert agree
+print(f"  recurrence == closed form == quadratic series for n <= {N}: {agree}")
 
 print()
 print("=== residuals of the defining differential relations ===")
-print(f"  linear PDE residual is the zero series: {chain_pde_residual(w).is_zero()}")
-print(f"  second-order ODE residual, n <= {N}: "
-      f"{all(ode_residual(n).is_zero() for n in range(1, N + 1))}")
-print(f"  coupled first-order system, n <= {N}: "
-      f"{all(system_residual(n).is_zero() for n in range(2, N + 1))}")
+pde = chain_pde_residual(w).is_zero()
+ode = all(ode_residual(n).is_zero() for n in range(1, N + 1))
+system = all(system_residual(n).is_zero() for n in range(2, N + 1))
+assert pde and ode and system
+print(f"  linear PDE residual is the zero series: {pde}")
+print(f"  second-order ODE residual, n <= {N}: {ode}")
+print(f"  coupled first-order system, n <= {N}: {system}")
 
 print()
 print("=== boundary behaviour ===")
 collapsed = [int(v) for v in w.eval_inner(1)]
+vanishes = all(chain_poly(n)(1) == 0 for n in range(2, 20))
+assert collapsed == [0, 1] + [0] * (N - 1) and vanishes
 print(f"  at t = 0 (y = 1) the chain is z itself: coefficients {collapsed}")
-print(f"  B_n(1) = 0 for n >= 2: {all(chain_poly(n)(1) == 0 for n in range(2, 20))}")
+print(f"  B_n(1) = 0 for n >= 2: {vanishes}")

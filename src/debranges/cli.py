@@ -85,13 +85,19 @@ def _suite_lowner(n_max: int) -> Report:
     report = Report("lowner", n_max)
     table = lowner.coeff_table(n_max)
     for n in range(1, n_max + 1):
-        ok = all(
-            lowner.coeff_closed(n, j) == table[(n, j)] for j in range(1, n + 1)
-        )
-        report.add("closed-vs-recurrence", [n], ok)
-    newton_max = min(n_max, 30)
-    chain = series.koebe_chain(newton_max)
-    for n in range(1, newton_max + 1):
+        witness = None  # the first failing j
+        for j in range(1, n + 1):
+            closed, recurrence = lowner.coeff_closed(n, j), table[(n, j)]
+            if closed != recurrence:
+                witness = (
+                    f"(n,j)=({n},{j}): {format_rational(closed)}"
+                    f" != {format_rational(recurrence)}"
+                )
+                break
+        report.add("closed-vs-recurrence", [n], witness is None, witness)
+    chain_max = min(n_max, 30)
+    chain = series.koebe_chain(chain_max)
+    for n in range(1, chain_max + 1):
         got = chain.coefficient(n)
         want = lowner.chain_poly(n)
         report.add(
@@ -453,25 +459,28 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_gosper(args) -> int:
+    # rendering stays inside the try: an integer too long to print as
+    # decimal raises ValueError
     try:
         term = hypsum.parse_term(args.term, args.var)
         certificate = hypsum.gosper(hypsum.term_ratio(term))
+        if certificate is None:
+            line = "NOT GOSPER-SUMMABLE"
+        else:
+            r = certificate.multiplier
+            line = f"R({args.var}) = ({r.num}) / ({r.den})"
     except (hypsum.TermSyntaxError, hypsum.TermSemanticError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if certificate is None:
-        sys.stdout.write("NOT GOSPER-SUMMABLE\n")
-    else:
-        r = certificate.multiplier
-        sys.stdout.write(f"R({args.var}) = ({r.num}) / ({r.den})\n")
+    sys.stdout.write(line + "\n")
     if args.range is not None:
         lo, hi = args.range
         try:
-            total = _range_sum(term, certificate, lo, hi)
-        except (ValueError, ZeroDivisionError) as exc:  # the term is undefined
+            total = format_rational(_range_sum(term, certificate, lo, hi))
+        except (ValueError, ZeroDivisionError) as exc:  # undefined or too long
             sys.stderr.write(f"error: {exc}\n")
             return 2
-        sys.stdout.write(f"sum[{lo}..{hi}] = {format_rational(total)}\n")
+        sys.stdout.write(f"sum[{lo}..{hi}] = {total}\n")
     return 0
 
 

@@ -55,7 +55,10 @@ class GosperLimitError(ValueError):
 # bound on deg c and on the degree bound for x in gosper; the linear system
 # costs about cube of its size, 4 s at a degree bound of 100.  term_ratio
 # admits at most 5 * GOSPER_WORK_LIMIT linear factors, counted before they
-# cancel: expanding 500 took up to 1.5 s, 1000 up to 10 s (2 CPUs, Python 3.11)
+# cancel: expanding 500 took up to 1.5 s, 1000 up to 10 s (2 CPUs, Python 3.11).
+# It also admits geometric factors whose constants base^a come to at most
+# 20 000 bits: R(l) carries that constant, and Python prints no integer of
+# more than 4300 digits (about 14 300 bits) by default.
 GOSPER_WORK_LIMIT = 100
 
 
@@ -520,16 +523,30 @@ def _root_count(f: Factor) -> int:
     return 0
 
 
+def _geometric_bits(f: Factor) -> int:
+    """A bound on the bits of the constant base^a that f enters into the
+    shift quotient when f is a geometric factor, else 0."""
+    if not isinstance(f, GeometricFactor):
+        return 0
+    base = f.base
+    return abs(f.a) * max(base.numerator.bit_length(), base.denominator.bit_length())
+
+
 def term_ratio(term: HypTerm) -> ShiftQuotient:
     """The shift quotient b_{l+1} / b_l, reduced and factored into roots.
     Raises GosperLimitError when it has more than 5 * GOSPER_WORK_LIMIT
-    linear factors."""
+    linear factors, or geometric constants of more than 20 000 bits."""
     if term.is_zero():
         raise ValueError("the zero term has no shift quotient")
     size, limit = sum(map(_root_count, term.factors)), 5 * GOSPER_WORK_LIMIT
     if size > limit:
         raise GosperLimitError(
             f"Gosper work limit: {size} linear factors in the shift quotient > {limit}"
+        )
+    bits, bit_limit = sum(map(_geometric_bits, term.factors)), 20_000
+    if bits > bit_limit:
+        raise GosperLimitError(
+            f"Gosper work limit: {bits} bits of geometric constants > {bit_limit}"
         )
     scale = Fraction(1)
     roots: Counter = Counter()

@@ -17,7 +17,6 @@ gegenbauer_expansion_check).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -108,33 +107,29 @@ def chain_gegenbauer_check(n: int) -> bool:
     return to_y(quotient) == lowner.chain_poly(n)
 
 
-def _jacobi_sequence(alpha: Fraction):
-    """Yield P_0^(alpha,0), P_1^(alpha,0), ... as x-polynomials by the
-    classical three-term recurrence."""
-    x = Poly.variable("x")
-    prev, curr = Poly.const(1, "x"), x * Fraction(alpha + 2, 2) + Fraction(alpha, 2)
-    yield prev
-    yield curr
-    for n in itertools.count(2):
-        lead = Fraction(2 * n) * (n + alpha) * (2 * n + alpha - 2)
-        if lead == 0:
-            raise ValueError(
-                f"three-term recurrence degenerates at n={n}, alpha={alpha}"
-            )
-        mid = (x * ((2 * n + alpha) * (2 * n + alpha - 2)) + alpha * alpha) * (
-            2 * n + alpha - 1
-        )
-        back = Fraction(2) * (n + alpha - 1) * (n - 1) * (2 * n + alpha)
-        prev, curr = curr, (mid * curr - back * prev) * (1 / lead)
-        yield curr
-
-
 @lru_cache(maxsize=None)
 def jacobi_poly(n: int, alpha: Scalar) -> Poly:
-    """P_n^(alpha, 0) as an exact polynomial in x."""
+    """P_n^(alpha, 0) as an exact polynomial in x, by one step of the
+    classical three-term recurrence from the cached P_(n-1) and P_(n-2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return next(itertools.islice(_jacobi_sequence(Fraction(alpha)), n, None))
+    alpha = Fraction(alpha)
+    x = Poly.variable("x")
+    if n == 0:
+        return Poly.const(1, "x")
+    if n == 1:
+        return x * Fraction(alpha + 2, 2) + Fraction(alpha, 2)
+    for m in range(2, n - 1):  # fill the cache upward, so the depth stays constant
+        jacobi_poly(m, alpha)
+    prev, curr = jacobi_poly(n - 2, alpha), jacobi_poly(n - 1, alpha)
+    lead = Fraction(2 * n) * (n + alpha) * (2 * n + alpha - 2)
+    if lead == 0:
+        raise ValueError(f"three-term recurrence degenerates at n={n}, alpha={alpha}")
+    mid = (x * ((2 * n + alpha) * (2 * n + alpha - 2)) + alpha * alpha) * (
+        2 * n + alpha - 1
+    )
+    back = Fraction(2) * (n + alpha - 1) * (n - 1) * (2 * n + alpha)
+    return (mid * curr - back * prev) * (1 / lead)
 
 
 def jacobi_value(n: int, alpha: Scalar, x: Scalar) -> Fraction:

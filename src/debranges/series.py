@@ -3,10 +3,10 @@
 The central object is the bounded chain w(z, t) determined implicitly by
 K(z) = e^t K(w), where K is the Koebe function z/(1-z)^2.  Writing
 y = e^(-t), every z-coefficient of w is a polynomial in y, so the whole
-chain lives in Q[y][[z]] and can be computed exactly.  The solver here uses
-Newton reversion of the implicit equation, which is deliberately independent
-of the coefficient recurrences in :mod:`debranges.lowner` so the two routes
-can cross-check each other.
+chain lives in Q[y][[z]] and can be computed exactly.  The solver here reads
+each coefficient off (1-z)^2 w = y z (1-w)^2, the implicit equation cleared
+of denominators, which is deliberately independent of the recurrences in
+:mod:`debranges.lowner` so the two routes can cross-check each other.
 
 Truncation semantics: a series of order N is known exactly through z^N, and
 binary operations return the minimum order of their operands; nothing is
@@ -15,12 +15,11 @@ ever extrapolated.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .exact import Poly, Rational, Scalar
+from .exact import Poly, Scalar
 
 PolyOrScalar = Union[Poly, int, Fraction]
 
@@ -91,14 +90,6 @@ class ZSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return ZSeries(self.coeffs[: order + 1], self.var)
-
-    def _padded(self, order: int) -> "ZSeries":
-        # Iteration-scheme helper only: the padded tail is *not* the true
-        # series and must be corrected by the caller before exposure.
-        if order <= self.order:
-            return self.truncate(order)
-        pad = (Poly.zero(self.var),) * (order - self.order)
-        return ZSeries(self.coeffs + pad, self.var)
 
     def _check(self, other: "ZSeries") -> None:
         if self.var != other.var:
@@ -217,29 +208,22 @@ def koebe(order: int) -> ZSeries:
 
 @lru_cache(maxsize=None)
 def koebe_chain(order: int) -> ZSeries:
-    """The bounded chain w with K(w) = y K(z), by Newton reversion.
+    """The bounded chain w with K(w) = y K(z), read off its quadratic.
 
-    The z^1 coefficient is y; at y = 1 the chain collapses to w = z.  The
-    returned series satisfies the implicit equation exactly through z^order.
-    Newton steps run on a truncation-doubling schedule starting from w = y z.
+    Cleared of denominators the equation is (1-z)^2 w = y z (1-w)^2, so with
+    w_0 = 0 and w_1 = y (at y = 1 the chain is w = z) its z^n coefficient gives
+
+        w_n = (2 - 2y) w_(n-1) - w_(n-2) + y sum_{i=1..n-2} w_i w_(n-1-i).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     y = Poly.variable("y")
-    target = koebe(order) * y
-    w = ZSeries([Poly.zero("y"), y])
-    max_steps = math.ceil(math.log2(order)) + 2 if order > 1 else 3
-    for _ in range(max_steps + 1):
-        w = w._padded(min(2 * w.order + 1, order))
-        one = ZSeries.one(w.order)
-        one_minus_w = one - w
-        inv_sq = one_minus_w.inverse() ** 2
-        residual = w * inv_sq - target.truncate(w.order)
-        if w.order == order and residual.is_zero():
-            return w
-        correction = residual * one_minus_w**3 * (one + w).inverse()
-        w = w - correction
-    raise ArithmeticError("Newton reversion failed to converge")  # pragma: no cover
+    two_minus_2y = Poly([2, -2], "y")
+    w = [Poly.zero("y"), y]
+    for n in range(2, order + 1):
+        square = Poly.sum_of_products(zip(w[1 : n - 1], w[n - 2 : 0 : -1]), "y")
+        w.append(two_minus_2y * w[n - 1] - w[n - 2] + y * square)
+    return ZSeries(w)
 
 
 def log_over_z(f: ZSeries) -> ZSeries:

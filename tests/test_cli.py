@@ -174,6 +174,25 @@ class TestVerify:
             ("jacobi-partial-sums", (k,)): "n=3, x=1/2: -1" for k in range(9)
         }
 
+    def test_closed_vs_recurrence_witness_names_first_failure(
+        self, capsys, monkeypatch
+    ):
+        real = lowner.coeff_closed
+
+        def broken(n, j):
+            # a(4, 2) = -20 and a(4, 3) = 30, each moved by 1/3
+            shifted = (n, j) in ((4, 2), (4, 3))
+            return real(n, j) + Fraction(1, 3) if shifted else real(n, j)
+
+        monkeypatch.setattr(lowner, "coeff_closed", broken)
+        code, out, _ = run(capsys, "verify", "lowner", "--n", "5")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {("closed-vs-recurrence", (4,)): "(n,j)=(4,2): -59/3 != -20"}
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "verify", "gosper", "--n", "4", "--format", "csv")
         assert code == 0
@@ -318,6 +337,8 @@ class TestGosper:
             ("l*binom(3*l,l+1)^3", 0, "NOT GOSPER-SUMMABLE\n"),
             ("(l+1)^3000", 2, ""),  # 6000 linear factors in the quotient
             ("fact(3000*l)", 2, ""),  # 3000 linear factors
+            ("2^(10000000*l)", 2, ""),  # a constant of 10^7 bits
+            ("2^(20000*l)", 2, ""),
         ],
     )
     def test_large_dispersion_returns_within_a_second(self, term, code, out):
@@ -330,3 +351,22 @@ class TestGosper:
         assert (done.returncode, done.stdout) == (code, out)
         if code == 2:
             assert done.stderr.startswith("error: Gosper work limit")
+
+    @pytest.mark.parametrize(
+        "term, code, out",
+        [
+            ("l^3*2^(4000*l)", 2, ""),  # R(l) has integers past 4300 digits
+            ("2^(5000*l)", 0, "R(l) = ("),
+        ],
+    )
+    def test_output_too_long_to_print_exits_2(self, term, code, out):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "debranges.cli", "gosper", term, "--var", "l"],
+            capture_output=True, text=True, env=env, timeout=1,
+        )
+        assert done.returncode == code and done.stdout.startswith(out)
+        if code == 2:
+            assert done.stdout == "" and done.stderr.startswith("error: ")
+            assert "Traceback" not in done.stderr

@@ -299,6 +299,15 @@ class TestGosper:
             with pytest.raises(GosperLimitError, match="linear factors"):
                 term_ratio(parse_term(src, "l"))
 
+    def test_geometric_constant_limit(self):
+        # base^(a*l) enters base^a, counted as |a| times the larger bit
+        # length of the base's numerator and denominator, summed over factors
+        term_ratio(parse_term("2^(10000*l)", "l"))
+        term_ratio(parse_term("(1/3)^(10000*l)", "l"))
+        for src in ("2^(10001*l)", "(1/3)^(-10001*l)", "2^(5000*l)*3^(5001*l)"):
+            with pytest.raises(GosperLimitError, match="bits of geometric constants"):
+                term_ratio(parse_term(src, "l"))
+
     def test_cross_check_with_sympy(self):
         sympy = pytest.importorskip("sympy")
         from sympy.abc import l

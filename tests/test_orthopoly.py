@@ -6,6 +6,7 @@ path with the closed-form monomial sum behind gegenbauer_minus_half or with
 the three-term recurrence behind jacobi_poly.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,21 @@ class TestJacobi:
         assert jacobi_value(1, -2, 0) == -1
         with pytest.raises(ValueError, match="degenerates at n=2"):
             jacobi_value(2, -2, 0)
+
+    def test_cold_call_deeper_than_the_recursion_limit(self):
+        # one recursion per degree would need n frames; leave far fewer
+        n, alpha = 150, Fraction(1, 7)
+        expected = jacobi_poly(n, alpha)
+        jacobi_poly.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            assert jacobi_poly(n, alpha) == expected
+        finally:
+            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize("x", [0, -1, Fraction(1, 4), 0.25, 0.1])
     def test_value_accepts_int_fraction_and_float(self, x):

@@ -1,4 +1,4 @@
-"""Truncated series ring and the Newton-reverted Koebe chain."""
+"""Truncated series ring and the Koebe chain."""
 
 import math
 from fractions import Fraction
@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from debranges import lowner
 from debranges.exact import Poly
 from debranges.series import (
     ZSeries,
@@ -173,6 +174,15 @@ class TestKoebeChain:
     def test_second_coefficient(self):
         # from the coefficient recurrence: B_2 = 2y - 2y^2
         assert koebe_chain(4).coefficient(2) == Poly([0, 2, -2], "y")
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_lowest_orders_are_the_chain_rows(self, order):
+        rows = [lowner.chain_poly(n) for n in range(1, order + 1)]
+        assert koebe_chain(order) == ZSeries([Poly.zero("y")] + rows)
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError):
+            koebe_chain(0)
 
     def test_collapses_at_time_zero(self):
         values = koebe_chain(8).eval_inner(1)
