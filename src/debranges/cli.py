@@ -459,29 +459,41 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_gosper(args) -> int:
-    # rendering stays inside the try: an integer too long to print as
-    # decimal raises ValueError
     try:
         term = hypsum.parse_term(args.term, args.var)
         certificate = hypsum.gosper(hypsum.term_ratio(term))
-        if certificate is None:
-            line = "NOT GOSPER-SUMMABLE"
-        else:
-            r = certificate.multiplier
-            line = f"R({args.var}) = ({r.num}) / ({r.den})"
     except (hypsum.TermSyntaxError, hypsum.TermSemanticError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if certificate is None:
+        line = "NOT GOSPER-SUMMABLE"
+    else:
+        r = certificate.multiplier
+        try:
+            line = f"R({args.var}) = ({r.num}) / ({r.den})"
+        except ValueError:
+            return _too_long_to_print()
     sys.stdout.write(line + "\n")
     if args.range is not None:
         lo, hi = args.range
         try:
-            total = format_rational(_range_sum(term, certificate, lo, hi))
-        except (ValueError, ZeroDivisionError) as exc:  # undefined or too long
+            total = _range_sum(term, certificate, lo, hi)
+        except (ValueError, ZeroDivisionError) as exc:  # undefined
             sys.stderr.write(f"error: {exc}\n")
             return 2
-        sys.stdout.write(f"sum[{lo}..{hi}] = {total}\n")
+        try:
+            line = format_rational(total)
+        except ValueError:
+            return _too_long_to_print()
+        sys.stdout.write(f"sum[{lo}..{hi}] = {line}\n")
     return 0
+
+
+def _too_long_to_print() -> int:
+    """Exit status 2 for an integer that str() refuses to print as decimal."""
+    limit = sys.get_int_max_str_digits()
+    sys.stderr.write(f"error: result has an integer of more than {limit} digits\n")
+    return 2
 
 
 def _range_sum(term, certificate, lo: int, hi: int) -> Fraction:

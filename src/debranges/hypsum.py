@@ -52,14 +52,17 @@ class GosperLimitError(ValueError):
     """Gosper's algorithm would need more work than GOSPER_WORK_LIMIT."""
 
 
-# bound on deg c and on the degree bound for x in gosper; the linear system
-# costs about cube of its size, 4 s at a degree bound of 100.  term_ratio
-# admits at most 5 * GOSPER_WORK_LIMIT linear factors, counted before they
-# cancel: expanding 500 took up to 1.5 s, 1000 up to 10 s (2 CPUs, Python 3.11).
-# It also admits geometric factors whose constants base^a come to at most
-# 20 000 bits: R(l) carries that constant, and Python prints no integer of
-# more than 4300 digits (about 14 300 bits) by default.
-GOSPER_WORK_LIMIT = 100
+# bound on deg c and on the degree bound for x in gosper.  term_ratio admits
+# at most 5 * GOSPER_WORK_LIMIT linear factors, counted before they cancel.
+# At 200, gosper took 0.4 s on 1/((l+1)*(l+201)) (deg c = 200) and term_ratio
+# 4.3 s on fact(1000*l+1/1000003); at 400, 4.9 s and 30 s (2 CPUs, Python 3.11).
+GOSPER_WORK_LIMIT = 200
+
+# bound on the bits of a constant: of the constants base^a that geometric
+# factors enter into the shift quotient, summed, and of a constant power in
+# a term.  R(l) carries the former, and Python prints no integer of more
+# than 4300 digits (about 14 300 bits) by default.
+_CONSTANT_BITS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +193,21 @@ def _as_product(v: _Value) -> _Product:
     if v.is_const():
         return _Product(v.b, ())
     return _Product(Fraction(1), (LinearFactor(v.a, v.b, 1),))
+
+
+def _bits(q: Fraction) -> int:
+    """The larger bit length of q's numerator and denominator."""
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _const_power(base: Fraction, e: int, pos: int) -> Fraction:
+    """base ** e, refused before it is computed when |e| * _bits(base)
+    exceeds _CONSTANT_BITS; a base of 0 or +-1 costs nothing."""
+    if abs(base) != 1 and base != 0 and abs(e) * _bits(base) > _CONSTANT_BITS:
+        raise TermSemanticError(
+            f"constant power of more than {_CONSTANT_BITS} bits", pos
+        )
+    return base**e
 
 
 def _require_int(value: Fraction, what: str, pos: int) -> int:
@@ -369,9 +387,7 @@ class _Parser:
             return BinomialFactor(
                 factor.a1, factor.b1, factor.a2, factor.b2, factor.exponent * e
             )
-        if e == -1:
-            return GeometricFactor(1 / factor.base, factor.a, factor.b)
-        return GeometricFactor(factor.base**e, factor.a, factor.b)
+        return GeometricFactor(_const_power(factor.base, e, pos), factor.a, factor.b)
 
     def _pow(self, base: _Value, exponent: _Value, op: _Token) -> _Value:
         if isinstance(exponent, _Product):
@@ -381,7 +397,7 @@ class _Parser:
             if isinstance(base, _Linear) and base.is_const():
                 if base.b == 0 and e < 0:
                     raise TermSemanticError("zero to a negative power", op.pos)
-                return _Linear(Fraction(0), base.b**e)
+                return _Linear(Fraction(0), _const_power(base.b, e, op.pos))
             if e == 0:
                 return _Linear(Fraction(0), Fraction(1))
             prod = _as_product(base)
@@ -390,7 +406,7 @@ class _Parser:
                     raise TermSemanticError("zero to a negative power", op.pos)
                 return _Linear(Fraction(0), Fraction(0))
             return _Product(
-                prod.const**e,
+                _const_power(prod.const, e, op.pos),
                 tuple(self._raise_factor(f, e, op.pos) for f in prod.factors),
             )
         # variable exponent: base must be a nonzero rational constant
@@ -528,14 +544,13 @@ def _geometric_bits(f: Factor) -> int:
     shift quotient when f is a geometric factor, else 0."""
     if not isinstance(f, GeometricFactor):
         return 0
-    base = f.base
-    return abs(f.a) * max(base.numerator.bit_length(), base.denominator.bit_length())
+    return abs(f.a) * _bits(f.base)
 
 
 def term_ratio(term: HypTerm) -> ShiftQuotient:
     """The shift quotient b_{l+1} / b_l, reduced and factored into roots.
     Raises GosperLimitError when it has more than 5 * GOSPER_WORK_LIMIT
-    linear factors, or geometric constants of more than 20 000 bits."""
+    linear factors, or geometric constants of more than _CONSTANT_BITS bits."""
     if term.is_zero():
         raise ValueError("the zero term has no shift quotient")
     size, limit = sum(map(_root_count, term.factors)), 5 * GOSPER_WORK_LIMIT
@@ -543,10 +558,10 @@ def term_ratio(term: HypTerm) -> ShiftQuotient:
         raise GosperLimitError(
             f"Gosper work limit: {size} linear factors in the shift quotient > {limit}"
         )
-    bits, bit_limit = sum(map(_geometric_bits, term.factors)), 20_000
-    if bits > bit_limit:
+    bits = sum(map(_geometric_bits, term.factors))
+    if bits > _CONSTANT_BITS:
         raise GosperLimitError(
-            f"Gosper work limit: {bits} bits of geometric constants > {bit_limit}"
+            f"Gosper work limit: {bits} bits of geometric constants > {_CONSTANT_BITS}"
         )
     scale = Fraction(1)
     roots: Counter = Counter()
@@ -604,41 +619,36 @@ def _degree_bound(a: Poly, b_shifted: Poly, c: Poly) -> Optional[int]:
     return max(bounds) if bounds else None
 
 
-def _solve_linear_system(columns: list[Poly], rhs: Poly) -> Optional[list[Fraction]]:
-    """Particular exact solution of sum_j x_j columns[j] = rhs (coefficients
-    equated), free variables set to zero; None when inconsistent."""
-    height = max([c.degree for c in columns] + [rhs.degree]) + 1
-    height = max(height, 1)
-    matrix = [
-        [col.coeff(r) for col in columns] + [rhs.coeff(r)] for r in range(height)
-    ]
-    width = len(columns)
-    pivots: list[int] = []
-    row = 0
-    for col in range(width):
-        pivot_row = next(
-            (r for r in range(row, height) if matrix[r][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        matrix[row], matrix[pivot_row] = matrix[pivot_row], matrix[row]
-        inv = 1 / matrix[row][col]
-        matrix[row] = [v * inv for v in matrix[row]]
-        for r in range(height):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[row])]
-        pivots.append(col)
-        row += 1
-        if row == height:
-            break
-    for r in range(row, height):
-        if matrix[r][width] != 0 and all(v == 0 for v in matrix[r][:width]):
-            return None
-    solution = [Fraction(0)] * width
-    for i, col in enumerate(pivots):
-        solution[col] = matrix[i][width]
-    return solution
+def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Optional[Poly]:
+    """The x of degree <= bound with a(l) x(l+1) - b(l-1) x(l) = c(l), or
+    None when there is none; where x is not unique, the one with x_j0 = 0.
+
+    L(l^j) = a (l+1)^j - b(l-1) l^j has degree j + s, s = max(deg a, deg b),
+    or j + s - 1 when a and b(l-1) have equal degrees and leading
+    coefficients; then its top coefficient lc(a) (j - j0) vanishes for at
+    most one j0, whose unknown is kept as a parameter t.  Solving top-down
+    from each column's top row leaves x = u + t v and the residual
+    c - L(u) - t L(v), which fixes t, or leaves it free, or has no zero."""
+    var = a.var
+    top = max(a.degree, b_shifted.degree)
+    if a.degree == b_shifted.degree and a.leading == b_shifted.leading:
+        top -= 1
+    u, v = [Fraction(0)] * (bound + 1), [Fraction(0)] * (bound + 1)
+    rem_u, rem_v = c, Poly.zero(var)
+    for j in range(bound, -1, -1):
+        column = a * Poly([math.comb(j, i) for i in range(j + 1)], var)
+        column -= b_shifted * Poly.monomial(1, j, var)
+        lead = column.coeff(j + top)
+        if lead:
+            u[j], v[j] = rem_u.coeff(j + top) / lead, rem_v.coeff(j + top) / lead
+        else:  # j = j0
+            v[j] = Fraction(1)
+        rem_u -= column * u[j]
+        rem_v -= column * v[j]
+    t = -rem_u.coeff(rem_v.degree) / rem_v.leading if rem_v else Fraction(0)
+    if rem_u + rem_v * t:
+        return None
+    return Poly([p + q * t for p, q in zip(u, v)], var)
 
 
 def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
@@ -676,24 +686,19 @@ def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
             b_roots[r + h] -= m
             for i in range(1, h + 1):
                 c_roots[r + i] += m
-    a = _from_roots(a_roots, var) * ratio.num.leading
-    b_shifted = _from_roots({s + 1: m for s, m in b_roots.items()}, var)
+    if c_roots:
+        a = _from_roots(a_roots, var) * ratio.num.leading
+        b_shifted = _from_roots({s + 1: m for s, m in b_roots.items()}, var)
+    else:  # nothing moved into c: a and b are the quotient's own
+        a, b_shifted = ratio.num, ratio.den.shift(-1)
     c = _from_roots(c_roots, var)
     bound = _degree_bound(a, b_shifted, c)
     if bound is None:
         return None
     if bound > GOSPER_WORK_LIMIT:
         raise GosperLimitError(f"Gosper work limit: degree bound {bound} > {GOSPER_WORK_LIMIT}")
-    columns = []
-    l_power = Poly.const(1, var)  # l^j, built up incrementally
-    for j in range(bound + 1):
-        columns.append(a * l_power.shift(1) - b_shifted * l_power)
-        l_power = l_power * Poly.variable(var)
-    solution = _solve_linear_system(columns, c)
-    if solution is None:
-        return None
-    x = Poly(solution, var)
-    if x.is_zero():
+    x = _solve_gosper_equation(a, b_shifted, c, bound)
+    if x is None or x.is_zero():
         return None
     return GosperCertificate(ratio, RationalFunction(a * x.shift(1), c))
 

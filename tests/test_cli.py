@@ -370,3 +370,10 @@ class TestGosper:
         if code == 2:
             assert done.stdout == "" and done.stderr.startswith("error: ")
             assert "Traceback" not in done.stderr
+            limit = sys.get_int_max_str_digits()
+            assert done.stderr == f"error: result has an integer of more than {limit} digits\n"
+
+    def test_range_sum_too_long_to_print_exits_2(self, capsys):
+        code, out, err = run(capsys, "gosper", "2^(10000*l)", "--var", "l", "--range", "0..2")
+        assert code == 2 and out.startswith("R(l) = (") and out.count("\n") == 1
+        assert err == f"error: result has an integer of more than {sys.get_int_max_str_digits()} digits\n"

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from debranges import dbw, lowner, orthopoly
+from debranges import dbw, hypsum, lowner, orthopoly
 from debranges.exact import Poly, RationalFunction, binomial
 from debranges.hypsum import (
     BinomialFactor,
@@ -24,6 +25,7 @@ from debranges.hypsum import (
     term_value,
     verify_certificate,
     weighted_binomial_sum,
+    _solve_gosper_equation,
 )
 
 
@@ -31,6 +33,53 @@ def paper_term(n: int, j: int):
     """The weighted binomial term (n+1-l) C(l+j-1, l-j) from the telescoping
     identity, entered through the grammar."""
     return parse_term(f"({n}+1-l) * binom(l+{j}-1, l-{j})", "l")
+
+
+def _gauss_jordan(columns, rhs):
+    """Particular exact solution of sum_j x_j columns[j] = rhs (coefficients
+    equated), free variables set to zero; None when inconsistent.  Dense
+    Gauss-Jordan elimination: the reference for _solve_gosper_equation."""
+    height = max([c.degree for c in columns] + [rhs.degree]) + 1
+    height = max(height, 1)
+    matrix = [
+        [col.coeff(r) for col in columns] + [rhs.coeff(r)] for r in range(height)
+    ]
+    width = len(columns)
+    pivots = []
+    row = 0
+    for col in range(width):
+        pivot_row = next(
+            (r for r in range(row, height) if matrix[r][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        matrix[row], matrix[pivot_row] = matrix[pivot_row], matrix[row]
+        inv = 1 / matrix[row][col]
+        matrix[row] = [v * inv for v in matrix[row]]
+        for r in range(height):
+            if r != row and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[row])]
+        pivots.append(col)
+        row += 1
+        if row == height:
+            break
+    for r in range(row, height):
+        if matrix[r][width] != 0 and all(v == 0 for v in matrix[r][:width]):
+            return None
+    solution = [Fraction(0)] * width
+    for i, col in enumerate(pivots):
+        solution[col] = matrix[i][width]
+    return solution
+
+
+def dense_gosper_solution(a, b_shifted, c, bound):
+    """x of degree <= bound with a(l) x(l+1) - b(l-1) x(l) = c(l) by
+    Gauss-Jordan on the coefficient system; None when inconsistent."""
+    powers = [Poly.monomial(1, j, "l") for j in range(bound + 1)]
+    columns = [a * p.shift(1) - b_shifted * p for p in powers]
+    solution = _gauss_jordan(columns, c)
+    return None if solution is None else Poly(solution, "l")
 
 
 class TestParser:
@@ -111,6 +160,20 @@ class TestParser:
         with pytest.raises(TermSemanticError):
             parse_term("l / 0", "l")
 
+    def test_constant_power_bound(self):
+        # |e| times the larger bit length of the base's numerator and
+        # denominator may come to 20 000 bits; a power above that is refused
+        # before it is computed, and 0 and +-1 cost nothing
+        assert parse_term("fact(l)*2^10000", "l").const == 2**10000
+        assert parse_term("fact(l)*(2/3)^-10000", "l").const == Fraction(3, 2) ** 10000
+        assert parse_term("fact(l)*(-1)^(10^12)*1^(10^12)", "l").const == 1
+        for src in (
+            "l*2^10001", "l*(2/3)^-10001", "l*2^100000000", "(2^l)^100000000",
+            "(2*fact(l))^100000",
+        ):
+            with pytest.raises(TermSemanticError, match="constant power"):
+                parse_term(src, "l")
+
 
 class TestTermValue:
     def test_weighted_binomial_values(self):
@@ -181,42 +244,12 @@ class TestGosper:
 
     def test_factorial_not_summable_brute_force(self):
         # independent confirmation: no polynomial x of degree <= 5 satisfies
-        # (l+1) x(l+1) - x(l) = 1
-        found = False
+        # (l+1) x(l+1) - x(l) = 1, the equation of fact(l); gosper stops at
+        # the degree bound before its solver, which must agree
+        a, one = Poly([1, 1], "l"), Poly.const(1, "l")
         for degree in range(6):
-            columns = []
-            l_pow = Poly.const(1, "l")
-            for _ in range(degree + 1):
-                columns.append(Poly([1, 1], "l") * l_pow.shift(1) - l_pow)
-                l_pow = l_pow * Poly.variable("l")
-            height = max(c.degree for c in columns) + 1
-            matrix = [[c.coeff(r) for c in columns] for r in range(height)]
-            rhs = [Fraction(1)] + [Fraction(0)] * (height - 1)
-            # direct elimination
-            import itertools
-
-            # solve least squares impossible; do rank test via sympy-free RREF
-            aug = [row + [rhs[i]] for i, row in enumerate(matrix)]
-            cols = len(columns)
-            r = 0
-            for c in range(cols):
-                piv = next((i for i in range(r, height) if aug[i][c] != 0), None)
-                if piv is None:
-                    continue
-                aug[r], aug[piv] = aug[piv], aug[r]
-                inv = 1 / aug[r][c]
-                aug[r] = [v * inv for v in aug[r]]
-                for i in range(height):
-                    if i != r and aug[i][c] != 0:
-                        f = aug[i][c]
-                        aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-                r += 1
-            consistent = all(
-                any(v != 0 for v in row[:cols]) or row[cols] == 0 for row in aug
-            )
-            if consistent:
-                found = True
-        assert not found
+            assert dense_gosper_solution(a, one, one, degree) is None
+            assert _solve_gosper_equation(a, one, one, degree) is None
 
     def test_inverse_factorial_not_summable(self):
         assert gosper(term_ratio(parse_term("1/fact(l)", "l"))) is None
@@ -319,6 +352,102 @@ class TestGosper:
         ours = telescoped_sum(term, cert, 3, 7)
         assert sympy.Integer(ours) == gosper_sum(f, (l, 3, 7))
         assert gosper_sum(sympy.factorial(l), (l, 0, sympy.abc.n)) is None
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def gosper_equations(draw):
+    """(a, b(l-1), c, bound) with small integer coefficients; half of them
+    balanced (equal degree and leading coefficient), some of those with the
+    top coefficient of column j0 <= bound vanishing, and half of the right
+    sides of the form L(x), so that a solution exists."""
+    s = draw(st.integers(0, 3))
+    bound = draw(st.integers(0, 5))
+    lc = draw(small.filter(bool))
+    a = Poly(draw(st.lists(small, min_size=s, max_size=s)) + [lc], "l")
+    if draw(st.booleans()):
+        lower = draw(st.lists(small, min_size=s, max_size=s))
+        if s and draw(st.booleans()):
+            lower[-1] = int(a.coeff(s - 1)) + lc * draw(st.integers(0, bound))
+        b_shifted = Poly(lower + [lc], "l")
+    else:
+        b_shifted = Poly(draw(st.lists(small, min_size=1, max_size=5)), "l")
+        if b_shifted.is_zero():
+            b_shifted = Poly.const(1, "l")
+    if draw(st.booleans()):
+        x = Poly(draw(st.lists(small, max_size=bound + 1)), "l")
+        c = a * x.shift(1) - b_shifted * x
+    else:
+        c = Poly(draw(st.lists(small, max_size=bound + s + 2)), "l")
+    return a, b_shifted, c, bound
+
+
+class TestGosperEquation:
+    """The back-substitution solver against the dense Gauss-Jordan oracle."""
+
+    @given(eq=gosper_equations())
+    # balanced with j0 = 0, and L(1) = l + 1 fixes x_0 twice over: 1 and 2
+    @example(eq=(Poly([1, 1, 0, 1], "l"), Poly.monomial(1, 3, "l"), Poly([1, 2], "l"), 0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_gauss_jordan(self, eq):
+        assert _solve_gosper_equation(*eq) == dense_gosper_solution(*eq)
+
+    @staticmethod
+    def equation(monkeypatch, src, oracle=True):
+        """gosper's certificate for src and the (a, b(l-1), c, bound) it
+        handed to the solver, checked against the oracle if asked."""
+        calls = []
+
+        def spy(*eq):
+            calls.append(eq)
+            return _solve_gosper_equation(*eq)
+
+        monkeypatch.setattr(hypsum, "_solve_gosper_equation", spy)
+        cert = gosper(term_ratio(parse_term(src, "l")))
+        (eq,) = calls
+        if oracle:
+            assert _solve_gosper_equation(*eq) == dense_gosper_solution(*eq)
+        return cert, eq
+
+    def test_balanced_free_unknown_stays_free(self, monkeypatch):
+        # a = b(l-1), so L(1) = 0: x_0 is free and set to 0
+        cert, (a, b_shifted, c, bound) = self.equation(monkeypatch, "l^3")
+        assert a == b_shifted and bound == 4
+        # s_l = l^2 (l+1)^2 / 4 = R(l) l^3
+        for l in range(1, 8):
+            assert cert.multiplier(l) == Fraction((l + 1) ** 2, 4 * l)
+
+    def test_balanced_free_unknown_fixed_by_lower_rows(self, monkeypatch):
+        # a = (l-1/2)(l-5/2) and b(l-1) = (l-1)(l-2) are balanced with
+        # j0 = 0, and L(1) = a - b(l-1) = -3/4 fixes x_0
+        src = "binom(2*l-2,l-1)*binom(2*l-6,l-3)/(16^l*(l-2))"
+        cert, (a, b_shifted, c, bound) = self.equation(monkeypatch, src)
+        assert (a.degree, a.leading) == (b_shifted.degree, b_shifted.leading)
+        assert a - b_shifted == Fraction(-3, 4) and bound == 0
+        assert cert.multiplier == RationalFunction(Poly([-5, 12, -4], "l") * Fraction(1, 3))
+        assert verify_certificate(parse_term(src, "l"), cert, 4, 12)
+
+    def test_unbalanced(self, monkeypatch):
+        cert, (a, b_shifted, c, bound) = self.equation(monkeypatch, "l*2^l")
+        assert (a, b_shifted, c, bound) == (2, 1, Poly.variable("l"), 1)
+        # s_l = (l-1) 2^(l+1) + 2 - 2 = R(l) l 2^l up to the constant
+        for l in range(1, 8):
+            assert cert.multiplier(l) == Fraction(2 * (l - 1), l)
+
+    def test_inconsistent(self, monkeypatch):
+        # the harmonic numbers: a = b(l-1) = l+1 and c = 1, so L(x_0) = 0 = 1
+        cert, (a, b_shifted, c, bound) = self.equation(monkeypatch, "1/(l+1)")
+        assert a == b_shifted and c == 1 and bound == 0
+        assert cert is None
+
+    def test_term_at_work_limit(self, monkeypatch):
+        # the oracle would take 20 s here
+        src = f"fact(l-1)/fact(l+{GOSPER_WORK_LIMIT})"
+        cert, (a, b_shifted, c, bound) = self.equation(monkeypatch, src, oracle=False)
+        assert bound == GOSPER_WORK_LIMIT
+        assert verify_certificate(parse_term(src, "l"), cert, 2, 6)
 
 
 class TestWeightedBinomialSum:
