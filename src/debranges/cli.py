@@ -194,10 +194,14 @@ def _suite_hypergeometric(n_max: int) -> Report:
     y = Poly.variable("y")
     for n in range(1, min(n_max, 30) + 1):
         value = n * y * hypsum.pfq_terminating([1 - n, n + 1], [3], y)
-        report.add("chain-2f1", [n], value == lowner.chain_poly(n))
+        want = lowner.chain_poly(n)
+        report.add(
+            "chain-2f1", [n], value == want,
+            None if value == want else f"n={n}: {value} != {want}",
+        )
     lam_max = min(n_max, 25)
     for n in range(1, lam_max + 1):
-        ok = True
+        witness = None  # the first failing k
         for k in range(1, n + 1):
             scale = dbw.binomial(n + k + 1, n - k)
             prefactor = Poly.monomial(scale, k, "y")
@@ -206,15 +210,16 @@ def _suite_hypergeometric(n_max: int) -> Report:
                 [Fraction(2 * k + 3, 2), 2 * k + 1],
                 y,
             )
-            if value != dbw.weinstein_poly(n, k):
-                ok = False
-        report.add("weinstein-3f2", [n], ok)
+            witness = witness or _mismatch(n, k, value, dbw.weinstein_poly(n, k))
+        report.add("weinstein-3f2", [n], witness is None, witness)
     x = Poly.variable("x")
     half_one_minus_x = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")
     for n in range(2, min(n_max, 25) + 1):
         value = (1 - x) * hypsum.pfq_terminating([1 - n, n], [2], half_one_minus_x)
+        want = orthopoly.gegenbauer_minus_half(n)
         report.add(
-            "gegenbauer-2f1", [n], value == orthopoly.gegenbauer_minus_half(n)
+            "gegenbauer-2f1", [n], value == want,
+            None if value == want else f"n={n}: {value} != {want}",
         )
     return report
 

@@ -25,6 +25,7 @@ Tdot(n, k)(0) = -k (n - k even) / 0 (n - k odd).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,12 +36,17 @@ from .series import ZSeries, koebe, koebe_chain, time_derivative
 from . import orthopoly
 
 
+def _weinstein_int(n: int, k: int, j: int) -> int:
+    # (-1)^(k+j) C(2j, j-k) C(n+j+1, n-j)
+    sign = -1 if (k + j) % 2 else 1
+    return sign * binomial(2 * j, j - k) * binomial(n + j + 1, n - j)
+
+
 def weinstein_coeff(n: int, k: int, j: int) -> Fraction:
     """y^j coefficient of the Weinstein function L(n, k), in closed form."""
     if not 1 <= k <= j <= n:
         raise ValueError(f"need 1 <= k <= j <= n, got ({n}, {k}, {j})")
-    sign = -1 if (k + j) % 2 else 1
-    return Fraction(sign * binomial(2 * j, j - k) * binomial(n + j + 1, n - j))
+    return Fraction(_weinstein_int(n, k, j))
 
 
 @lru_cache(maxsize=None)
@@ -48,10 +54,7 @@ def weinstein_poly(n: int, k: int) -> Poly:
     """L(n, k) as a polynomial in y; lowest power y^k, degree n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(k, n + 1):
-        coeffs[j] = weinstein_coeff(n, k, j)
-    return Poly(coeffs, "y")
+    return Poly([0] * k + [_weinstein_int(n, k, j) for j in range(k, n + 1)], "y")
 
 
 @lru_cache(maxsize=None)
@@ -97,11 +100,10 @@ def debranges_poly(n: int, k: int) -> Poly:
         raise ValueError(f"need 1 <= k <= n + 1, got (n, k) = ({n}, {k})")
     if k == n + 1:
         return Poly.zero("y")
-    lam = weinstein_poly(n, k)
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(k, n + 1):
-        coeffs[j] = Fraction(k, j) * lam.coeff(j)
-    return Poly(coeffs, "y")
+    # (k/j) L_j = k L_j (D/j) / D over D = lcm(k..n)
+    d = math.lcm(*range(k, n + 1))
+    nums = [k * _weinstein_int(n, k, j) * (d // j) for j in range(k, n + 1)]
+    return Poly([0] * k + nums, "y") * Fraction(1, d)
 
 
 def debranges_system_residual(n: int, k: int) -> Poly:

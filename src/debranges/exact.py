@@ -39,11 +39,9 @@ def pochhammer(a: Scalar, j: int) -> Fraction:
     """Shifted factorial (a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1."""
     if j < 0:
         raise ValueError("pochhammer needs a nonnegative index")
-    result = Fraction(1)
     a = Fraction(a)
-    for i in range(j):
-        result *= a + i
-    return result
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(p + i * q for i in range(j)), q**j)
 
 
 def format_rational(q: Scalar) -> str:
@@ -323,9 +321,24 @@ class Poly:
     def derivative(self) -> "Poly":
         return _make([i * n for i, n in enumerate(self._num) if i], self._den, self.var)
 
-    def __call__(self, value: Scalar) -> Fraction:
-        """Evaluate at an exact scalar: Horner on integers at p/q, with
-        the numerators weighted by powers of q, and one Fraction at the end."""
+    def __call__(self, value: "Poly | Scalar") -> "Fraction | Poly":
+        """Evaluate at an exact scalar p/q: Horner on integers, with the
+        numerators weighted by powers of q, and one Fraction at the end.
+        Or substitute a polynomial a/d (integer numerators a over d):
+        den d^deg self(a/d) = sum_i n_i a^i d^(deg-i) by Horner on integer
+        polynomials, normalised once and in the variable of a/d."""
+        if isinstance(value, Poly):
+            a, d = value._num, value._den
+            if len(a) <= 1 or not self._num:
+                return Poly.const(self(value.coeff(0)), value.var)
+            acc, d_power = [self._num[-1]], 1
+            for n in reversed(self._num[:-1]):
+                d_power *= d
+                out = [0] * (len(acc) + len(a) - 1)
+                _convolve_into(out, acc, a, 1)
+                out[0] += n * d_power
+                acc = out
+            return _make(acc, self._den * d_power, value.var)
         p, q = _ratio(value)
         acc, q_power = 0, 1
         for n in reversed(self._num):

@@ -11,7 +11,9 @@ multiplier R with s_l = R(l) b_l that can be checked both symbolically
 
 The terminating pFq evaluator computes sum_j (prod upper Pochhammers) /
 (prod lower Pochhammers j!) arg^j exactly, for series cut off by a
-nonpositive-integer upper parameter; the argument may be a rational or a
+nonpositive-integer upper parameter.  The term ratio is a rational function
+of j, so the coefficients are built as integers over one common denominator
+and the argument is substituted once, by Horner; it may be a rational or a
 polynomial, which is how the closed hypergeometric forms of the chain and
 Weinstein polynomials are produced.
 """
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import Poly, RationalFunction, Scalar, binomial
+from .exact import Poly, RationalFunction, Scalar, binomial, pochhammer
 
 
 class TermSyntaxError(ValueError):
@@ -200,14 +202,28 @@ def _bits(q: Fraction) -> int:
     return max(q.numerator.bit_length(), q.denominator.bit_length())
 
 
+def _refuse_bits(bits: float, what: str, pos: int) -> None:
+    """Refuse a constant whose bound on its bit length exceeds _CONSTANT_BITS."""
+    if bits > _CONSTANT_BITS:
+        raise TermSemanticError(f"constant {what} of more than {_CONSTANT_BITS} bits", pos)
+
+
 def _const_power(base: Fraction, e: int, pos: int) -> Fraction:
     """base ** e, refused before it is computed when |e| * _bits(base)
     exceeds _CONSTANT_BITS; a base of 0 or +-1 costs nothing."""
-    if abs(base) != 1 and base != 0 and abs(e) * _bits(base) > _CONSTANT_BITS:
-        raise TermSemanticError(
-            f"constant power of more than {_CONSTANT_BITS} bits", pos
-        )
+    if abs(base) != 1 and base != 0:
+        _refuse_bits(abs(e) * _bits(base), "power", pos)
     return base**e
+
+
+def _lgamma_bits(n: int, *parts: int) -> float:
+    """A bound on the bit length of n! / prod(p! for p in parts), from lgamma
+    with a margin for its rounding; infinite when n is beyond a float."""
+    try:
+        top = math.lgamma(n + 1)
+    except OverflowError:
+        return math.inf
+    return (top - sum(math.lgamma(p + 1) for p in parts) + top * 2.0**-40) / math.log(2) + 1
 
 
 def _require_int(value: Fraction, what: str, pos: int) -> int:
@@ -221,11 +237,17 @@ def _const_binomial(upper: Fraction, lower: Fraction, pos: int) -> Fraction:
     if k < 0:
         return Fraction(0)
     if upper.denominator == 1:
-        return Fraction(binomial(int(upper), k))
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= upper - i
-    return acc / math.factorial(k)
+        n = int(upper)
+        top = n if n >= 0 else k - n - 1  # C(n, k) = (-1)^k C(k-n-1, k) for n < 0
+        if k <= top:
+            small = min(k, top - k)  # C(top, small) <= top^small
+            _refuse_bits(
+                min(small * top.bit_length(), _lgamma_bits(top, small, top - small)),
+                "binomial", pos,
+            )
+        return Fraction(binomial(n, k))
+    _refuse_bits(k * _bits(upper), "binomial", pos)
+    return (-1) ** k * pochhammer(-upper, k) / math.factorial(k)
 
 
 class _Parser:
@@ -428,6 +450,7 @@ class _Parser:
             n = _require_int(arg.b, "constant factorial argument", pos)
             if n < 0:
                 raise TermSemanticError("factorial of a negative integer", pos)
+            _refuse_bits(_lgamma_bits(n), "factorial", pos)
             return _Linear(Fraction(0), Fraction(math.factorial(n)))
         a = _require_int(arg.a, "factorial argument coefficient", pos)
         return _Product(Fraction(1), (FactorialFactor(a, arg.b, 1),))
@@ -762,17 +785,18 @@ def pfq_terminating(
     for b in lows:
         if b.denominator == 1 and 0 >= b > -m:
             raise ValueError(f"lower parameter {b} hits a pole before termination")
-    one = Poly.const(1, arg.var) if isinstance(arg, Poly) else Fraction(1)
     if not isinstance(arg, Poly):
         arg = Fraction(arg)
-    total = one
-    term = one
-    for j in range(m):
-        scale = Fraction(1, j + 1)
-        for u in ups:
-            scale *= u + j
-        for b in lows:
-            scale /= b + j
-        term = term * arg * scale
-        total = total + term
-    return total
+    # the term ratio prod(u+j) / ((j+1) prod(b+j)) as integers p_j / q_j;
+    # coefficient j is p_0..p_(j-1) q_j..q_(m-1) over q_0..q_(m-1)
+    u_den = math.prod(u.denominator for u in ups)
+    b_den = math.prod(b.denominator for b in lows)
+    ps = [b_den * math.prod(u.numerator + j * u.denominator for u in ups) for j in range(m)]
+    qs = [(j + 1) * u_den * math.prod(b.numerator + j * b.denominator for b in lows)
+          for j in range(m)]
+    prefix, suffix = [1], [1]
+    for p, q in zip(ps, reversed(qs)):
+        prefix.append(prefix[-1] * p)
+        suffix.append(suffix[-1] * q)
+    nums = [a * b for a, b in zip(prefix, reversed(suffix))]
+    return (Poly(nums, "t") * Fraction(1, suffix[-1]))(arg)

@@ -41,11 +41,8 @@ def to_x(p: Poly) -> Poly:
 
 
 def _choose_half(m: int) -> Fraction:
-    # binomial coefficient (1/2 choose m)
-    acc = Fraction(1)
-    for i in range(m):
-        acc *= Fraction(1, 2) - i
-    return acc / math.factorial(m)
+    # binomial coefficient (1/2 choose m) = (-1)^m (-1/2)_m / m!
+    return (-1) ** m * pochhammer(Fraction(-1, 2), m) / math.factorial(m)
 
 
 @lru_cache(maxsize=None)
@@ -78,18 +75,12 @@ def gegenbauer_expansion_check(n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    coeffs = [0] + [
+        2 * pochhammer(1 - n, j) * pochhammer(n, j) / (math.factorial(j) * pochhammer(2, j))
+        for j in range(n)
+    ]
     u = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")  # (1 - x) / 2
-    u_pow = u
-    total = Poly.zero("x")
-    for j in range(n):
-        coeff = (
-            pochhammer(1 - n, j)
-            * pochhammer(n, j)
-            / (math.factorial(j) * pochhammer(2, j))
-        )
-        total = total + 2 * coeff * u_pow
-        u_pow = u_pow * u
-    return total == gegenbauer_minus_half(n)
+    return Poly(coeffs, "t")(u) == gegenbauer_minus_half(n)
 
 
 def chain_gegenbauer_check(n: int) -> bool:

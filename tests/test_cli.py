@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from debranges import cli, dbw, lowner, orthopoly
+from debranges import cli, dbw, hypsum, lowner, orthopoly
 
 
 def run(capsys, *argv):
@@ -246,6 +246,40 @@ class TestVerify:
             ("slope-parity", (4,)): "(n,k)=(4,2): -4 != -2",
         }
 
+    def test_hypergeometric_witnesses_name_first_failure(self, capsys, monkeypatch):
+        real = hypsum.pfq_terminating
+
+        def broken(upper, lower, arg):
+            # twice the true value of every series that stops after 2 or 3 terms
+            value = real(upper, lower, arg)
+            return value * 2 if {-2, -3} & set(upper) else value
+
+        monkeypatch.setattr(hypsum, "pfq_terminating", broken)
+        code, out, _ = run(capsys, "verify", "hypergeometric", "--n", "4")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {
+            ("chain-2f1", (3,)): "n=3: 10*y^3 - 16*y^2 + 6*y != 5*y^3 - 8*y^2 + 3*y",
+            ("chain-2f1", (4,)): (
+                "n=4: -28*y^4 + 60*y^3 - 40*y^2 + 8*y != -14*y^4 + 30*y^3 - 20*y^2 + 4*y"
+            ),
+            # k = 1 and k = 2 both fail at n = 4; the witness names k = 1
+            ("weinstein-3f2", (3,)): (
+                "(n,k)=(3,1): 30*y^3 - 48*y^2 + 20*y != 15*y^3 - 24*y^2 + 10*y"
+            ),
+            ("weinstein-3f2", (4,)): (
+                "(n,k)=(4,1): -112*y^4 + 240*y^3 - 168*y^2 + 40*y"
+                " != -56*y^4 + 120*y^3 - 84*y^2 + 20*y"
+            ),
+            ("gegenbauer-2f1", (3,)): "n=3: -x^3 + x != -1/2*x^3 + 1/2*x",
+            ("gegenbauer-2f1", (4,)): (
+                "n=4: -5/4*x^4 + 3/2*x^2 - 1/4 != -5/8*x^4 + 3/4*x^2 - 1/8"
+            ),
+        }
+
 
 # sha256 of stdout, taken before the integer polynomial kernel; the output
 # must stay byte-identical across refactors of the arithmetic
@@ -372,6 +406,20 @@ class TestGosper:
             assert "Traceback" not in done.stderr
             limit = sys.get_int_max_str_digits()
             assert done.stderr == f"error: result has an integer of more than {limit} digits\n"
+
+    @pytest.mark.parametrize(
+        "term, what",
+        [("l*fact(1000000)", "factorial"), ("l*binom(2000000,1000000)", "binomial")],
+    )
+    def test_large_constant_exits_2_within_a_second(self, term, what):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "debranges.cli", "gosper", term, "--var", "l"],
+            capture_output=True, text=True, env=env, timeout=1,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: column 3: constant {what} of more than 20000 bits\n"
 
     def test_range_sum_too_long_to_print_exits_2(self, capsys):
         code, out, err = run(capsys, "gosper", "2^(10000*l)", "--var", "l", "--range", "0..2")

@@ -279,6 +279,20 @@ class TestKernelAgainstReference:
         value = p(v)
         assert type(value) is Fraction and value == ref_eval(a, v)
 
+    @given(a=coeff_lists, b=coeff_lists, var=st.sampled_from("xyt"))
+    @settings(max_examples=40, deadline=None)
+    @example(a=[], b=[1, 2], var="x")  # zero p
+    @example(a=[1, 2, 3], b=[], var="x")  # zero q
+    @example(a=[1, 2, 3], b=[Fraction(5, 3)], var="t")  # constant q
+    @example(a=[Fraction(1, 2), 0, Fraction(-3, 4)], b=[Fraction(1, 2), Fraction(-1, 2)], var="y")
+    def test_composition(self, a, b, var):
+        # p(q) for p in y and q in var is sum_i c_i q^i, in q's variable
+        p, q = Poly(a, "y"), Poly(b, var)
+        want = Poly.zero(var)
+        for i, c in enumerate(p.coeffs):
+            want = want + q**i * c
+        self.check(p(q), list(want.coeffs), var)
+
     @given(a=coeff_lists)
     @settings(max_examples=25, deadline=None)
     def test_divide_by_var(self, a):
@@ -363,3 +377,14 @@ class TestCombinatorics:
     @settings(max_examples=60, deadline=None)
     def test_pochhammer_recurrence(self, a, j):
         assert pochhammer(a, j + 1) == pochhammer(a, j) * (a + j)
+
+    @given(a=rationals | st.integers(-30, 30), j=st.integers(min_value=0, max_value=15))
+    @settings(max_examples=60, deadline=None)
+    @example(a=-3, j=15)  # passes through zero
+    @example(a=Fraction(-7, 2), j=15)
+    def test_pochhammer_against_fraction_loop(self, a, j):
+        want = Fraction(1)
+        for i in range(j):
+            want *= Fraction(a) + i
+        got = pochhammer(a, j)
+        assert type(got) is Fraction and got == want

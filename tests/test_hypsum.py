@@ -1,5 +1,6 @@
 """Term grammar, shift quotients, Gosper certificates, terminating pFq."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,33 @@ class TestParser:
             "(2*fact(l))^100000",
         ):
             with pytest.raises(TermSemanticError, match="constant power"):
+                parse_term(src, "l")
+
+
+    def test_constant_factorial_and_binomial_bound(self):
+        # a bound on the bit length, from lgamma for factorials and integer
+        # binomials and k times the bits of a non-integer upper argument,
+        # is held to 20 000 bits before the constant is computed
+        assert parse_term("fact(l)*fact(2000)", "l").const == math.factorial(2000)  # 19 053 bits
+        assert parse_term("fact(l)*binom(20000,10000)", "l").const == math.comb(20000, 10000)
+        assert parse_term("fact(l)*binom(-20000,1)", "l").const == -20000
+        assert parse_term("fact(l)*binom(10^400,1)", "l").const == 10**400
+        assert parse_term("fact(l)*binom(3,7)", "l").const == 0
+        half = Fraction(1)
+        for i in range(30):
+            half *= Fraction(1, 2) - i
+        assert parse_term("fact(l)*binom(1/2,30)", "l").const == half / math.factorial(30)
+        for src, what in (
+            ("l*fact(2100)", "factorial"),  # 20 154 bits
+            ("l*fact(1000000)", "factorial"),
+            ("l*fact(10^400)", "factorial"),  # beyond a float
+            ("l*binom(2000000,1000000)", "binomial"),
+            ("l*binom(-2000000,1000000)", "binomial"),
+            ("l*binom(10^400,16)", "binomial"),
+            ("l*binom(10^400,10^399)", "binomial"),
+            ("l*binom(1/2,100000)", "binomial"),
+        ):
+            with pytest.raises(TermSemanticError, match=f"constant {what} of more than"):
                 parse_term(src, "l")
 
 
@@ -514,6 +542,77 @@ class TestPFQ:
         # lower parameter -3 is only reached after the series stops at j = 3
         value = pfq_terminating([-3, 1], [-3], Fraction(1, 2))
         assert value == sum(Fraction(1, 2) ** j for j in range(4))
+
+
+def pfq_reference(upper, lower, arg):
+    """pfq_terminating as it was before its coefficients were built on
+    integers: term by term, three Poly or Fraction operations a term."""
+    ups = [Fraction(u) for u in upper]
+    lows = [Fraction(b) for b in lower]
+    stops = [-u for u in ups if u.denominator == 1 and u <= 0]
+    if not stops:
+        raise ValueError("series does not terminate: no nonpositive integer "
+                         "upper parameter")
+    m = int(min(stops))
+    for b in lows:
+        if b.denominator == 1 and 0 >= b > -m:
+            raise ValueError(f"lower parameter {b} hits a pole before termination")
+    one = Poly.const(1, arg.var) if isinstance(arg, Poly) else Fraction(1)
+    if not isinstance(arg, Poly):
+        arg = Fraction(arg)
+    total = term = one
+    for j in range(m):
+        scale = Fraction(1, j + 1)
+        for u in ups:
+            scale *= u + j
+        for b in lows:
+            scale /= b + j
+        term = term * arg * scale
+        total = total + term
+    return total
+
+
+pfq_params = st.integers(-8, 8) | st.fractions(
+    min_value=Fraction(-10), max_value=Fraction(10), max_denominator=6
+)
+pfq_args = (
+    st.integers(-5, 5)
+    | st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=9)
+    | st.builds(
+        Poly,
+        st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                              max_denominator=4), max_size=4),
+        st.sampled_from("xyt"),
+    )
+)
+
+
+class TestPFQAgainstTermByTerm:
+    @given(
+        upper=st.lists(pfq_params, max_size=3),
+        stop=st.none() | st.integers(0, 12),
+        lower=st.lists(pfq_params, max_size=3),
+        arg=pfq_args,
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(upper=[], stop=None, lower=[], arg=1)  # does not terminate
+    @example(upper=[1], stop=4, lower=[-2], arg=Fraction(1, 3))  # a pole first
+    @example(upper=[Fraction(1, 2)], stop=0, lower=[], arg=Poly([1, 2], "x"))
+    @example(upper=[3], stop=5, lower=[-5], arg=Poly([], "t"))  # pole after the stop
+    def test_same_value_or_same_error(self, upper, stop, lower, arg):
+        if stop is not None:
+            upper = upper + [-stop]
+        try:
+            want = pfq_reference(upper, lower, arg)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                pfq_terminating(upper, lower, arg)
+            assert str(excinfo.value) == str(exc)
+            return
+        got = pfq_terminating(upper, lower, arg)
+        assert type(got) is type(want) and got == want
+        if isinstance(want, Poly):
+            assert got.var == want.var == arg.var
 
 
 class TestHypergeometricRepresentations:
