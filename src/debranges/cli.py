@@ -246,18 +246,30 @@ def _suite_gosper(n_max: int) -> Report:
             )
     arith = hypsum.parse_term("l", "l")
     cert = hypsum.gosper(hypsum.term_ratio(arith))
+    ok = cert is not None and hypsum.verify_certificate(arith, cert, 1, 20)
     report.add(
-        "arithmetic-series", [], cert is not None
-        and hypsum.verify_certificate(arith, cert, 1, 20),
+        "arithmetic-series", [], ok, None if ok else _telescoping_witness(arith, cert, 1, 20)
     )
-    fact = hypsum.parse_term("fact(l)", "l")
-    report.add("factorial-not-summable", [], hypsum.gosper(hypsum.term_ratio(fact)) is None)
-    inv_fact = hypsum.parse_term("1/fact(l)", "l")
-    report.add(
-        "inverse-factorial-not-summable", [],
-        hypsum.gosper(hypsum.term_ratio(inv_fact)) is None,
-    )
+    for id, src in (("factorial-not-summable", "fact(l)"),
+                    ("inverse-factorial-not-summable", "1/fact(l)")):
+        cert = hypsum.gosper(hypsum.term_ratio(hypsum.parse_term(src, "l")))
+        report.add(
+            id, [], cert is None, None if cert is None else f"unexpected R(l) = {cert.multiplier}"
+        )
     return report
+
+
+def _telescoping_witness(term, cert, lo: int, hi: int) -> str:
+    """Why cert fails on [lo, hi]: there is none, or the first l where
+    s_l - s_(l-1) != b_l with both values, or else the symbolic identity."""
+    if cert is None:
+        return "not summable"
+    for l in range(lo, hi + 1):
+        b = hypsum.term_value(term, l)
+        step = cert.multiplier(l) * b - cert.multiplier(l - 1) * hypsum.term_value(term, l - 1)
+        if step != b:
+            return f"l={l}: {format_rational(step)} != {format_rational(b)}"
+    return "R(l) - R(l-1)/r(l-1) != 1"
 
 
 def _suite_positivity(n_max: int) -> Report:

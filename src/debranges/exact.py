@@ -36,11 +36,11 @@ def binomial(n: int, k: int) -> int:
 
 
 def pochhammer(a: Scalar, j: int) -> Fraction:
-    """Shifted factorial (a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1."""
+    """Shifted factorial (a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1; a
+    must be an exact scalar (a float raises TypeError)."""
     if j < 0:
         raise ValueError("pochhammer needs a nonnegative index")
-    a = Fraction(a)
-    p, q = a.numerator, a.denominator
+    p, q = _ratio(a)
     return Fraction(math.prod(p + i * q for i in range(j)), q**j)
 
 

@@ -6,8 +6,12 @@ A hypergeometric term b_l is entered through a tiny expression grammar
 factors whose shift quotient b_{l+1}/b_l is a rational function of l.
 Gosper's algorithm then decides whether b_l has a hypergeometric
 antidifference s_l with s_l - s_{l-1} = b_l, and returns a certificate
-multiplier R with s_l = R(l) b_l that can be checked both symbolically
-(R(l) - R(l-1)/r(l-1) = 1) and numerically on a range.
+multiplier R with s_l = R(l) b_l that can be checked both symbolically and
+numerically on a range.  Its polynomial equation is solved on integer
+numerators over one denominator, fraction-free.  The symbolic check
+R(l) - R(l-1)/r(l-1) = 1 is made with the denominators cleared: for R = n/d,
+r = a/b and a subscript 1 marking l -> l-1, it is the polynomial identity
+n a1 d1 - n1 b1 d = d d1 a1, which takes no gcd.
 
 The terminating pFq evaluator computes sum_j (prod upper Pochhammers) /
 (prod lower Pochhammers j!) arg^j exactly, for series cut off by a
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import Poly, RationalFunction, Scalar, binomial, pochhammer
+from .exact import Poly, RationalFunction, Scalar, _ratio, binomial, pochhammer
 
 
 class TermSyntaxError(ValueError):
@@ -620,9 +624,15 @@ class GosperCertificate:
     multiplier: RationalFunction
 
     def verify_symbolic(self) -> bool:
-        """Check R(l) - R(l-1) / r(l-1) = 1 as rational functions."""
-        down = self.multiplier.shift(-1) / self.ratio.shift(-1)
-        return (self.multiplier - down).is_one()
+        """Check R(l) - R(l-1) / r(l-1) = 1 as one polynomial identity.
+
+        With R = n/d, r = a/b and a subscript 1 for the shift l -> l-1, the
+        identity times d d1 a1 is n a1 d1 - n1 b1 d = d d1 a1, checked here
+        as (n - d) a1 d1 = n1 b1 d.  The two are equivalent because d, d1
+        and a1 are nonzero (r is), and the product form takes no gcd."""
+        n, d = self.multiplier.num, self.multiplier.den
+        a, b = self.ratio.num, self.ratio.den
+        return (n - d) * a.shift(-1) * d.shift(-1) == n.shift(-1) * b.shift(-1) * d
 
 
 def _degree_bound(a: Poly, b_shifted: Poly, c: Poly) -> Optional[int]:
@@ -642,6 +652,23 @@ def _degree_bound(a: Poly, b_shifted: Poly, c: Poly) -> Optional[int]:
     return max(bounds) if bounds else None
 
 
+def _eliminate(rem: list[int], x: list[int], j: int, column: list[int], k: int, lead: int) -> int:
+    """Set x[j] so that row k of rem - x[j] * column vanishes, on integers:
+    rem and x are first scaled by lead / gcd(rem[k], lead) (positive), as
+    in exact._pseudo_divmod.  Returns that scale; 1 when rem[k] is 0."""
+    t = rem[k]
+    if not t:
+        return 1
+    g = math.gcd(t, lead) if lead > 0 else -math.gcd(t, lead)
+    f, m = lead // g, t // g
+    if f != 1:
+        rem[:] = [f * r for r in rem]
+        x[:] = [f * y for y in x]
+    x[j] = m
+    rem[: len(column)] = [r - m * y for r, y in zip(rem, column)]
+    return f
+
+
 def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Optional[Poly]:
     """The x of degree <= bound with a(l) x(l+1) - b(l-1) x(l) = c(l), or
     None when there is none; where x is not unique, the one with x_j0 = 0.
@@ -651,27 +678,48 @@ def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Opt
     coefficients; then its top coefficient lc(a) (j - j0) vanishes for at
     most one j0, whose unknown is kept as a parameter t.  Solving top-down
     from each column's top row leaves x = u + t v and the residual
-    c - L(u) - t L(v), which fixes t, or leaves it free, or has no zero."""
+    c - L(u) - t L(v), which fixes t, or leaves it free, or has no zero.
+
+    Everything runs on integers: the equation is multiplied by the common
+    denominator of a, b(l-1) and c, u and v are carried as integer
+    numerators U / du and V / dv, and each residual is kept times the same
+    denominator; dv cancels from the answer and is not kept."""
     var = a.var
     top = max(a.degree, b_shifted.degree)
     if a.degree == b_shifted.degree and a.leading == b_shifted.leading:
         top -= 1
-    u, v = [Fraction(0)] * (bound + 1), [Fraction(0)] * (bound + 1)
-    rem_u, rem_v = c, Poly.zero(var)
+    polys = (a.coeffs, b_shifted.coeffs, c.coeffs)
+    den = math.lcm(*(q.denominator for p in polys for q in p))
+    A, B, C = ([q.numerator * (den // q.denominator) for q in p] for p in polys)
+    # A (l+1)^j for j = 0..bound, each from the one before
+    raised = [A]
+    for _ in range(bound):
+        prev = raised[-1]
+        raised.append([x + y for x, y in zip(prev + [0], [0] + prev)])
+    height = max(len(C), len(raised[-1]), bound + len(B))
+    U, V = [0] * (bound + 1), [0] * (bound + 1)
+    du = 1
+    rem_u, rem_v = C + [0] * (height - len(C)), [0] * height
     for j in range(bound, -1, -1):
-        column = a * Poly([math.comb(j, i) for i in range(j + 1)], var)
-        column -= b_shifted * Poly.monomial(1, j, var)
-        lead = column.coeff(j + top)
+        column = raised[j] + [0] * (j + len(B) - len(raised[j]))
+        for i, y in enumerate(B, j):
+            column[i] -= y
+        k = j + top
+        lead = column[k]
         if lead:
-            u[j], v[j] = rem_u.coeff(j + top) / lead, rem_v.coeff(j + top) / lead
-        else:  # j = j0
-            v[j] = Fraction(1)
-        rem_u -= column * u[j]
-        rem_v -= column * v[j]
-    t = -rem_u.coeff(rem_v.degree) / rem_v.leading if rem_v else Fraction(0)
-    if rem_u + rem_v * t:
+            du *= _eliminate(rem_u, U, j, column, k, lead)
+            _eliminate(rem_v, V, j, column, k, lead)
+        else:  # j = j0, reached with v = 0: x_j0 = t, so v = l^j0 so far
+            V[j] = 1
+            rem_v[: len(column)] = [-y for y in column]
+    # x = U/du + t V/dv with the residual rem_u/du + t rem_v/dv
+    if not any(rem_v):
+        return None if any(rem_u) else Poly(U, var) * Fraction(1, du)
+    k = max(i for i, r in enumerate(rem_v) if r)
+    p, q = rem_u[k], rem_v[k]  # t = -(p/du) / (q/dv)
+    if any(r * q != p * s for r, s in zip(rem_u, rem_v)):
         return None
-    return Poly([p + q * t for p, q in zip(u, v)], var)
+    return Poly([q * x - p * y for x, y in zip(U, V)], var) * Fraction(1, du * q)
 
 
 def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
@@ -695,6 +743,8 @@ def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
     a_roots = Counter({r: e for r, e in ratio.roots if e > 0})
     b_roots = Counter({s: -e for s, e in ratio.roots if e < 0})
     c_roots: Counter = Counter()
+    moved_a: Counter = Counter()  # the factors of a and b that go into c
+    moved_b: Counter = Counter()
     differences = {s - r for r in a_roots for s in b_roots}
     deg_c = 0
     for h in sorted(int(d) for d in differences if d.denominator == 1 and d >= 0):
@@ -707,13 +757,15 @@ def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
                 raise GosperLimitError(f"Gosper work limit: deg c > {GOSPER_WORK_LIMIT}")
             a_roots[r] -= m
             b_roots[r + h] -= m
+            moved_a[r] += m
+            moved_b[r + h] += m
             for i in range(1, h + 1):
                 c_roots[r + i] += m
-    if c_roots:
-        a = _from_roots(a_roots, var) * ratio.num.leading
-        b_shifted = _from_roots({s + 1: m for s, m in b_roots.items()}, var)
-    else:  # nothing moved into c: a and b are the quotient's own
-        a, b_shifted = ratio.num, ratio.den.shift(-1)
+    a, b = ratio.num, ratio.den
+    if c_roots:  # divide the moved factors out of the quotient's expansion
+        a = a.exact_div(_from_roots(moved_a, var))
+        b = b.exact_div(_from_roots(moved_b, var))
+    b_shifted = b.shift(-1)
     c = _from_roots(c_roots, var)
     bound = _degree_bound(a, b_shifted, c)
     if bound is None:
@@ -773,10 +825,11 @@ def pfq_terminating(
     Some upper parameter must be a nonpositive integer -m, which cuts the
     series at j = m; a lower parameter that is a nonpositive integer > -m
     would hit a pole first and is rejected.  The argument may be a rational
-    or a polynomial, and the result has the same type.
+    or a polynomial, and the result has the same type.  Parameters and
+    argument must be exact: a float raises TypeError.
     """
-    ups = [Fraction(u) for u in upper]
-    lows = [Fraction(b) for b in lower]
+    ups = [Fraction(*_ratio(u)) for u in upper]
+    lows = [Fraction(*_ratio(b)) for b in lower]
     stops = [-u for u in ups if u.denominator == 1 and u <= 0]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive integer "
@@ -785,8 +838,6 @@ def pfq_terminating(
     for b in lows:
         if b.denominator == 1 and 0 >= b > -m:
             raise ValueError(f"lower parameter {b} hits a pole before termination")
-    if not isinstance(arg, Poly):
-        arg = Fraction(arg)
     # the term ratio prod(u+j) / ((j+1) prod(b+j)) as integers p_j / q_j;
     # coefficient j is p_0..p_(j-1) q_j..q_(m-1) over q_0..q_(m-1)
     u_den = math.prod(u.denominator for u in ups)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from debranges import cli, dbw, hypsum, lowner, orthopoly
+from debranges.exact import Poly, RationalFunction
 
 
 def run(capsys, *argv):
@@ -278,6 +279,37 @@ class TestVerify:
             ("gegenbauer-2f1", (4,)): (
                 "n=4: -5/4*x^4 + 3/2*x^2 - 1/4 != -5/8*x^4 + 3/4*x^2 - 1/8"
             ),
+        }
+
+    def test_gosper_witnesses_name_the_failure(self, capsys, monkeypatch):
+        real = hypsum.gosper
+        l = Poly.variable("l")
+
+        def broken(ratio):
+            # twice the multiplier of the arithmetic series, and a made-up
+            # certificate for the terms that have none
+            cert = real(ratio)
+            if cert is None:
+                return hypsum.GosperCertificate(ratio, RationalFunction(l))
+            if ratio == RationalFunction(l + 1, l):
+                return hypsum.GosperCertificate(ratio, cert.multiplier * 2)
+            return cert
+
+        def failures():
+            code, out, _ = run(capsys, "verify", "gosper", "--n", "3")
+            assert code == 1
+            return {c["id"]: c["witness"] for c in json.loads(out)["checks"] if not c["pass"]}
+
+        monkeypatch.setattr(hypsum, "gosper", broken)
+        # s_l = 2 R(l) l = l (l+1), so s_1 - s_0 = 2 against b_1 = 1
+        assert failures() == {
+            "arithmetic-series": "l=1: 2 != 1",
+            "factorial-not-summable": "unexpected R(l) = (l) / (1)",
+            "inverse-factorial-not-summable": "unexpected R(l) = (l) / (1)",
+        }
+        monkeypatch.setattr(hypsum, "gosper", lambda ratio: None)
+        assert failures() == {
+            "telescoping-certificate": "not summable", "arithmetic-series": "not summable"
         }
 
 

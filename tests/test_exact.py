@@ -370,6 +370,11 @@ class TestCombinatorics:
         assert pochhammer(1 - 2, 1) == -1  # (1-n)_1 at n = 2
         assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
 
+    def test_pochhammer_refuses_float(self):
+        # 0.5 is exact in binary64, so Fraction(0.5) would pass silently: 3/4
+        with pytest.raises(TypeError, match="exact scalar"):
+            pochhammer(0.5, 2)
+
     @given(
         a=rationals,
         j=st.integers(min_value=0, max_value=20),

@@ -74,6 +74,13 @@ def _gauss_jordan(columns, rhs):
     return solution
 
 
+def rational_function_route(cert):
+    """GosperCertificate.verify_symbolic as it was before the cross-multiplied
+    identity: R(l) - R(l-1)/r(l-1) = 1 in reduced rational functions."""
+    down = cert.multiplier.shift(-1) / cert.ratio.shift(-1)
+    return (cert.multiplier - down).is_one()
+
+
 def dense_gosper_solution(a, b_shifted, c, bound):
     """x of degree <= bound with a(l) x(l+1) - b(l-1) x(l) = c(l) by
     Gauss-Jordan on the coefficient system; None when inconsistent."""
@@ -333,6 +340,29 @@ class TestGosper:
         assert not bad.verify_symbolic()
         assert not verify_certificate(term, bad, 1, 10)
 
+    def test_symbolic_check_matches_rational_function_route(self):
+        # the cross-multiplied identity against R(l) - R(l-1)/r(l-1) = 1 in
+        # reduced rational functions, on real certificates and on perturbed
+        # multipliers R + 1/(l+5) and 2R, which must all fail; none of these
+        # terms is a multiple of l + 5, the one b that R + 1/(l+5) telescopes
+        l = Poly.variable("l")
+        sources = [
+            "l", "l*(l+1)", "l^3", "l*2^l", "2^l", "binom(2*l, l)/4^l",
+            "(2*l+1)*binom(2*l,l)/4^l", "binom(2*l-2,l-1)*binom(2*l-6,l-3)/(16^l*(l-2))",
+            "fact(l-1)/fact(l+7)", "1/((l+1/2)*(l+7/2))", "(l+1/3)*(2/3)^l", "l^2*3^l",
+        ] + [f"({n}+1-l) * binom(l+{j}-1, l-{j})" for n in range(1, 9) for j in range(1, n + 1)]
+        for src in sources:
+            cert = gosper(term_ratio(parse_term(src, "l")))
+            assert cert is not None, src
+            for multiplier, holds in (
+                (cert.multiplier, True),
+                (cert.multiplier + RationalFunction(Poly.const(1, "l"), l + 5), False),
+                (cert.multiplier * 2, False),
+            ):
+                candidate = GosperCertificate(cert.ratio, multiplier)
+                assert candidate.verify_symbolic() is holds, (src, str(multiplier))
+                assert rational_function_route(candidate) is holds, (src, str(multiplier))
+
     def test_zero_ratio_rejected(self):
         with pytest.raises(ValueError):
             gosper(RationalFunction(Poly.zero("l"), Poly.const(1, "l")))
@@ -382,12 +412,16 @@ class TestGosper:
         assert gosper_sum(sympy.factorial(l), (l, 0, sympy.abc.n)) is None
 
 
-small = st.integers(-3, 3)
+# small integers, and small rationals to exercise the common denominator
+# and the lead / gcd scaling of the integer solver
+small = st.integers(-3, 3) | st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4
+)
 
 
 @st.composite
 def gosper_equations(draw):
-    """(a, b(l-1), c, bound) with small integer coefficients; half of them
+    """(a, b(l-1), c, bound) with small rational coefficients; half of them
     balanced (equal degree and leading coefficient), some of those with the
     top coefficient of column j0 <= bound vanishing, and half of the right
     sides of the form L(x), so that a solution exists."""
@@ -398,7 +432,7 @@ def gosper_equations(draw):
     if draw(st.booleans()):
         lower = draw(st.lists(small, min_size=s, max_size=s))
         if s and draw(st.booleans()):
-            lower[-1] = int(a.coeff(s - 1)) + lc * draw(st.integers(0, bound))
+            lower[-1] = a.coeff(s - 1) + lc * draw(st.integers(0, bound))
         b_shifted = Poly(lower + [lc], "l")
     else:
         b_shifted = Poly(draw(st.lists(small, min_size=1, max_size=5)), "l")
@@ -537,6 +571,12 @@ class TestPFQ:
     def test_lower_pole_rejected(self):
         with pytest.raises(ValueError):
             pfq_terminating([-3, 1], [-1], Fraction(1, 5))
+
+    def test_float_refused(self):
+        # Fraction(0.1) would take 0.1 at its binary value, 3602879701896397/2^55
+        for upper, lower, arg in (([-1], [], 0.1), ([-1.0], [], 1), ([-1], [0.5], 1)):
+            with pytest.raises(TypeError, match="exact scalar"):
+                pfq_terminating(upper, lower, arg)
 
     def test_lower_pole_beyond_termination_allowed(self):
         # lower parameter -3 is only reached after the series stops at j = 3
