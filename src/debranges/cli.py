@@ -150,25 +150,31 @@ def _suite_theorem2(n_max: int) -> Report:
         report.add("slope-parity", [n], parity is None, parity)
     series_max = min(n_max, 25)
     for k in range(1, series_max + 1):
-        w_series = dbw.weinstein_series(k, series_max + 1)
-        ok = all(
-            w_series.coefficient(n + 1) == dbw.weinstein_poly(n, k)
-            for n in range(k, series_max + 1)
+        witness = _coefficient_witness(
+            dbw.weinstein_series(k, series_max + 1), dbw.weinstein_poly, k, series_max
         )
-        report.add("weinstein-series-vs-closed", [k], ok)
+        report.add("weinstein-series-vs-closed", [k], witness is None, witness)
     return report
+
+
+def _coefficient_witness(gen, closed, k: int, n_max: int) -> str | None:
+    """None when the z^(n+1) coefficient of gen is closed(n, k) for every
+    k <= n <= n_max, else the first failing n with both polynomials."""
+    for n in range(k, n_max + 1):
+        got, want = gen.coefficient(n + 1), closed(n, k)
+        if got != want:
+            return f"n={n}: {got} != {want}"
+    return None
 
 
 def _suite_theorem3(n_max: int) -> Report:
     report = Report("theorem3", n_max)
     gen_max = min(n_max, 25)
     for k in range(1, gen_max + 1):
-        gen = dbw.debranges_generating_series(k, gen_max + 1)
-        ok = all(
-            gen.coefficient(n + 1) == dbw.debranges_poly(n, k)
-            for n in range(k, gen_max + 1)
+        witness = _coefficient_witness(
+            dbw.debranges_generating_series(k, gen_max + 1), dbw.debranges_poly, k, gen_max
         )
-        report.add("generating-coefficients", [k], ok)
+        report.add("generating-coefficients", [k], witness is None, witness)
     for k in range(1, min(4, n_max) + 1):
         ok = dbw.explicit_generating_check(k, 12, 8)
         report.add("y-expansion", [k], ok)
@@ -231,25 +237,18 @@ def _suite_gosper(n_max: int) -> Report:
             src = f"({n}+1-l) * binom(l+{j}-1, l-{j})"
             term = hypsum.parse_term(src, "l")
             cert = hypsum.gosper(hypsum.term_ratio(term))
-            if cert is None:
-                report.add("telescoping-certificate", [n, j], False, "not summable")
-                continue
-            ok = hypsum.verify_certificate(term, cert, j, n)
-            total = hypsum.telescoped_sum(term, cert, j, n)
-            closed = Fraction(
-                (j + n) * (n + 1 + j), 2 * j * (2 * j + 1)
-            ) * binomial(n + j - 1, n - j)
-            ok = ok and total == closed and total == hypsum.weighted_binomial_sum(n, j)
-            report.add(
-                "telescoping-certificate", [n, j], ok,
-                None if ok else f"sum {total} vs closed {closed}",
-            )
+            witness = _telescoping_witness(term, cert, j, n)
+            if witness is None:
+                total = hypsum.telescoped_sum(term, cert, j, n)
+                closed = Fraction(
+                    (j + n) * (n + 1 + j), 2 * j * (2 * j + 1)
+                ) * binomial(n + j - 1, n - j)
+                if total != closed or total != hypsum.weighted_binomial_sum(n, j):
+                    witness = f"sum {total} vs closed {closed}"
+            report.add("telescoping-certificate", [n, j], witness is None, witness)
     arith = hypsum.parse_term("l", "l")
-    cert = hypsum.gosper(hypsum.term_ratio(arith))
-    ok = cert is not None and hypsum.verify_certificate(arith, cert, 1, 20)
-    report.add(
-        "arithmetic-series", [], ok, None if ok else _telescoping_witness(arith, cert, 1, 20)
-    )
+    witness = _telescoping_witness(arith, hypsum.gosper(hypsum.term_ratio(arith)), 1, 20)
+    report.add("arithmetic-series", [], witness is None, witness)
     for id, src in (("factorial-not-summable", "fact(l)"),
                     ("inverse-factorial-not-summable", "1/fact(l)")):
         cert = hypsum.gosper(hypsum.term_ratio(hypsum.parse_term(src, "l")))
@@ -259,11 +258,17 @@ def _suite_gosper(n_max: int) -> Report:
     return report
 
 
-def _telescoping_witness(term, cert, lo: int, hi: int) -> str:
-    """Why cert fails on [lo, hi]: there is none, or the first l where
+def _telescoping_witness(term, cert, lo: int, hi: int) -> str | None:
+    """None when cert telescopes term on [lo, hi], else why not: there is no
+    cert, or R(l) has a pole in [lo-1, hi], or the first l where
     s_l - s_(l-1) != b_l with both values, or else the symbolic identity."""
     if cert is None:
         return "not summable"
+    if hypsum.verify_certificate(term, cert, lo, hi):
+        return None
+    for l in range(lo - 1, hi + 1):
+        if cert.multiplier.den(l) == 0:
+            return f"pole of R(l) at l={l}"
     for l in range(lo, hi + 1):
         b = hypsum.term_value(term, l)
         step = cert.multiplier(l) * b - cert.multiplier(l - 1) * hypsum.term_value(term, l - 1)

@@ -536,9 +536,6 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
     def __add__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
             other = RationalFunction.const(other, self.var)

@@ -2,10 +2,10 @@
 
 The chain w(z, t) has Taylor coefficients that are polynomials
 B_n(y) = sum_j a(n, j) y^j in y = e^(-t).  This module builds the triangular
-table a(n, j) two independent ways (a first-order recurrence with a diagonal
-seed, and a closed form in binomials and factorials), exposes B_n as a
-polynomial, and provides the residuals of the defining differential
-relations, all in exact arithmetic:
+table a(n, j) two independent ways: a first-order recurrence with a diagonal
+seed, which gives each cached row B_n in one step from B_(n-1), and a closed
+form in binomials and factorials.  It also provides the residuals of the
+defining differential relations, all in exact arithmetic:
 
 * row rule:      (n - j) a(n, j) = (n - 1 + j) a(n-1, j)   for j < n
 * diagonal:      a(j, j) = -2 (2j - 1) / (j + 1) * a(j-1, j-1),  a(1, 1) = 1
@@ -17,9 +17,9 @@ relations, all in exact arithmetic:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Poly, binomial
 
@@ -38,33 +38,15 @@ class CoeffTable:
         return self.entries[(n, j)]
 
 
-_cache_lock = threading.Lock()
-_cached = CoeffTable(0, {})
-
-
 def coeff_table(n_max: int) -> CoeffTable:
-    """Chain coefficient triangle built from the recurrence, cached and
-    extended incrementally as larger n_max values are requested."""
+    """Chain coefficient triangle read off the cached rows ``chain_poly(n)``."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    global _cached
-    with _cache_lock:
-        if n_max <= _cached.n_max:
-            return CoeffTable(n_max, _cached.entries)
-        entries = dict(_cached.entries)
-        start = _cached.n_max + 1
-        if start == 1:
-            entries[(1, 1)] = Fraction(1)
-            start = 2
-        for n in range(start, n_max + 1):
-            # diagonal seed, then the row rule walked down from the diagonal
-            entries[(n, n)] = Fraction(-2 * (2 * n - 1), n + 1) * entries[(n - 1, n - 1)]
-            for j in range(1, n):
-                entries[(n, j)] = (
-                    Fraction(n - 1 + j, n - j) * entries[(n - 1, j)]
-                )
-        _cached = CoeffTable(n_max, entries)
-        return CoeffTable(n_max, entries)
+    return CoeffTable(n_max, {
+        (n, j): a
+        for n in range(1, n_max + 1)
+        for j, a in enumerate(chain_poly(n).coeffs[1:], start=1)
+    })
 
 
 def coeff_closed(n: int, j: int) -> Fraction:
@@ -82,15 +64,23 @@ def coeff_closed(n: int, j: int) -> Fraction:
     return Fraction(value)
 
 
+@lru_cache(maxsize=None)
 def chain_poly(n: int) -> Poly:
-    """B_n(y): the z^n coefficient of the chain as a polynomial in y.
+    """B_n(y): the z^n coefficient of the chain as a polynomial in y, by one
+    step of the row rule and the diagonal seed from the cached B_(n-1).
 
     B_1 = y, and B_n(1) = 0 for n >= 2 since the chain at t = 0 is z itself.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    table = coeff_table(n)
-    return Poly([0] + [table[(n, j)] for j in range(1, n + 1)], "y")
+    if n == 1:
+        return Poly.variable("y")
+    for m in range(2, n - 1):  # fill the cache upward, so the depth stays constant
+        chain_poly(m)
+    prev = chain_poly(n - 1).coeffs  # prev[j] = a(n-1, j)
+    row = [Fraction(n - 1 + j, n - j) * prev[j] for j in range(1, n)]
+    diagonal = Fraction(-2 * (2 * n - 1), n + 1) * prev[n - 1]
+    return Poly([0, *row, diagonal], "y")
 
 
 def ode_residual(n: int) -> Poly:

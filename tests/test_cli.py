@@ -12,6 +12,7 @@ import pytest
 
 from debranges import cli, dbw, hypsum, lowner, orthopoly
 from debranges.exact import Poly, RationalFunction
+from debranges.series import ZSeries
 
 
 def run(capsys, *argv):
@@ -247,6 +248,44 @@ class TestVerify:
             ("slope-parity", (4,)): "(n,k)=(4,2): -4 != -2",
         }
 
+    def test_weinstein_series_witness_names_first_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(dbw, "weinstein_series", _doubled_at_z4(dbw.weinstein_series))
+        code, out, _ = run(capsys, "verify", "theorem2", "--n", "4")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {
+            ("weinstein-series-vs-closed", (1,)): (
+                "n=3: 30*y^3 - 48*y^2 + 20*y != 15*y^3 - 24*y^2 + 10*y"
+            ),
+            ("weinstein-series-vs-closed", (2,)): "n=3: -12*y^3 + 12*y^2 != -6*y^3 + 6*y^2",
+            ("weinstein-series-vs-closed", (3,)): "n=3: 2*y^3 != y^3",
+        }
+
+    def test_generating_coefficients_witness_names_first_failure(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            dbw, "debranges_generating_series", _doubled_at_z4(dbw.debranges_generating_series)
+        )
+        code, out, _ = run(capsys, "verify", "theorem3", "--n", "4")
+        assert code == 1
+        # y-expansion reads the same series and fails too, without a witness yet
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"]
+            if not c["pass"] and c["id"] == "generating-coefficients"
+        }
+        assert failed == {
+            ("generating-coefficients", (1,)): (
+                "n=3: 10*y^3 - 24*y^2 + 20*y != 5*y^3 - 12*y^2 + 10*y"
+            ),
+            ("generating-coefficients", (2,)): "n=3: -8*y^3 + 12*y^2 != -4*y^3 + 6*y^2",
+            ("generating-coefficients", (3,)): "n=3: 2*y^3 != y^3",
+        }
+
     def test_hypergeometric_witnesses_name_first_failure(self, capsys, monkeypatch):
         real = hypsum.pfq_terminating
 
@@ -311,6 +350,38 @@ class TestVerify:
         assert failures() == {
             "telescoping-certificate": "not summable", "arithmetic-series": "not summable"
         }
+
+    def test_gosper_certificate_with_a_pole_is_a_witness(self, capsys, monkeypatch):
+        l = Poly.variable("l")
+        pole = RationalFunction(Poly.const(1, "l"), l - 1)
+        monkeypatch.setattr(hypsum, "gosper", lambda ratio: hypsum.GosperCertificate(ratio, pole))
+        code, out, err = run(capsys, "verify", "gosper", "--n", "3")
+        assert code == 1 and "Traceback" not in err
+        checks = json.loads(out)["checks"]
+        failed = {(c["id"], tuple(c["indices"])): c["witness"] for c in checks if not c["pass"]}
+        pole_at_1, unexpected = "pole of R(l) at l=1", "unexpected R(l) = (1) / (l - 1)"
+        # [j-1, n] holds l = 1 unless j = 3
+        assert failed == {
+            **{
+                ("telescoping-certificate", (n, j)): pole_at_1
+                for n, j in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))
+            },
+            ("telescoping-certificate", (3, 3)): "l=3: 1/2 != 1",
+            ("arithmetic-series", ()): pole_at_1,
+            ("factorial-not-summable", ()): unexpected,
+            ("inverse-factorial-not-summable", ()): unexpected,
+        }
+        assert len(failed) == len(checks)
+
+
+def _doubled_at_z4(real):
+    """A series function whose z^4 coefficient, the (n = 3)-term, is doubled."""
+
+    def broken(k, order):
+        coeffs = real(k, order).coeffs
+        return ZSeries([c * 2 if m == 4 else c for m, c in enumerate(coeffs)])
+
+    return broken
 
 
 # sha256 of stdout, taken before the integer polynomial kernel; the output

@@ -1,5 +1,7 @@
 """Chain coefficient triangle: recurrence, closed form, residuals."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,49 @@ class TestChainPoly:
         w = koebe_chain(15)
         for n in range(1, 16):
             assert w.coefficient(n) == chain_poly(n)
+
+
+class TestCachedRows:
+    def test_cold_call_deeper_than_the_recursion_limit(self):
+        # one recursion per row would need n frames; leave far fewer
+        n = 400
+        chain_poly.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            row = chain_poly(n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert row(1) == 0
+        for j in (1, 2, n // 2, n - 1, n):
+            assert row.coeff(j) == coeff_closed(n, j)
+
+    def test_each_row_is_built_once(self):
+        chain_poly.cache_clear()
+        coeff_table(30)
+        assert chain_poly.cache_info().misses == 30
+
+    def test_concurrent_cold_tables_agree_with_the_closed_form(self):
+        n_max, workers = 40, 4
+        chain_poly.cache_clear()
+        start = threading.Barrier(workers)
+        tables = [None] * workers
+
+        def build(i):
+            start.wait()
+            tables[i] = coeff_table(n_max)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        want = {(n, j): coeff_closed(n, j) for n in range(1, n_max + 1) for j in range(1, n + 1)}
+        for table in tables:
+            assert table.n_max == n_max and table.entries == want
 
 
 class TestResiduals:
