@@ -8,7 +8,7 @@ equality; the ``debranges`` command line exposes tables, evaluations and the
 verification sweeps.
 """
 
-from .exact import Poly, Rational, RationalFunction, binomial, format_rational, pochhammer
+from .exact import Poly, RationalFunction, binomial, format_rational, pochhammer
 from .series import ZSeries, chain_pde_residual, koebe, koebe_chain, log_over_z, time_derivative
 from .lowner import CoeffTable, chain_poly, coeff_closed, coeff_table, ode_residual, system_residual
 from .dbw import (
@@ -18,7 +18,9 @@ from .dbw import (
     debranges_slope_at_zero,
     debranges_system_residual,
     explicit_generating_check,
+    explicit_generating_witness,
     jacobi_decomposition_check,
+    jacobi_decomposition_witness,
     milin_functional,
     positivity_scan,
     weinstein_coeff,
@@ -58,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly",
-    "Rational",
     "RationalFunction",
     "ZSeries",
     "CoeffTable",
@@ -79,6 +80,7 @@ __all__ = [
     "debranges_slope_at_zero",
     "debranges_system_residual",
     "explicit_generating_check",
+    "explicit_generating_witness",
     "format_rational",
     "gegenbauer_expansion_check",
     "gegenbauer_minus_half",
@@ -87,6 +89,7 @@ __all__ = [
     "gegenbauer_partial_sum_scan",
     "gosper",
     "jacobi_decomposition_check",
+    "jacobi_decomposition_witness",
     "jacobi_partial_sum_poly",
     "jacobi_poly",
     "jacobi_value",

@@ -176,8 +176,8 @@ def _suite_theorem3(n_max: int) -> Report:
         )
         report.add("generating-coefficients", [k], witness is None, witness)
     for k in range(1, min(4, n_max) + 1):
-        ok = dbw.explicit_generating_check(k, 12, 8)
-        report.add("y-expansion", [k], ok)
+        witness = dbw.explicit_generating_witness(k, 12, 8)
+        report.add("y-expansion", [k], witness is None, witness)
     return report
 
 
@@ -306,9 +306,8 @@ def _suite_askey_gasper(n_max: int) -> Report:
         None if not scan else str(scan[0]),
     )
     for k in range(1, min(3, n_max) + 1):
-        report.add(
-            "jacobi-decomposition", [k], dbw.jacobi_decomposition_check(k, 12)
-        )
+        witness = dbw.jacobi_decomposition_witness(k, 12)
+        report.add("jacobi-decomposition", [k], witness is None, witness)
     return report
 
 

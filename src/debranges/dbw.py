@@ -83,8 +83,7 @@ def weinstein_series(k: int, order: int) -> ZSeries:
 
 @lru_cache(maxsize=None)
 def _one_minus_w_squared_inverse(order: int) -> ZSeries:
-    w = koebe_chain(order)
-    return (ZSeries.one(order) - w * w).inverse()
+    return (ZSeries.one(order) - _chain_power(order, 2)).inverse()
 
 
 @lru_cache(maxsize=None)
@@ -139,35 +138,47 @@ def debranges_generating_series(k: int, order: int) -> ZSeries:
 
 
 def explicit_generating_check(k: int, order: int, j_max: int) -> bool:
+    """True when explicit_generating_witness finds no failure."""
+    return explicit_generating_witness(k, order, j_max) is None
+
+
+def explicit_generating_witness(k: int, order: int, j_max: int) -> str | None:
     """Check the expansion of K(z) w^k in powers of y:
 
         K(z) w^k = sum_j (-1)^(j+k) (2k/(j+k)) C(2j-1, j-k) K(z)^(j+1) y^j
 
     by comparing, for every j <= j_max, the y^j slice of the generating
     series against the stated multiple of K(z)^(j+1), whose z^n coefficient
-    is C(n+j, 2j+1).
+    is C(n+j, 2j+1).  None when it holds, else the first failing y^j and z^n
+    with both values.
     """
     if j_max > order:
         raise ValueError("j_max cannot exceed the series order")
     gen = debranges_generating_series(k, order)
     for j in range(j_max + 1):
-        # y^j slice of the generating series, as plain rationals per z power
-        slice_j = [c.coeff(j) for c in gen.coeffs]
         sign = -1 if (j + k) % 2 else 1
         factor = Fraction(sign * 2 * k, j + k) * binomial(2 * j - 1, j - k)
-        expected = [factor * binomial(n + j, 2 * j + 1) for n in range(order + 1)]
-        if slice_j != expected:
-            return False
-    return True
+        for n, c in enumerate(gen.coeffs):
+            got, want = c.coeff(j), factor * binomial(n + j, 2 * j + 1)
+            if got != want:
+                return f"y^{j} z^{n}: {format_rational(got)} != {format_rational(want)}"
+    return None
 
 
 def jacobi_decomposition_check(k: int, order: int) -> bool:
+    """True when jacobi_decomposition_witness finds no failure."""
+    return jacobi_decomposition_witness(k, order) is None
+
+
+def jacobi_decomposition_witness(k: int, order: int) -> str | None:
     """Check the positivity-bearing factorization
 
         K(z) w^k = z^(k+1) y^k * (sum_n S_P(n) z^n) * (sum_n S_C(n) z^n)
 
     where S_P(n) = sum_{j<=n} P_j^(2k,0)(x), S_C(n) = sum_{j<=n} C_j^(-1/2)(x)
-    are the Jacobi and Gegenbauer partial sums, taken at x = 1 - 2y.
+    are the Jacobi and Gegenbauer partial sums, taken at x = 1 - 2y.  None
+    when it holds, else the first z^n where the sides differ, with both
+    polynomials.
     """
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
@@ -176,7 +187,11 @@ def jacobi_decomposition_check(k: int, order: int) -> bool:
     geg = [orthopoly.to_y(orthopoly.gegenbauer_partial_sum_poly(n)) for n in inner]
     product = ZSeries(jac) * ZSeries(geg)
     rhs = (product * Poly.monomial(1, k, "y")).shift_up(k + 1)
-    return rhs == debranges_generating_series(k, order)
+    gen = debranges_generating_series(k, order)
+    for n, (got, want) in enumerate(zip(gen.coeffs, rhs.coeffs)):
+        if got != want:
+            return f"z^{n}: {got} != {want}"
+    return None
 
 
 def milin_functional(d: Sequence[Scalar], n: int) -> Fraction:

@@ -16,8 +16,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -287,18 +285,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.const(1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other, self.var)
@@ -532,46 +518,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    def __add__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.const(other, self.var)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.const(other, self.var)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "RationalFunction":
-        return (-self) + other
-
-    def __mul__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.const(other, self.var)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalFunction | Scalar") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction.const(other, self.var)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: Scalar) -> "RationalFunction":
-        return RationalFunction.const(other, self.var) / self
 
     def shift(self, c: Scalar = 1) -> "RationalFunction":
         """Substitute var -> var + c in numerator and denominator."""

@@ -125,18 +125,6 @@ class ZSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ZSeries":
-        if n < 0:
-            raise ValueError("negative series power; use inverse()")
-        result = ZSeries.one(self.order, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def inverse(self) -> "ZSeries":
         """Multiplicative inverse; the z^0 coefficient must be a unit
         (a nonzero constant polynomial)."""
@@ -150,11 +138,6 @@ class ZSeries:
             pairs = zip(self.coeffs[1 : n + 1], reversed(out))
             out.append(Poly.sum_of_products(pairs, self.var, -inv0))
         return ZSeries(out, self.var)
-
-    def __truediv__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        n = min(self.order, other.order)
-        return self.truncate(n) * other.truncate(n).inverse()
 
     # -- calculus ---------------------------------------------------------
 

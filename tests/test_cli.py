@@ -272,11 +272,10 @@ class TestVerify:
         )
         code, out, _ = run(capsys, "verify", "theorem3", "--n", "4")
         assert code == 1
-        # y-expansion reads the same series and fails too, without a witness yet
+        # y-expansion reads the same series; K(z) w^4 starts at z^5
         failed = {
             (c["id"], tuple(c["indices"])): c["witness"]
-            for c in json.loads(out)["checks"]
-            if not c["pass"] and c["id"] == "generating-coefficients"
+            for c in json.loads(out)["checks"] if not c["pass"]
         }
         assert failed == {
             ("generating-coefficients", (1,)): (
@@ -284,6 +283,27 @@ class TestVerify:
             ),
             ("generating-coefficients", (2,)): "n=3: -8*y^3 + 12*y^2 != -4*y^3 + 6*y^2",
             ("generating-coefficients", (3,)): "n=3: 2*y^3 != y^3",
+            ("y-expansion", (1,)): "y^1 z^4: 20 != 10",
+            ("y-expansion", (2,)): "y^2 z^4: 12 != 6",
+            ("y-expansion", (3,)): "y^3 z^4: 2 != 1",
+        }
+
+    def test_jacobi_decomposition_witness_names_first_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            dbw, "debranges_generating_series", _doubled_at_z4(dbw.debranges_generating_series)
+        )
+        code, out, _ = run(capsys, "verify", "askey-gasper", "--n", "3")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {
+            ("jacobi-decomposition", (1,)): (
+                "z^4: 10*y^3 - 24*y^2 + 20*y != 5*y^3 - 12*y^2 + 10*y"
+            ),
+            ("jacobi-decomposition", (2,)): "z^4: -8*y^3 + 12*y^2 != -4*y^3 + 6*y^2",
+            ("jacobi-decomposition", (3,)): "z^4: 2*y^3 != y^3",
         }
 
     def test_hypergeometric_witnesses_name_first_failure(self, capsys, monkeypatch):
@@ -331,7 +351,8 @@ class TestVerify:
             if cert is None:
                 return hypsum.GosperCertificate(ratio, RationalFunction(l))
             if ratio == RationalFunction(l + 1, l):
-                return hypsum.GosperCertificate(ratio, cert.multiplier * 2)
+                doubled = RationalFunction(2 * cert.multiplier.num, cert.multiplier.den)
+                return hypsum.GosperCertificate(ratio, doubled)
             return cert
 
         def failures():
@@ -391,12 +412,16 @@ PINNED_STDOUT = [
      "bd4e32f59c9654621ad4f08d94ea1f012f59bfe0ca6c612a50c9937f23eb35d1"),
     (["verify", "all", "--n", "12"],
      "bca79f22b5f14df6b049ac52327b12e54c4dd50a72cdf3afcc07b77800401d3a"),
+    (["verify", "all", "--n", "30"],
+     "df0721d6eed0cf0ced5d3c22c2b96d4c1b179f09f28c362e6ad8875863166dea"),
     (["gosper", "(8-l)*binom(l+2,l-3)", "--var", "l", "--range", "3..7"],
      "4af29632a55eaaf20d2c32f4d98ae847741819508a9d4761b6a8d2925f9bd9d6"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["table", "verify", "gosper"])
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_STDOUT, ids=["table", "verify", "verify-30", "gosper"]
+)
 def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0

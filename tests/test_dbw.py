@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from debranges import lowner
+from debranges import dbw, lowner
 from debranges.exact import Poly
 from debranges.dbw import (
     debranges_generating_series,
@@ -110,6 +110,25 @@ class TestWeinsteinSeries:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             weinstein_series(3, 3)
+
+    def test_chain_square_is_shared(self, monkeypatch):
+        # W_1 = w^2 / (1 - w^2) / y takes w^2 from the chain-power memo: one
+        # product for w^2 and one for the quotient, with the chain warm
+        order = 12
+        want = weinstein_series(1, order)
+        dbw._chain_power.cache_clear()
+        dbw._one_minus_w_squared_inverse.cache_clear()
+        products = []
+        real = ZSeries.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(ZSeries, "__mul__", counted)
+        monkeypatch.setattr(ZSeries, "__rmul__", counted)
+        assert weinstein_series(1, order) == want
+        assert len(products) == 2
 
 
 class TestDeBrangesPoly:

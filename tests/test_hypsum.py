@@ -1,5 +1,6 @@
 """Term grammar, shift quotients, Gosper certificates, terminating pFq."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -75,10 +76,22 @@ def _gauss_jordan(columns, rhs):
 
 
 def rational_function_route(cert):
-    """GosperCertificate.verify_symbolic as it was before the cross-multiplied
-    identity: R(l) - R(l-1)/r(l-1) = 1 in reduced rational functions."""
-    down = cert.multiplier.shift(-1) / cert.ratio.shift(-1)
-    return (cert.multiplier - down).is_one()
+    """GosperCertificate.verify_symbolic by exact evaluation. With R = n/d and
+    r = a/b, R(l) - R(l-1)/r(l-1) = 1 cleared of denominators is a polynomial
+    identity of degree at most D = deg n + 2 deg d + deg a + deg b, so it
+    holds once it holds at D + 1 points where every value is defined."""
+    R, r = cert.multiplier, cert.ratio
+    degree = R.num.degree + 2 * R.den.degree + r.num.degree + r.den.degree
+    defined = 0
+    for x in itertools.count():
+        try:
+            if R(x) - R(x - 1) / r(x - 1) != 1:
+                return False
+        except ZeroDivisionError:  # a pole of R or r, or a zero of r
+            continue
+        defined += 1
+        if defined > degree:
+            return True
 
 
 def dense_gosper_solution(a, b_shifted, c, bound):
@@ -336,15 +349,16 @@ class TestGosper:
     def test_corrupted_certificate_detected(self):
         term = parse_term("l", "l")
         cert = gosper(term_ratio(term))
-        bad = GosperCertificate(cert.ratio, cert.multiplier + 1)
+        n, d = cert.multiplier.num, cert.multiplier.den
+        bad = GosperCertificate(cert.ratio, RationalFunction(n + d, d))
         assert not bad.verify_symbolic()
         assert not verify_certificate(term, bad, 1, 10)
 
     def test_symbolic_check_matches_rational_function_route(self):
-        # the cross-multiplied identity against R(l) - R(l-1)/r(l-1) = 1 in
-        # reduced rational functions, on real certificates and on perturbed
-        # multipliers R + 1/(l+5) and 2R, which must all fail; none of these
-        # terms is a multiple of l + 5, the one b that R + 1/(l+5) telescopes
+        # the cross-multiplied identity against R(l) - R(l-1)/r(l-1) = 1 at
+        # exact points, on real certificates and on perturbed multipliers
+        # R + 1/(l+5) and 2R, which must all fail; none of these terms is a
+        # multiple of l + 5, the one b that R + 1/(l+5) telescopes
         l = Poly.variable("l")
         sources = [
             "l", "l*(l+1)", "l^3", "l*2^l", "2^l", "binom(2*l, l)/4^l",
@@ -354,10 +368,11 @@ class TestGosper:
         for src in sources:
             cert = gosper(term_ratio(parse_term(src, "l")))
             assert cert is not None, src
+            n, d = cert.multiplier.num, cert.multiplier.den
             for multiplier, holds in (
                 (cert.multiplier, True),
-                (cert.multiplier + RationalFunction(Poly.const(1, "l"), l + 5), False),
-                (cert.multiplier * 2, False),
+                (RationalFunction(n * (l + 5) + d, d * (l + 5)), False),
+                (RationalFunction(2 * n, d), False),
             ):
                 candidate = GosperCertificate(cert.ratio, multiplier)
                 assert candidate.verify_symbolic() is holds, (src, str(multiplier))

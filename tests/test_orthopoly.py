@@ -6,6 +6,7 @@ path with the closed-form monomial sum behind gegenbauer_minus_half or with
 the three-term recurrence behind jacobi_poly.
 """
 
+import math
 import sys
 from fractions import Fraction
 
@@ -56,7 +57,7 @@ def jacobi_gf_oracle(alpha: int, order: int) -> ZSeries:
     """2^alpha / (R (1 - z + R)^alpha) with R = sqrt(1 - 2xz + z^2)."""
     root = sqrt_series_oracle(order)
     one_minus_z = _poly_as_series([Poly.const(1, "x"), Poly.const(-1, "x")], order)
-    denom = (one_minus_z + root).inverse() ** alpha
+    denom = math.prod([(one_minus_z + root).inverse()] * alpha, start=ZSeries.one(order, "x"))
     return root.inverse() * denom * Fraction(2**alpha)
 
 

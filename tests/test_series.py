@@ -51,9 +51,8 @@ class TestRingOperations:
         assert (a + b).order == 1
 
     def test_non_unit_divisor_rejected(self):
-        z = ZSeries([0, 1])
         with pytest.raises(ValueError):
-            ZSeries.one(1) / z
+            ZSeries([0, 1]).inverse()
         with pytest.raises(ValueError):
             ZSeries([Poly([0, 1], "y"), Poly.zero("y")]).inverse()
 
@@ -192,7 +191,8 @@ class TestKoebeChain:
         # K(w) - y K(z) = 0 through the truncation order
         w = koebe_chain(10)
         one = ZSeries.one(10)
-        k_of_w = w * ((one - w).inverse() ** 2)
+        inv = (one - w).inverse()
+        k_of_w = w * (inv * inv)
         target = ZSeries([Poly.monomial(n, 1, "y") for n in range(11)])
         assert (k_of_w - target).is_zero()
 
