@@ -30,7 +30,9 @@ from .dbw import (
 from .orthopoly import (
     askey_gasper_sum,
     chain_gegenbauer_check,
+    chain_gegenbauer_witness,
     gegenbauer_expansion_check,
+    gegenbauer_expansion_witness,
     gegenbauer_minus_half,
     gegenbauer_partial_sum,
     gegenbauer_partial_sum_poly,
@@ -71,6 +73,7 @@ __all__ = [
     "askey_gasper_sum",
     "binomial",
     "chain_gegenbauer_check",
+    "chain_gegenbauer_witness",
     "chain_pde_residual",
     "chain_poly",
     "coeff_closed",
@@ -83,6 +86,7 @@ __all__ = [
     "explicit_generating_witness",
     "format_rational",
     "gegenbauer_expansion_check",
+    "gegenbauer_expansion_witness",
     "gegenbauer_minus_half",
     "gegenbauer_partial_sum",
     "gegenbauer_partial_sum_poly",

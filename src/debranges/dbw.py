@@ -18,6 +18,12 @@ are verified, not imposed.  A generating-function route K(z) w^k, its
 expansion in powers of y, the Jacobi/Gegenbauer product factorization, the
 Milin functional, and exact positivity scans complete the picture.
 
+The series W_k and K(z) w^k take their only series products from one memo
+of chain powers w^m.  The body w^m/(1 - w^2) of W_k is filled upward in m
+from the inverse of 1 - w^2 by w^m/(1 - w^2) = w^(m-2)/(1 - w^2) - w^(m-2),
+and K(z) w^k = z/(1-z)^2 w^k is two running sums of the coefficients of w^k
+shifted up by one.
+
 Convention: W_k(z, 0) = z^(k+1)/(1 - z^2), so L(n, k) at y = 1 is 1 when
 n - k is even and 0 when it is odd, matching the slope initial values
 Tdot(n, k)(0) = -k (n - k even) / 0 (n - k odd).
@@ -32,7 +38,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exact import Poly, Scalar, binomial, format_rational
-from .series import ZSeries, koebe, koebe_chain, time_derivative
+from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
 
 
@@ -59,31 +65,49 @@ def weinstein_poly(n: int, k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _chain_power(order: int, m: int) -> ZSeries:
+    """w^m, with w^0 = 1: the only series products of W_k and B_k."""
+    if m == 0:
+        return ZSeries.one(order)
     if m == 1:
         return koebe_chain(order)
+    for j in range(2, m - 1):  # fill the cache upward, so the depth stays constant
+        _chain_power(order, j)
     return _chain_power(order, m - 1) * koebe_chain(order)
+
+
+@lru_cache(maxsize=None)
+def _power_over_one_minus_square(order: int, m: int) -> ZSeries:
+    """w^m / (1 - w^2): the inverse at m = 0, one product with w at m = 1,
+    and w^(m-2)/(1 - w^2) - w^(m-2) for m >= 2."""
+    if m == 0:
+        return (ZSeries.one(order) - _chain_power(order, 2)).inverse()
+    if m == 1:
+        return koebe_chain(order) * _power_over_one_minus_square(order, 0)
+    for j in range(m % 2, m - 2, 2):  # fill the cache upward, so the depth stays constant
+        _power_over_one_minus_square(order, j)
+    return _power_over_one_minus_square(order, m - 2) - _chain_power(order, m - 2)
 
 
 def weinstein_series(k: int, order: int) -> ZSeries:
     """W_k = e^t w^(k+1) / (1 - w^2) as a series; the z^(n+1) coefficient
     is the Weinstein function L(n, k).
 
-    The e^t factor is realized by dividing every coefficient exactly by y,
-    which is possible because each coefficient of w^(k+1)/(1 - w^2) vanishes
-    at y = 0 (the chain itself does).
+    The body w^(k+1)/(1 - w^2) comes from a memo filled upward in m: the
+    inverse of 1 - w^2 at m = 0, its product with w at m = 1, and
+
+        w^m / (1 - w^2) = w^(m-2) / (1 - w^2) - w^(m-2)
+
+    for m >= 2, one series subtraction of a shared chain power.  The e^t
+    factor is realized by dividing every coefficient exactly by y, which is
+    possible because each coefficient of the body vanishes at y = 0 (the
+    chain itself does).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
-    w = koebe_chain(order)
-    body = _chain_power(order, k + 1) * _one_minus_w_squared_inverse(order)
-    return ZSeries([c.divide_by_var() for c in body.coeffs], w.var)
-
-
-@lru_cache(maxsize=None)
-def _one_minus_w_squared_inverse(order: int) -> ZSeries:
-    return (ZSeries.one(order) - _chain_power(order, 2)).inverse()
+    body = _power_over_one_minus_square(order, k + 1)
+    return ZSeries([c.divide_by_var() for c in body.coeffs], body.var)
 
 
 @lru_cache(maxsize=None)
@@ -129,12 +153,22 @@ def debranges_slope_at_zero(n: int, k: int) -> Fraction:
 
 def debranges_generating_series(k: int, order: int) -> ZSeries:
     """K(z) w(z, t)^k: the generating function whose z^(n+1) coefficient is
-    T(n, k).  At y = 1 it collapses to z^(k+1)/(1-z)^2."""
+    T(n, k).  At y = 1 it collapses to z^(k+1)/(1-z)^2.
+
+    K(z) = z/(1-z)^2, so the coefficients of the shared chain power w^k are
+    summed twice and shifted up by one: no series product beyond w^k."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
-    return koebe(order) * _chain_power(order, k)
+    power = _chain_power(order, k)
+    once = twice = Poly.zero(power.var)
+    out = [twice]
+    for c in power.coeffs[:-1]:
+        once += c
+        twice += once
+        out.append(twice)
+    return ZSeries(out, power.var)
 
 
 def explicit_generating_check(k: int, order: int, j_max: int) -> bool:

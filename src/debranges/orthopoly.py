@@ -12,7 +12,7 @@ the square root series is expanded binomially, which collapses to monomials
 because 1 - 2xz + z^2 = 1 + z(z - 2x).  The hypergeometric-style expansion
 of C_n^(-1/2) at x = 1 is treated as a verified identity for n >= 2 (it is
 genuinely false at n = 1, where it yields 1 - x instead of -x; see
-gegenbauer_expansion_check).
+gegenbauer_expansion_witness).
 """
 
 from __future__ import annotations
@@ -65,13 +65,19 @@ def gegenbauer_minus_half(n: int) -> Poly:
 
 
 def gegenbauer_expansion_check(n: int) -> bool:
+    """True when gegenbauer_expansion_witness finds no failure."""
+    return gegenbauer_expansion_witness(n) is None
+
+
+def gegenbauer_expansion_witness(n: int) -> str | None:
     """Does the expansion at x = 1,
 
         C_n^(-1/2)(x) = 2 sum_{j=0..n-1} (1-n)_j (n)_j / (j! (2)_j) * ((1-x)/2)^(j+1),
 
-    reproduce the generating-function polynomial?  True for every n >= 2;
-    false at n = 1 by a constant-term discrepancy that is recorded rather
-    than patched (the formula gives 1 - x, the generating function -x).
+    reproduce the generating-function polynomial?  None when it does, as for
+    every n >= 2, else n with both polynomials.  It fails at n = 1 by a
+    constant-term discrepancy that is recorded rather than patched (the
+    formula gives 1 - x, the generating function -x).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -80,22 +86,31 @@ def gegenbauer_expansion_check(n: int) -> bool:
         for j in range(n)
     ]
     u = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")  # (1 - x) / 2
-    return Poly(coeffs, "t")(u) == gegenbauer_minus_half(n)
+    got, want = Poly(coeffs, "t")(u), gegenbauer_minus_half(n)
+    return None if got == want else f"n={n}: {got} != {want}"
 
 
 def chain_gegenbauer_check(n: int) -> bool:
+    """True when chain_gegenbauer_witness finds no failure."""
+    return chain_gegenbauer_witness(n) is None
+
+
+def chain_gegenbauer_witness(n: int) -> str | None:
     """Does (C_{n+1}^(-1/2)(x) - C_n^(-1/2)(x)) / (x - 1), taken at
     x = 1 - 2y, equal the chain coefficient polynomial B_n(y)?
 
-    True for every n >= 2 (the division is exact); at n = 1 the identity
-    fails by the same constant discrepancy as the x = 1 expansion."""
+    None for every n >= 2 (the division is exact); at n = 1 the identity
+    fails by the same constant discrepancy as the x = 1 expansion.  A
+    failure names n with the nonzero remainder of the division, or else
+    with both y-polynomials."""
     if n < 1:
         raise ValueError("n must be at least 1")
     diff = gegenbauer_minus_half(n + 1) - gegenbauer_minus_half(n)
     quotient, remainder = diff.divmod(Poly([-1, 1], "x"))
     if not remainder.is_zero():
-        return False
-    return to_y(quotient) == lowner.chain_poly(n)
+        return f"n={n}: remainder {remainder} != 0"
+    got, want = to_y(quotient), lowner.chain_poly(n)
+    return None if got == want else f"n={n}: {got} != {want}"
 
 
 @lru_cache(maxsize=None)

@@ -86,11 +86,6 @@ class ZSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def truncate(self, order: int) -> "ZSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return ZSeries(self.coeffs[: order + 1], self.var)
-
     def _check(self, other: "ZSeries") -> None:
         if self.var != other.var:
             raise ValueError(f"mixed inner variables {self.var!r}, {other.var!r}")

@@ -129,6 +129,14 @@ class TestEval:
         assert rows["2"] == "1/2"  # Lambda(1,1) = y at 1/2
         assert rows["3"] == "1"  # Lambda(2,1) = 4y - 4y^2 at 1/2
 
+    @pytest.mark.parametrize("kind", ["W", "B"])
+    def test_order_over_the_limit_exits_2(self, capsys, kind):
+        order = cli.SERIES_ORDER_LIMIT + 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", kind, "--k", "1", "--order", str(order), "--y", "1/2"])
+        assert excinfo.value.code == 2
+        assert f"--order {order} is over the limit of 60" in capsys.readouterr().err
+
     def test_requires_evaluation_point(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["eval", "A", "--n", "2"])
@@ -393,6 +401,46 @@ class TestVerify:
             ("inverse-factorial-not-summable", ()): unexpected,
         }
         assert len(failed) == len(checks)
+
+    def _gegenbauer_failures(self, capsys):
+        code, out, _ = run(capsys, "verify", "gegenbauer", "--n", "5")
+        assert code == 1
+        return {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+
+    def test_chain_difference_witness_names_first_failure(self, capsys, monkeypatch):
+        real = orthopoly.to_y
+        # the quotient (C_4 - C_3)/(x - 1) is the one of degree 3
+        monkeypatch.setattr(orthopoly, "to_y", lambda p: real(p) * 2 if p.degree == 3 else real(p))
+        assert self._gegenbauer_failures(capsys) == {
+            ("chain-difference", (3,)): "n=3: 10*y^3 - 16*y^2 + 6*y != 5*y^3 - 8*y^2 + 3*y",
+        }
+
+    def test_expansion_at_one_witness_names_first_failure(self, capsys, monkeypatch):
+        real = orthopoly.gegenbauer_minus_half
+        monkeypatch.setattr(
+            orthopoly, "gegenbauer_minus_half", lambda n: real(n) + 1 if n == 4 else real(n)
+        )
+        # C_4 + 1 also leaves a remainder in both chain differences that use it
+        assert self._gegenbauer_failures(capsys) == {
+            ("chain-difference", (3,)): "n=3: remainder 1 != 0",
+            ("chain-difference", (4,)): "n=4: remainder -1 != 0",
+            ("expansion-at-one", (4,)): (
+                "n=4: -5/8*x^4 + 3/4*x^2 - 1/8 != -5/8*x^4 + 3/4*x^2 + 7/8"
+            ),
+        }
+
+    def test_expansion_holding_at_n1_is_a_witness(self, capsys, monkeypatch):
+        real = orthopoly.gegenbauer_minus_half
+        one_minus_x = Poly([1, -1], "x")  # what the expansion gives at n = 1
+        monkeypatch.setattr(
+            orthopoly, "gegenbauer_minus_half", lambda n: one_minus_x if n == 1 else real(n)
+        )
+        assert self._gegenbauer_failures(capsys) == {
+            ("expansion-at-one-fails-at-n1", (1,)): "n=1: the expansion reproduces -x + 1",
+        }
 
 
 def _doubled_at_z4(real):

@@ -112,23 +112,65 @@ class TestWeinsteinSeries:
             weinstein_series(3, 3)
 
     def test_chain_square_is_shared(self, monkeypatch):
-        # W_1 = w^2 / (1 - w^2) / y takes w^2 from the chain-power memo: one
-        # product for w^2 and one for the quotient, with the chain warm
+        # W_1 = w^2 / (1 - w^2) / y = ((1 - w^2)^-1 - 1) / y takes w^2 from
+        # the chain-power memo: one product, with the chain warm
         order = 12
         want = weinstein_series(1, order)
-        dbw._chain_power.cache_clear()
-        dbw._one_minus_w_squared_inverse.cache_clear()
-        products = []
-        real = ZSeries.__mul__
-
-        def counted(self, other):
-            products.append(other)
-            return real(self, other)
-
-        monkeypatch.setattr(ZSeries, "__mul__", counted)
-        monkeypatch.setattr(ZSeries, "__rmul__", counted)
+        _clear_power_memos()
+        products = _count_products(monkeypatch)
         assert weinstein_series(1, order) == want
-        assert len(products) == 2
+        assert len(products) == 1
+
+
+def _clear_power_memos():
+    dbw._chain_power.cache_clear()
+    dbw._power_over_one_minus_square.cache_clear()
+
+
+def _count_products(monkeypatch) -> list:
+    """Record every ZSeries product from here on; returns the record."""
+    products = []
+    real = ZSeries.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(ZSeries, "__mul__", counted)
+    monkeypatch.setattr(ZSeries, "__rmul__", counted)
+    return products
+
+
+class TestSeriesFromChainPowers:
+    def test_matches_series_products(self):
+        # the oracle multiplies out the definitions with public ZSeries ops:
+        # W_k = w^(k+1) (1 - w^2)^-1 / y and B_k = K(z) w^k
+        for order in range(2, 15):
+            w = koebe_chain(order)
+            inverse = (ZSeries.one(order) - w * w).inverse()
+            powers = [ZSeries.one(order), w]
+            while len(powers) <= order:
+                powers.append(powers[-1] * w)
+            _clear_power_memos()
+            for k in reversed(range(1, order)):  # the first call fills the memos upward
+                body = powers[k + 1] * inverse
+                assert weinstein_series(k, order) == ZSeries(
+                    [c.divide_by_var() for c in body.coeffs]
+                ), (order, k)
+                assert debranges_generating_series(k, order) == koebe(order) * powers[k], (
+                    order, k,
+                )
+
+    def test_cold_sweep_takes_only_the_chain_powers(self, monkeypatch):
+        # W_k and B_k for every k at order 12: w^2 .. w^11 and w (1 - w^2)^-1
+        order = 12
+        koebe_chain(order)
+        _clear_power_memos()
+        products = _count_products(monkeypatch)
+        for k in range(1, order):
+            weinstein_series(k, order)
+            debranges_generating_series(k, order)
+        assert len(products) == 11
 
 
 class TestDeBrangesPoly:
