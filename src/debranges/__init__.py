@@ -8,7 +8,7 @@ equality; the ``debranges`` command line exposes tables, evaluations and the
 verification sweeps.
 """
 
-from .exact import Poly, RationalFunction, binomial, format_rational, pochhammer
+from .exact import EvalGrid, Poly, RationalFunction, binomial, format_rational, pochhammer
 from .series import ZSeries, chain_pde_residual, koebe, koebe_chain, log_over_z, time_derivative
 from .lowner import CoeffTable, chain_poly, coeff_closed, coeff_table, ode_residual, system_residual
 from .dbw import (
@@ -28,6 +28,7 @@ from .dbw import (
     weinstein_series,
 )
 from .orthopoly import (
+    askey_gasper_scan,
     askey_gasper_sum,
     chain_gegenbauer_check,
     chain_gegenbauer_witness,
@@ -61,6 +62,7 @@ from .hypsum import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "EvalGrid",
     "Poly",
     "RationalFunction",
     "ZSeries",
@@ -70,6 +72,7 @@ __all__ = [
     "PositivityViolation",
     "TermSemanticError",
     "TermSyntaxError",
+    "askey_gasper_scan",
     "askey_gasper_sum",
     "binomial",
     "chain_gegenbauer_check",

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import Poly, Scalar, binomial, format_rational
+from .exact import EvalGrid, Poly, Scalar, binomial, format_rational
 from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
 
@@ -268,20 +268,17 @@ def positivity_scan(
             raise ValueError(f"grid value {v} outside (0, 1)")
     violations: list[PositivityViolation] = []
     for n in range(1, n_max + 1):
+        points = EvalGrid(grid, n)
         for k in range(1, n + 1):
-            lam = weinstein_poly(n, k)
             tau = debranges_poly(n, k)
-            tau_dot = time_derivative(tau)
-            for v in grid:
-                lam_v = lam(v)
-                if lam_v < 0:
-                    violations.append(PositivityViolation("weinstein", n, k, v, lam_v))
-                tau_v = tau(v)
-                if tau_v < 0:
-                    violations.append(PositivityViolation("debranges", n, k, v, tau_v))
-                slope = tau_dot(v)
-                if slope > 0:
-                    violations.append(
-                        PositivityViolation("debranges_slope", n, k, v, slope)
-                    )
+            found = (
+                [(i, 0, "weinstein", v) for i, v in points.negatives(weinstein_poly(n, k))]
+                + [(i, 1, "debranges", v) for i, v in points.negatives(tau)]
+                + [
+                    (i, 2, "debranges_slope", -v)
+                    for i, v in points.negatives(-time_derivative(tau))
+                ]
+            )
+            found.sort(key=lambda f: f[:2])  # by point, then by quantity
+            violations += [PositivityViolation(q, n, k, grid[i], v) for i, _, q, v in found]
     return violations

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: rationals, dense univariate polynomials over Q,
-reduced rational functions, and combinatorial primitives.
+exact sign tests of polynomials on a fixed grid of points, reduced rational
+functions, and combinatorial primitives.
 
 Every scalar in this package is an arbitrary-precision ``fractions.Fraction``;
 floats never enter the core.  A polynomial is stored as a dense tuple of
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -471,6 +473,38 @@ class Poly:
 _set_num = Poly._num.__set__
 _set_den = Poly._den.__set__
 _set_var = Poly.var.__set__
+
+
+class EvalGrid:
+    """Fixed points p/q (q > 0) at which to test the sign of polynomials of
+    degree at most D.
+
+    Each point holds the integer row p^i q^(D-i) for i <= D, built once, so
+    that q^D den P(p/q) = sum_i n_i p^i q^(D-i) for every P with numerators
+    n_i over den.  The sign of P at a point is the sign of that integer dot
+    product, and a Fraction is built only for a point where it is negative.
+    """
+
+    __slots__ = ("degree", "_rows", "_scales")
+
+    def __init__(self, points: Iterable[Scalar], degree: int):
+        if degree < 0:
+            raise ValueError("the grid degree must be nonnegative")
+        pairs = [_ratio(v) for v in points]
+        self.degree = degree
+        self._rows = [[p**i * q ** (degree - i) for i in range(degree + 1)] for p, q in pairs]
+        self._scales = [q**degree for _, q in pairs]
+
+    def negatives(self, poly: Poly) -> list[tuple[int, Fraction]]:
+        """(i, value) for every i-th point where poly is negative, with the
+        exact value there, in the order of the points."""
+        num = poly._num
+        if len(num) > self.degree + 1:
+            raise ValueError(f"degree {poly.degree} is over the grid degree {self.degree}")
+        sums = [sum(map(mul, num, row)) for row in self._rows]
+        return [
+            (i, Fraction(s, poly._den * self._scales[i])) for i, s in enumerate(sums) if s < 0
+        ]
 
 
 class RationalFunction:

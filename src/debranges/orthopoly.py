@@ -3,9 +3,12 @@
 Ingredients for the positivity side of the story: the Gegenbauer polynomials
 C_n^(-1/2) defined as the z-coefficients of sqrt(1 - 2xz + z^2), Jacobi
 polynomials P_n^(alpha, 0) from the classical three-term recurrence, the
-Askey-Gasper partial sums, and exact sign scans.  Every value is the Horner
-evaluation of a cached exact polynomial.  The x and y pictures are linked
-by x = 1 - 2y, i.e. y = e^(-t) and x = 1 - 2e^(-t).
+Askey-Gasper partial sums, and exact sign scans.  Every value comes from a
+cached exact polynomial: a single value is its Horner evaluation, and a
+scan takes the sign of each point's integer dot product on one
+``EvalGrid`` of the points and builds a Fraction only for a negative
+value.  The x and y pictures are linked by x = 1 - 2y, i.e. y = e^(-t) and
+x = 1 - 2e^(-t).
 
 The lambda = -1/2 Gegenbauer normalization is the generating-function one;
 the square root series is expanded binomially, which collapses to monomials
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import Poly, Scalar, binomial, pochhammer
+from .exact import EvalGrid, Poly, Scalar, binomial, pochhammer
 from . import lowner
 
 
@@ -179,11 +182,31 @@ def gegenbauer_partial_sum_scan(
     n_max: int, x_grid: Sequence[Scalar]
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Scan the partial sums for negativity over an x grid in [-1, 1];
-    returns (n, x, value) triples with value < 0 (expected: none)."""
-    violations = []
-    for x in map(_in_interval, x_grid):
-        for n in range(n_max + 1):
-            value = gegenbauer_partial_sum_poly(n)(x)
-            if value < 0:
-                violations.append((n, x, value))
-    return violations
+    returns (n, x, value) triples with value < 0 (expected: none), ordered
+    by x, then n."""
+    xs = [_in_interval(x) for x in x_grid]
+    points = EvalGrid(xs, max(n_max, 0))
+    found = [
+        (i, n, value)
+        for n in range(n_max + 1)
+        for i, value in points.negatives(gegenbauer_partial_sum_poly(n))
+    ]
+    found.sort(key=lambda f: f[:2])
+    return [(n, xs[i], value) for i, n, value in found]
+
+
+def askey_gasper_scan(
+    n_max: int, k: int, x_grid: Sequence[Scalar]
+) -> list[tuple[int, Fraction, Fraction]]:
+    """Scan the partial sums sum_{j=0..n} P_j^(2k, 0), n <= n_max, for
+    negativity over an x grid in [-1, 1]; returns (n, x, value) triples
+    with value < 0 (expected: none), ordered by n, then x."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    xs = [_in_interval(x) for x in x_grid]
+    points = EvalGrid(xs, max(n_max, 0))
+    return [
+        (n, xs[i], value)
+        for n in range(n_max + 1)
+        for i, value in points.negatives(jacobi_partial_sum_poly(n, 2 * k))
+    ]

@@ -137,6 +137,36 @@ class TestEval:
         assert excinfo.value.code == 2
         assert f"--order {order} is over the limit of 60" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["A"], ["tau", "--k", "1"], ["lambda", "--k", "1"]])
+    def test_n_over_the_limit_exits_2(self, capsys, kind):
+        n = cli.EVAL_N_LIMIT + 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", *kind, "--n", str(n), "--y", "1/2"])
+        assert excinfo.value.code == 2
+        assert f"--n {n} is over the limit of 500" in capsys.readouterr().err
+
+    def test_n_at_the_limit_is_taken(self, capsys):
+        n = cli.EVAL_N_LIMIT
+        code, out, _ = run(capsys, "eval", "lambda", "--n", str(n), "--k", str(n), "--y", "1")
+        assert code == 0 and out == "1\n"  # L(n, n) = y^n
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau", "--n", "2", "--y", "1"],  # a missing index
+            ["tau", "--n", "2", "--k", "5", "--y", "1"],  # an index out of range
+            ["A", "--n", "501", "--y", "1"],  # over the --n limit
+            ["W", "--k", "1", "--y", "1"],  # a missing order
+        ],
+    )
+    def test_errors_print_the_eval_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: debranges eval")
+        assert "debranges eval: error: " in err
+
     def test_requires_evaluation_point(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["eval", "A", "--n", "2"])
@@ -168,21 +198,26 @@ class TestVerify:
             assert check["pass"] is True and check["witness"] is None
 
     def test_askey_gasper_witness_names_first_failure(self, capsys, monkeypatch):
-        real = orthopoly.askey_gasper_sum
+        real = orthopoly.jacobi_partial_sum_poly
 
-        def broken(n, k, x):
-            return Fraction(-1) if n >= 3 and x >= Fraction(1, 2) else real(n, k, x)
+        def broken(n, alpha):
+            # 4 - 10x: zero at x = 2/5, and -1 at x = 1/2, the first failing x
+            return Poly([4, -10], "x") if n >= 3 else real(n, alpha)
 
-        monkeypatch.setattr(orthopoly, "askey_gasper_sum", broken)
+        monkeypatch.setattr(orthopoly, "jacobi_partial_sum_poly", broken)
         code, out, _ = run(capsys, "verify", "askey-gasper", "--n", "5")
         assert code == 1
+        checks = json.loads(out)["checks"]
         failed = {
             (c["id"], tuple(c["indices"])): c["witness"]
-            for c in json.loads(out)["checks"] if not c["pass"]
+            for c in checks if not c["pass"] and c["id"] == "jacobi-partial-sums"
         }
         assert failed == {
             ("jacobi-partial-sums", (k,)): "n=3, x=1/2: -1" for k in range(9)
         }
+        # the factorization check reads the same partial sums, and fails too
+        others = {c["id"] for c in checks if not c["pass"]} - {"jacobi-partial-sums"}
+        assert others == {"jacobi-decomposition"}
 
     def test_closed_vs_recurrence_witness_names_first_failure(
         self, capsys, monkeypatch

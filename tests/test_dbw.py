@@ -349,3 +349,47 @@ class TestPositivityScan:
             positivity_scan(3, [Fraction(0)])
         with pytest.raises(ValueError):
             positivity_scan(3, [Fraction(1)])
+
+    @staticmethod
+    def horner_loop(n_max, y_grid):
+        """The scan as a loop of Horner evaluations: by (n, k), then by
+        point, then weinstein / debranges / slope."""
+        grid = [Fraction(v) for v in y_grid]
+        violations = []
+        for n in range(1, n_max + 1):
+            for k in range(1, n + 1):
+                lam = dbw.weinstein_poly(n, k)
+                tau = dbw.debranges_poly(n, k)
+                tau_dot = time_derivative(tau)
+                for v in grid:
+                    lam_v = lam(v)
+                    if lam_v < 0:
+                        violations.append(dbw.PositivityViolation("weinstein", n, k, v, lam_v))
+                    tau_v = tau(v)
+                    if tau_v < 0:
+                        violations.append(dbw.PositivityViolation("debranges", n, k, v, tau_v))
+                    slope = tau_dot(v)
+                    if slope > 0:
+                        violations.append(
+                            dbw.PositivityViolation("debranges_slope", n, k, v, slope)
+                        )
+        return violations
+
+    def test_fault_injection_matches_horner_loop(self, monkeypatch):
+        real_lam, real_tau = dbw.weinstein_poly, dbw.debranges_poly
+
+        def lam(n, k):
+            # negative where y > 1/2 for odd k
+            return real_lam(n, k) - Poly([-100, 200], "y") if k % 2 else real_lam(n, k)
+
+        def tau(n, k):
+            # -50 y^2 drives T below zero and the slope -y dT/dy above it
+            return real_tau(n, k) - Poly([0, 0, 50], "y") if n % 3 == 2 else real_tau(n, k)
+
+        monkeypatch.setattr(dbw, "weinstein_poly", lam)
+        monkeypatch.setattr(dbw, "debranges_poly", tau)
+        grid = [Fraction(9, 10), Fraction(1, 10), Fraction(1, 2), Fraction(3, 4), 0.25]
+        grid.append(Fraction(9, 10))  # a repeated point is reported again
+        got = positivity_scan(8, grid)
+        assert {v.quantity for v in got} == {"weinstein", "debranges", "debranges_slope"}
+        assert got == self.horner_loop(8, grid)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from debranges.exact import (
+    EvalGrid,
     Poly,
     RationalFunction,
     binomial,
@@ -379,3 +380,38 @@ class TestCombinatorics:
             want *= Fraction(a) + i
         got = pochhammer(a, j)
         assert type(got) is Fraction and got == want
+
+
+grid_points = st.lists(rationals | st.integers(-30, 30), min_size=0, max_size=8)
+
+
+class TestEvalGrid:
+    """The grid's sign test against Poly.__call__ at every point."""
+
+    @given(p=poly_strategy(), points=grid_points, extra=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    @example(p=Poly([-1], "y"), points=[0, Fraction(-7, 3)], extra=0)  # degree 0
+    @example(p=Poly([], "y"), points=[1], extra=0)  # the zero polynomial
+    def test_negatives_match_horner(self, p, points, extra):
+        grid = EvalGrid(points, max(p.degree, 0) + extra)
+        want = [(i, p(v)) for i, v in enumerate(points) if p(v) < 0]
+        got = grid.negatives(p)
+        assert got == want
+        assert all(type(value) is Fraction for _, value in got)
+
+    def test_reports_in_point_order_with_repeats(self):
+        p = Poly([1, -3], "y")  # negative above 1/3
+        grid = EvalGrid([1, Fraction(1, 4), Fraction(1, 2), 1], 3)
+        assert grid.negatives(p) == [(0, -2), (2, Fraction(-1, 2)), (3, -2)]
+
+    def test_degree_over_the_grid_raises(self):
+        grid = EvalGrid([Fraction(1, 2)], 2)
+        assert grid.negatives(Poly([0, 0, -1], "y")) == [(0, Fraction(-1, 4))]
+        with pytest.raises(ValueError, match="over the grid degree 2"):
+            grid.negatives(Poly([0, 0, 0, 1], "y"))
+
+    def test_refuses_float_points_and_negative_degree(self):
+        with pytest.raises(TypeError, match="exact scalar"):
+            EvalGrid([0.5], 2)
+        with pytest.raises(ValueError):
+            EvalGrid([1], -1)

@@ -9,12 +9,15 @@ the three-term recurrence behind jacobi_poly.
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from debranges import lowner, orthopoly
 from debranges.exact import Poly
 from debranges.orthopoly import (
+    askey_gasper_scan,
     askey_gasper_sum,
     chain_gegenbauer_check,
     gegenbauer_expansion_check,
@@ -243,3 +246,112 @@ class TestSqrtCoefficientPositivity:
         for n in range(order + 1):
             x0 = Fraction(2, 7)
             assert quotient.coefficient(n)(x0) == gegenbauer_partial_sum(n, x0)
+
+
+def _askey_gasper_loop(n_max, k, grid):
+    """The scan as a loop of askey_gasper_sum calls, by n, then x."""
+    return [
+        (n, Fraction(x), value)
+        for n in range(n_max + 1)
+        for x in grid
+        for value in [askey_gasper_sum(n, k, x)]
+        if value < 0
+    ]
+
+
+def _gegenbauer_loop(n_max, grid):
+    """The scan as a loop of Horner evaluations, by x, then n."""
+    violations = []
+    for x in map(Fraction, grid):
+        for n in range(n_max + 1):
+            value = orthopoly.gegenbauer_partial_sum_poly(n)(x)
+            if value < 0:
+                violations.append((n, x, value))
+    return violations
+
+
+def _dipped(real):
+    """The partial sums with n = 2 and n = 5 pushed below zero on part of
+    [-1, 1], keeping their degrees."""
+
+    def broken(n, *args):
+        p = real(n, *args)
+        if n == 2:
+            return p + Poly([5000, -10000], "x")  # negative on part of (1/2, 1]
+        if n == 5:
+            return p - Poly([0, 0, 0, 0, 0, 10**6], "x")  # negative near x = 1
+        return p
+
+    return broken
+
+
+small_x = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+x_points = st.lists(
+    small_x | st.integers(-1, 1) | st.floats(min_value=-1, max_value=1), max_size=6
+)
+x_polys = st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), max_size=7).map(
+        lambda cs: Poly(cs, "x")
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestGridScans:
+    """The scans, which test signs on one EvalGrid, against loops of
+    Horner evaluations."""
+
+    @given(polys=x_polys, grid=x_points)
+    @settings(max_examples=60, deadline=None)
+    def test_askey_gasper_scan_matches_horner(self, polys, grid):
+        def partial_sum(n, alpha):
+            return polys[n % len(polys)]
+
+        with mock.patch.object(orthopoly, "jacobi_partial_sum_poly", partial_sum):
+            got = askey_gasper_scan(6, 1, grid)
+            assert got == _askey_gasper_loop(6, 1, grid)
+        want = [
+            (n, Fraction(x), partial_sum(n, 2)(Fraction(x)))
+            for n in range(7)
+            for x in grid
+            if partial_sum(n, 2)(Fraction(x)) < 0
+        ]
+        assert got == want
+
+    def test_askey_gasper_scan_under_fault_injection(self, monkeypatch):
+        grid = [Fraction(i, 10) for i in range(-10, 11)] + [0.75, 1]
+        broken = _dipped(orthopoly.jacobi_partial_sum_poly)
+        monkeypatch.setattr(orthopoly, "jacobi_partial_sum_poly", broken)
+        for k in (0, 3, 8):
+            got = askey_gasper_scan(8, k, grid)
+            assert {n for n, _, _ in got} == {2, 5}
+            assert got == _askey_gasper_loop(8, k, grid)
+
+    def test_gegenbauer_scan_under_fault_injection(self, monkeypatch):
+        grid = [Fraction(i, 10) for i in range(10, -11, -1)] + [0.75, 1]
+        broken = _dipped(orthopoly.gegenbauer_partial_sum_poly)
+        monkeypatch.setattr(orthopoly, "gegenbauer_partial_sum_poly", broken)
+        got = gegenbauer_partial_sum_scan(8, grid)
+        assert {n for n, _, _ in got} == {2, 5}
+        assert got == _gegenbauer_loop(8, grid)
+
+    def test_scans_clean_and_equal_to_loops(self):
+        grid = [Fraction(i, 10) for i in range(-10, 11)]
+        for k in range(4):
+            assert askey_gasper_scan(12, k, grid) == _askey_gasper_loop(12, k, grid) == []
+        assert gegenbauer_partial_sum_scan(12, grid) == _gegenbauer_loop(12, grid) == []
+
+    def test_scans_refuse_points_outside_the_interval(self):
+        for bad in (Fraction(11, 10), -1.5):
+            with pytest.raises(ValueError, match="outside"):
+                askey_gasper_scan(3, 1, [0, bad])
+            with pytest.raises(ValueError, match="outside"):
+                gegenbauer_partial_sum_scan(3, [0, bad])
+        with pytest.raises(ValueError):
+            askey_gasper_scan(3, -1, [0])
+
+    def test_empty_range_and_grid(self):
+        assert askey_gasper_scan(-1, 0, [0]) == []
+        assert gegenbauer_partial_sum_scan(-1, [0]) == []
+        assert askey_gasper_scan(4, 0, []) == []
