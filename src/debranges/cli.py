@@ -440,8 +440,9 @@ def _eval_target(args, error) -> Poly | None:
 
 
 # The largest --order that `eval W|B` takes.  A lone cold call costs about
-# order^5: at order 60 the slowest k took 1.3 s, at 80 6 s and at 100 18 s
-# (2 CPUs, Python 3.11).
+# order^5.  Timed in process, the slowest of W_1, W_2, W_(N/2), W_(N-1),
+# B_(N/2) and B_(N-1) took 0.04 s at order 30, 0.88 s at 60 (W_30; B_59
+# took 0.62 s) and 5.0 s at 80 (W_40) (2 CPUs, Python 3.11).
 SERIES_ORDER_LIMIT = 60
 
 # The largest --n that `eval A|tau|lambda` takes.  The slowest kind is A: a
@@ -566,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--float", action="store_true",
                          help="render values as binary64 instead of p/q")
+    p_table.set_defaults(usage_error=p_table.error)
 
     p_eval = sub.add_parser("eval", help="evaluate a function exactly or in binary64")
     p_eval.add_argument("kind", choices=["A", "tau", "lambda", "W", "B"])
@@ -587,6 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=30, metavar="N",
                           help="sweep bound (default 30; larger is slower)")
     p_verify.add_argument("--format", choices=["csv", "json"], default="json")
+    p_verify.set_defaults(usage_error=p_verify.error)
 
     p_gosper = sub.add_parser("gosper", help="find a telescoping certificate")
     p_gosper.add_argument("term", help="hypergeometric term expression")
@@ -604,11 +607,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "table":
         if args.n < 1:
-            parser.error("--n must be at least 1")
+            args.usage_error("--n must be at least 1")
         return cmd_table(args)
     if args.command == "eval":
         try:
@@ -617,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             args.usage_error(str(exc))
     if args.command == "verify":
         if args.n < 1:
-            parser.error("--n must be at least 1")
+            args.usage_error("--n must be at least 1")
         report = run_suite(args.suite, args.n)
         if args.format == "json":
             sys.stdout.write(report.to_json() + "\n")

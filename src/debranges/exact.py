@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: rationals, dense univariate polynomials over Q,
-exact sign tests of polynomials on a fixed grid of points, reduced rational
-functions, and combinatorial primitives.
+products of truncated series with polynomial coefficients, exact sign tests
+of polynomials on a fixed grid of points, reduced rational functions, and
+combinatorial primitives.
 
 Every scalar in this package is an arbitrary-precision ``fractions.Fraction``;
 floats never enter the core.  A polynomial is stored as a dense tuple of
@@ -9,6 +10,12 @@ its arithmetic runs on Python integers and normalises once per result; its
 coefficients are still read as ``Fraction``.  Polynomials are immutable and
 tagged with a variable name, so that quantities living in different
 variables (``y``, ``x``, a summation variable) cannot be mixed by accident.
+
+A product of two series in z whose coefficients are such polynomials is one
+packed kernel, ``Poly.series_product``: each coefficient polynomial becomes
+one integer by Kronecker substitution, so that each z-coefficient of the
+product is one dot product of integers, computed by CPython's big-integer
+multiply, and is unpacked once.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ def _make(nums: list[int], den: int, var: str) -> "Poly":
 def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int], scale: int) -> None:
     """out[i+j] += scale * a[i] * b[j] for every i, j; b must not be all zero."""
     lo = 0
-    while not b[lo]:  # chain powers start with many zero numerators
+    while not b[lo]:  # the coefficients of 1 - w^2 and of the chain start with zeros
         lo += 1
     b = b[lo:]
     for i, x in enumerate(a):
@@ -141,6 +148,38 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], 
         for i, y in enumerate(b, k):
             rem[i] -= m * y
     return s, quot, rem[:db]
+
+
+def _z_valuation(coeffs: Sequence["Poly"]) -> int:
+    """Index of the first nonzero coefficient; len(coeffs) if there is none."""
+    return next((i for i, c in enumerate(coeffs) if c._num), len(coeffs))
+
+
+def _digit_rows(coeffs: Sequence["Poly"]) -> tuple[int, int, list[Sequence[int]]]:
+    """(s, den, rows) for coefficients that are not all zero: var^s divides
+    every coefficient, and rows[i] holds the numerators over den of
+    coeffs[i] / var^s."""
+    # the first nonzero numerator of num sits at num.index(that value)
+    s = min(c._num.index(next(filter(None, c._num))) for c in coeffs if c._num)
+    den = math.lcm(*(c._den for c in coeffs))
+    rows = [
+        c._num[s:] if c._den == den else [x * (den // c._den) for x in c._num[s:]]
+        for c in coeffs
+    ]
+    return s, den, rows
+
+
+def _max_bits(rows: Iterable[Sequence[int]]) -> int:
+    """Bit length of the largest absolute value in rows, not all empty."""
+    return max(max(map(abs, r)) for r in rows if r).bit_length()
+
+
+def _pack(digits: Sequence[int], bits: int) -> int:
+    """sum_i digits[i] * 2^(bits * i), for digits of any sign."""
+    acc = 0
+    for x in reversed(digits):
+        acc = (acc << bits) + x
+    return acc
 
 
 class Poly:
@@ -427,9 +466,11 @@ class Poly:
     ) -> "Poly":
         """scale times the sum of x*y over the pairs, all polynomials in var.
 
-        The fused inner step of series products: the products are summed on
-        integer numerators over one common denominator, and the result is
-        normalised once instead of once per product and per sum."""
+        The fused inner step of the sequential series recurrences, the
+        inverse and the Koebe chain, where each coefficient needs the ones
+        before it: the products are summed on integer numerators over one
+        common denominator, and the result is normalised once instead of
+        once per product and per sum."""
         terms = [(x._num, y._num, x._den * y._den) for x, y in pairs if x._num and y._num]
         p, q = _ratio(scale)
         if not terms or not p:
@@ -439,6 +480,56 @@ class Poly:
         for a, b, d in terms:
             _convolve_into(out, a, b, p * (den // d))
         return _make(out, den * q, var)
+
+    @staticmethod
+    def series_product(a: Sequence["Poly"], b: Sequence["Poly"], var: str) -> list["Poly"]:
+        """The first min(len(a), len(b)) z-coefficients of the product of
+        the series with z^i coefficients a[i] and b[i], all polynomials in var.
+
+        Kronecker substitution in var: each coefficient polynomial is packed
+        once into one integer, its numerators as the digits at base 2^B, so
+        that each z^m coefficient is one dot product of integers.  Before
+        packing, each factor drops its leading zero z-coefficients, is
+        brought to one common denominator and is divided by the largest
+        power of var that divides all its coefficients.  A digit of a dot
+        product is a sum of at most pairs * length products of numerators,
+        so with B >= bits(a) + bits(b) + bitlen(pairs) + bitlen(length) + 1
+        every digit is under 2^(B-1) in size.  Then a sum with L digits has
+        a bit length from B(L-1) to BL-1, and one offset of 2^(B-1) per
+        digit turns its digits into bytes that read back exactly."""
+        n = min(len(a), len(b))
+        zero = Poly.zero(var)
+        va, vb = _z_valuation(a[:n]), _z_valuation(b[:n])
+        pairs = n - va - vb  # the z^m coefficients that can be nonzero
+        if pairs <= 0:
+            return [zero] * n
+        sa, da, rows_a = _digit_rows(a[va : va + pairs])
+        sb, db, rows_b = _digit_rows(b[vb : vb + pairs])
+        len_a, len_b = max(map(len, rows_a)), max(map(len, rows_b))
+        bound = (
+            _max_bits(rows_a) + _max_bits(rows_b) + pairs.bit_length()
+            + min(len_a, len_b).bit_length() + 1
+        )
+        nbytes = -(-bound // 8)  # B is the least multiple of 8 that is at least the bound
+        bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
+        pa = [_pack(r, bits) for r in rows_a]
+        pb = [_pack(r, bits) for r in rows_b]
+        offsets = (bytes(nbytes - 1) + b"\x80") * (len_a + len_b - 1)
+        den, shift = da * db, [0] * (sa + sb)
+        out = [zero] * (va + vb)
+        for m in range(pairs):
+            s = sum(map(mul, pa[: m + 1], reversed(pb[: m + 1])))
+            if not s:
+                out.append(zero)
+                continue
+            size = nbytes * (s.bit_length() // bits + 1)
+            raw = (s + int.from_bytes(offsets[:size], "little")).to_bytes(size, "little")
+            digits = [
+                int.from_bytes(raw[i : i + nbytes], "little") - half
+                for i in range(0, size, nbytes)
+            ]
+            out.append(_make(shift + digits, den, var))
+        return out
 
     # -- display ---------------------------------------------------------
 

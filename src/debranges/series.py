@@ -11,6 +11,12 @@ of denominators, which is deliberately independent of the recurrences in
 Truncation semantics: a series of order N is known exactly through z^N, and
 binary operations return the minimum order of their operands; nothing is
 ever extrapolated.
+
+A product of two series is the packed kernel ``Poly.series_product``: each
+coefficient polynomial is packed once into one integer, and each z^m
+coefficient of the product is one dot product of those integers.  The
+inverse and the chain, where each coefficient needs the ones before it, sum
+their products with ``Poly.sum_of_products`` instead.
 """
 
 from __future__ import annotations
@@ -109,14 +115,7 @@ class ZSeries:
         if not isinstance(other, ZSeries):
             return ZSeries([c * other for c in self.coeffs], self.var)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return ZSeries(
-            [
-                Poly.sum_of_products(zip(a[: m + 1], reversed(b[: m + 1])), self.var)
-                for m in range(min(self.order, other.order) + 1)
-            ],
-            self.var,
-        )
+        return ZSeries(Poly.series_product(self.coeffs, other.coeffs, self.var), self.var)
 
     __rmul__ = __mul__
 

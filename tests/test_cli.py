@@ -82,6 +82,14 @@ class TestTable:
             cli.main(["table", "nosuch", "--n", "3"])
         assert excinfo.value.code == 2
 
+    def test_n_below_one_prints_the_table_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table", "tau", "--n", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: debranges table")
+        assert "debranges table: error: --n must be at least 1" in err
+
 
 class TestEval:
     def test_tau_at_time_zero(self, capsys):
@@ -184,6 +192,14 @@ class TestEval:
 
 
 class TestVerify:
+    def test_n_below_one_prints_the_verify_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "positivity", "--n", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: debranges verify")
+        assert "debranges verify: error: --n must be at least 1" in err
+
     def test_json_schema(self, capsys):
         code, out, _ = run(
             capsys, "verify", "theorem2", "--n", "6", "--format", "json"

@@ -145,6 +145,71 @@ class TestFusedProductsAgainstReference:
         assert as_lists(as_series(s).inverse()) == ref_series_inverse(s)
 
 
+wide_numerator = st.integers(-(2**200), 2**200)
+wide_scalar = st.one_of(
+    wide_numerator.map(Fraction),
+    st.builds(Fraction, wide_numerator, st.integers(1, 10**6)),
+)
+wide_poly = st.lists(wide_scalar, max_size=13).map(_trim)  # degree up to 12
+
+
+@st.composite
+def wide_series(draw):
+    """Coefficient lists of a series of order 0 to 6 whose first z_val
+    coefficients vanish and whose every coefficient is divisible by y^y_val."""
+    order = draw(st.integers(0, 6))
+    z_val = draw(st.integers(0, order + 1))
+    y_val = draw(st.integers(0, 3))
+    body = draw(st.lists(wide_poly, min_size=order + 1 - z_val, max_size=order + 1 - z_val))
+    return [[]] * z_val + [[0] * y_val + c if c else [] for c in body]
+
+
+def all_equal_series(order, degree, value):
+    """The series with every coefficient of z^0..z^order and y^0..y^degree
+    equal to value."""
+    return ZSeries([Poly([value] * (degree + 1), "y")] * (order + 1))
+
+
+class TestPackedProduct:
+    """The Kronecker-packed series product against the Fraction oracle, at
+    the edges of its base bound, and against the fused sum of products."""
+
+    @given(s=wide_series(), t=wide_series())
+    @example(s=[[0, 0, Fraction(1, 3)], [], [0, 0, 5]], t=[[]])
+    @example(s=[[], [0, 2**200, -(2**200)]], t=[[], [0, -(2**200), Fraction(2**200, 999_983)]])
+    @example(s=[[Fraction(-7, 12)]], t=[[1, 2], [Fraction(1, 5)], [3]])
+    @settings(max_examples=60, deadline=None)
+    def test_against_reference(self, s, t):
+        assert as_lists(as_series(s) * as_series(t)) == ref_series_mul(s, t)
+
+    @pytest.mark.parametrize("order, degree", [(2, 6), (6, 6), (14, 14)])
+    @pytest.mark.parametrize("k", [1, 5, 61, 200])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+    def test_digits_at_the_bound(self, order, degree, k, signs):
+        # Every numerator is +-(2^k - 1) with one sign per factor, so the
+        # middle digit of the z^order coefficient is (order + 1) (degree + 1)
+        # (2^k - 1)^2 in size, the largest that factors of these sizes and
+        # bit lengths can give.  At (2, 6) and k = 5 the bound is 16 bits
+        # with no rounding, and the digit 20181 is over 2^14.
+        ca, cb = signs[0] * (2**k - 1), signs[1] * (2**k - 1)
+        product = all_equal_series(order, degree, ca) * all_equal_series(order, degree, cb)
+        for m, c in enumerate(product.coeffs):
+            expected = [(m + 1) * (min(j, 2 * degree - j) + 1) * ca * cb for j in range(2 * degree + 1)]
+            assert c == Poly(expected, "y")
+
+    @pytest.mark.parametrize("order", [12, 28])
+    def test_chain_powers_equal_the_fused_products(self, order):
+        w = koebe_chain(order)
+        power = w
+        for m in range(1, order + 1):
+            fused = [
+                Poly.sum_of_products(zip(power.coeffs[: n + 1], reversed(w.coeffs[: n + 1])), "y")
+                for n in range(order + 1)
+            ]
+            power = power * w
+            assert list(power.coeffs) == fused, f"w^{m} * w"
+
+
 class TestKoebe:
     def test_coefficients(self):
         assert koebe(3) == ZSeries([0, 1, 2, 3])
