@@ -441,8 +441,8 @@ def _eval_target(args, error) -> Poly | None:
 
 # The largest --order that `eval W|B` takes.  A lone cold call costs about
 # order^5.  Timed in process, the slowest of W_1, W_2, W_(N/2), W_(N-1),
-# B_(N/2) and B_(N-1) took 0.04 s at order 30, 0.88 s at 60 (W_30; B_59
-# took 0.62 s) and 5.0 s at 80 (W_40) (2 CPUs, Python 3.11).
+# B_(N/2) and B_(N-1) took 0.025 s at order 30, 1.13 s at 60 (B_30; W_30
+# took 1.00 s) and 5.8 s at 80 (W_40) (2 CPUs, Python 3.11).
 SERIES_ORDER_LIMIT = 60
 
 # The largest --n that `eval A|tau|lambda` takes.  The slowest kind is A: a

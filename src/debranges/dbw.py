@@ -18,11 +18,13 @@ are verified, not imposed.  A generating-function route K(z) w^k, its
 expansion in powers of y, the Jacobi/Gegenbauer product factorization, the
 Milin functional, and exact positivity scans complete the picture.
 
-The series W_k and K(z) w^k take their only series products from one memo
-of chain powers w^m.  The body w^m/(1 - w^2) of W_k is filled upward in m
-from the inverse of 1 - w^2 by w^m/(1 - w^2) = w^(m-2)/(1 - w^2) - w^(m-2),
-and K(z) w^k = z/(1-z)^2 w^k is two running sums of the coefficients of w^k
-shifted up by one.
+The series W_k and K(z) w^k both read the one chain power w^k, the only
+series products they take (one memo of w^m).  The logarithmic derivative of
+K(w) = y K(z), with K'(x)/K(x) = (1 + x)/(x (1 - x)), is the Koebe property
+(1 + w)(1 - z) z w_z = (1 + z)(1 - w) w; with y z (1 - w)^2 = (1 - z)^2 w it
+gives 1/(1 - w^2) = y z^2 w_z / (w^2 (1 - z^2)), so W_k = z^2 (w^k)' /
+(k (1 - z^2)) is one running sum with step 2, and K(z) w^k = z/(1-z)^2 w^k
+two running sums with step 1, of the coefficients of w^k.
 
 Convention: W_k(z, 0) = z^(k+1)/(1 - z^2), so L(n, k) at y = 1 is 1 when
 n - k is even and 0 when it is odd, matching the slope initial values
@@ -65,9 +67,7 @@ def weinstein_poly(n: int, k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _chain_power(order: int, m: int) -> ZSeries:
-    """w^m, with w^0 = 1: the only series products of W_k and B_k."""
-    if m == 0:
-        return ZSeries.one(order)
+    """w^m for m >= 1: the only series products of W_k and B_k."""
     if m == 1:
         return koebe_chain(order)
     for j in range(2, m - 1):  # fill the cache upward, so the depth stays constant
@@ -76,38 +76,24 @@ def _chain_power(order: int, m: int) -> ZSeries:
 
 
 @lru_cache(maxsize=None)
-def _power_over_one_minus_square(order: int, m: int) -> ZSeries:
-    """w^m / (1 - w^2): the inverse at m = 0, one product with w at m = 1,
-    and w^(m-2)/(1 - w^2) - w^(m-2) for m >= 2."""
-    if m == 0:
-        return (ZSeries.one(order) - _chain_power(order, 2)).inverse()
-    if m == 1:
-        return koebe_chain(order) * _power_over_one_minus_square(order, 0)
-    for j in range(m % 2, m - 2, 2):  # fill the cache upward, so the depth stays constant
-        _power_over_one_minus_square(order, j)
-    return _power_over_one_minus_square(order, m - 2) - _chain_power(order, m - 2)
-
-
 def weinstein_series(k: int, order: int) -> ZSeries:
     """W_k = e^t w^(k+1) / (1 - w^2) as a series; the z^(n+1) coefficient
     is the Weinstein function L(n, k).
 
-    The body w^(k+1)/(1 - w^2) comes from a memo filled upward in m: the
-    inverse of 1 - w^2 at m = 0, its product with w at m = 1, and
-
-        w^m / (1 - w^2) = w^(m-2) / (1 - w^2) - w^(m-2)
-
-    for m >= 2, one series subtraction of a shared chain power.  The e^t
-    factor is realized by dividing every coefficient exactly by y, which is
-    possible because each coefficient of the body vanishes at y = 0 (the
-    chain itself does).
+    The Koebe log-derivative (1 + w)(1 - z) z w_z = (1 + z)(1 - w) w and the
+    chain's quadratic y z (1 - w)^2 = (1 - z)^2 w give 1/(1 - w^2) =
+    y z^2 w_z / (w^2 (1 - z^2)), hence W_k = z^2 w^(k-1) w_z / (1 - z^2) =
+    z^2 (w^k)' / (k (1 - z^2)).  Its z^(m+1) numerator m c_m / k, for the z^m
+    coefficient c_m of w^k, is an integer polynomial (a coefficient of
+    z w^(k-1) w_z), and the division by 1 - z^2 is a running sum with step 2.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
-    body = _power_over_one_minus_square(order, k + 1)
-    return ZSeries([c.divide_by_var() for c in body.coeffs], body.var)
+    power = _chain_power(order, k)
+    sums = Poly.running_sums(power.coeffs[:-1], (2,), power.var, range(order), Fraction(1, k))
+    return ZSeries([Poly.zero(power.var), *sums], power.var)
 
 
 @lru_cache(maxsize=None)
@@ -162,13 +148,8 @@ def debranges_generating_series(k: int, order: int) -> ZSeries:
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
     power = _chain_power(order, k)
-    once = twice = Poly.zero(power.var)
-    out = [twice]
-    for c in power.coeffs[:-1]:
-        once += c
-        twice += once
-        out.append(twice)
-    return ZSeries(out, power.var)
+    sums = Poly.running_sums(power.coeffs[:-1], (1, 1), power.var)
+    return ZSeries([Poly.zero(power.var), *sums], power.var)
 
 
 def explicit_generating_check(k: int, order: int, j_max: int) -> bool:

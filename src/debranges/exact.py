@@ -15,14 +15,15 @@ A product of two series in z whose coefficients are such polynomials is one
 packed kernel, ``Poly.series_product``: each coefficient polynomial becomes
 one integer by Kronecker substitution, so that each z-coefficient of the
 product is one dot product of integers, computed by CPython's big-integer
-multiply, and is unpacked once.
+multiply, and is unpacked once.  A division of such a series by factors
+1 - z^s is ``Poly.running_sums``, running sums on the integer numerators.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -396,12 +397,6 @@ class Poly:
         nums = [n * p**j * q ** (deg - j) for j, n in enumerate(shifted._num)]
         return _make(nums, shifted._den * q ** max(deg, 0), var)
 
-    def divide_by_var(self) -> "Poly":
-        """Exact division by the variable; the constant term must vanish."""
-        if self._num and self._num[0] != 0:
-            raise ValueError(f"{self!r} is not divisible by {self.var}")
-        return _raw(self._num[1:], self._den, self.var)
-
     # -- euclidean structure --------------------------------------------
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -530,6 +525,29 @@ class Poly:
             ]
             out.append(_make(shift + digits, den, var))
         return out
+
+    @staticmethod
+    def running_sums(
+        coeffs: Sequence["Poly"], steps: Sequence[int], var: str,
+        weights: Sequence[int] | None = None, scale: Scalar = 1,
+    ) -> list["Poly"]:
+        """The first len(coeffs) z-coefficients of scale * sum_m weights[m]
+        coeffs[m] z^m / prod_s (1 - z^s), polynomials in var (weights 1 by
+        default): one running sum out[m] += out[m - s] per step s, on integer
+        numerators over one common denominator, normalised once per output."""
+        den = math.lcm(*(c._den for c in coeffs))
+        p, q = _ratio(scale)
+        rows = []
+        for c, w in zip(coeffs, weights or [1] * len(coeffs)):
+            f = p * w * (den // c._den)
+            rows.append(list(c._num) if f == 1 else [f * x for x in c._num])
+        for s in steps:
+            for m in range(s, len(rows)):
+                a, b = rows[m], rows[m - s]
+                if len(a) < len(b):
+                    a, b = b, a
+                rows[m] = [*map(add, a, b), *a[len(b):]]
+        return [_make(r, den * q, var) for r in rows]
 
     # -- display ---------------------------------------------------------
 

@@ -112,33 +112,54 @@ class TestWeinsteinSeries:
             weinstein_series(3, 3)
 
     def test_chain_square_is_shared(self, monkeypatch):
-        # W_1 = w^2 / (1 - w^2) / y = ((1 - w^2)^-1 - 1) / y takes w^2 from
-        # the chain-power memo: one product, with the chain warm
+        # W_1 = z^2 w' / (1 - z^2) reads the chain itself: with the chain
+        # warm it takes no series product
         order = 12
         want = weinstein_series(1, order)
         _clear_power_memos()
         products = _count_products(monkeypatch)
         assert weinstein_series(1, order) == want
-        assert len(products) == 1
+        assert len(products) == 0
+
+    @pytest.mark.parametrize("k", [2, 5, 11])
+    def test_lone_cold_series_takes_k_minus_one_products(self, monkeypatch, k):
+        order = 12
+        koebe_chain(order)
+        _clear_power_memos()
+        products = _count_products(monkeypatch)
+        weinstein_series(k, order)
+        assert len(products) == k - 1
 
 
 def _clear_power_memos():
     dbw._chain_power.cache_clear()
-    dbw._power_over_one_minus_square.cache_clear()
+    dbw.weinstein_series.cache_clear()
 
 
 def _count_products(monkeypatch) -> list:
-    """Record every ZSeries product from here on; returns the record."""
+    """Record every ZSeries product and inverse from here on; returns the
+    record, with an inverse recorded as the string "inverse"."""
     products = []
-    real = ZSeries.__mul__
+    real_mul, real_inverse = ZSeries.__mul__, ZSeries.inverse
 
     def counted(self, other):
         products.append(other)
-        return real(self, other)
+        return real_mul(self, other)
+
+    def counted_inverse(self):
+        products.append("inverse")
+        return real_inverse(self)
 
     monkeypatch.setattr(ZSeries, "__mul__", counted)
     monkeypatch.setattr(ZSeries, "__rmul__", counted)
+    monkeypatch.setattr(ZSeries, "inverse", counted_inverse)
     return products
+
+
+def _drop_y(p):
+    """p / y for a polynomial p in y with no constant term."""
+    assert p.coeff(0) == 0
+    return Poly(p.coeffs[1:], "y")
 
 
 class TestSeriesFromChainPowers:
@@ -155,14 +176,14 @@ class TestSeriesFromChainPowers:
             for k in reversed(range(1, order)):  # the first call fills the memos upward
                 body = powers[k + 1] * inverse
                 assert weinstein_series(k, order) == ZSeries(
-                    [c.divide_by_var() for c in body.coeffs]
+                    [_drop_y(c) for c in body.coeffs]
                 ), (order, k)
                 assert debranges_generating_series(k, order) == koebe(order) * powers[k], (
                     order, k,
                 )
 
     def test_cold_sweep_takes_only_the_chain_powers(self, monkeypatch):
-        # W_k and B_k for every k at order 12: w^2 .. w^11 and w (1 - w^2)^-1
+        # W_k and B_k for every k at order 12: w^2 .. w^11 and no inverse
         order = 12
         koebe_chain(order)
         _clear_power_memos()
@@ -170,7 +191,8 @@ class TestSeriesFromChainPowers:
         for k in range(1, order):
             weinstein_series(k, order)
             debranges_generating_series(k, order)
-        assert len(products) == 11
+        assert len(products) == 10
+        assert "inverse" not in products
 
 
 class TestDeBrangesPoly:

@@ -80,11 +80,6 @@ class TestPoly:
         with pytest.raises(ValueError):
             Poly([1], "x") * Poly([1], "y")
 
-    def test_divide_by_var(self):
-        assert Poly([0, 2, 3], "y").divide_by_var() == Poly([2, 3], "y")
-        with pytest.raises(ValueError):
-            Poly([1, 2], "y").divide_by_var()
-
     def test_leading_normalization(self):
         assert Poly([1, 2, 0, 0], "y").degree == 1
         assert Poly([], "y").is_zero()
@@ -286,11 +281,32 @@ class TestKernelAgainstReference:
             want, power = want + power * c, power * q
         self.check(p(q), list(want.coeffs), var)
 
-    @given(a=coeff_lists)
-    @settings(max_examples=25, deadline=None)
-    def test_divide_by_var(self, a):
-        p = Poly([0] + a, "y")
-        self.check(p.divide_by_var(), ref_trim(a))
+    @given(
+        cs=st.lists(coeff_lists, max_size=6),
+        steps=st.lists(st.integers(1, 3), max_size=3),
+        ws=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+        c=rationals,
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(cs=[[1], [], [Fraction(1, 2), 3]], steps=[1, 1], ws=[1] * 6, c=Fraction(1))
+    @example(cs=[[0, 1], [1], [Fraction(-1, 3)]], steps=[2], ws=[0, 1, 2, 3, 4, 5], c=Fraction(1, 3))
+    def test_running_sums(self, cs, steps, ws, c):
+        # scale * sum_m w_m c_m z^m / prod_s (1 - z^s), one step at a time
+        def ref(weights, scale):
+            rows = [ref_mul(ref_trim(a), [scale * w]) for a, w in zip(cs, weights)]
+            for s in steps:
+                for m in range(s, len(rows)):
+                    rows[m] = ref_add(rows[m], rows[m - s])
+            return rows
+
+        polys = [Poly(a, "y") for a in cs]
+        for got, want in (
+            (Poly.running_sums(polys, steps, "y", ws[: len(cs)], c), ref(ws, c)),
+            (Poly.running_sums(polys, steps, "y"), ref([1] * len(cs), Fraction(1))),
+        ):
+            assert len(got) == len(cs)
+            for p, row in zip(got, want):
+                self.check(p, row)
 
     def test_equal_values_store_equally(self):
         half = Poly([Fraction(2, 4)], "y")

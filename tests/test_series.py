@@ -225,6 +225,13 @@ class TestKoebe:
             koebe(0)
 
 
+def _log_derivative_residual(w):
+    """(1 + w)(1 - z) z w_z - (1 + z)(1 - w) w, by public ZSeries operations."""
+    one = ZSeries.one(w.order)
+    z = ZSeries([0, 1] + [0] * (w.order - 1))
+    return (one + w) * (one - z) * w.dz().shift_up(1) - (one + z) * (one - w) * w
+
+
 class TestKoebeChain:
     def test_first_coefficient(self):
         assert koebe_chain(4).coefficient(1) == Poly.variable("y")
@@ -261,6 +268,16 @@ class TestKoebeChain:
         one = ZSeries.one(10)
         residual = (one + w) * w.tdot() + (one - w) * w
         assert residual.is_zero()
+
+    def test_koebe_log_derivative(self):
+        # the log-derivative of K(w) = y K(z) that W_k is read off
+        for order in range(1, 21):
+            assert _log_derivative_residual(koebe_chain(order)).is_zero(), order
+
+    def test_koebe_log_derivative_detects_a_bumped_coefficient(self):
+        coeffs = list(koebe_chain(12).coeffs)
+        coeffs[5] += Poly.monomial(1, 2, "y")
+        assert not _log_derivative_residual(ZSeries(coeffs)).is_zero()
 
     def test_pde_residual_zero_for_chain(self):
         assert chain_pde_residual(koebe_chain(10)).is_zero()
