@@ -9,7 +9,7 @@ verification sweeps.
 """
 
 from .exact import EvalGrid, Poly, RationalFunction, binomial, format_rational, pochhammer
-from .series import ZSeries, chain_pde_residual, koebe, koebe_chain, log_over_z, time_derivative
+from .series import ZSeries, chain_pde_residual, koebe_chain, log_over_z, time_derivative
 from .lowner import CoeffTable, chain_poly, coeff_closed, coeff_table, ode_residual, system_residual
 from .dbw import (
     PositivityViolation,
@@ -23,7 +23,6 @@ from .dbw import (
     jacobi_decomposition_witness,
     milin_functional,
     positivity_scan,
-    weinstein_coeff,
     weinstein_poly,
     weinstein_series,
 )
@@ -35,13 +34,10 @@ from .orthopoly import (
     gegenbauer_expansion_check,
     gegenbauer_expansion_witness,
     gegenbauer_minus_half,
-    gegenbauer_partial_sum,
     gegenbauer_partial_sum_poly,
     gegenbauer_partial_sum_scan,
     jacobi_partial_sum_poly,
     jacobi_poly,
-    jacobi_value,
-    to_x,
     to_y,
 )
 from .hypsum import (
@@ -91,7 +87,6 @@ __all__ = [
     "gegenbauer_expansion_check",
     "gegenbauer_expansion_witness",
     "gegenbauer_minus_half",
-    "gegenbauer_partial_sum",
     "gegenbauer_partial_sum_poly",
     "gegenbauer_partial_sum_scan",
     "gosper",
@@ -99,8 +94,6 @@ __all__ = [
     "jacobi_decomposition_witness",
     "jacobi_partial_sum_poly",
     "jacobi_poly",
-    "jacobi_value",
-    "koebe",
     "koebe_chain",
     "log_over_z",
     "milin_functional",
@@ -114,11 +107,9 @@ __all__ = [
     "term_ratio",
     "term_value",
     "time_derivative",
-    "to_x",
     "to_y",
     "verify_certificate",
     "weighted_binomial_sum",
-    "weinstein_coeff",
     "weinstein_poly",
     "weinstein_series",
 ]

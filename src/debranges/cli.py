@@ -353,21 +353,13 @@ def _table_rows(kind: str, n_max: int) -> tuple[list[str], list[tuple]]:
             for j in range(1, n + 1)
         ]
         return ["n", "j", "value"], rows
-    if kind == "lambda":
-        rows = [
-            (n, k, j, dbw.weinstein_coeff(n, k, j))
-            for n in range(1, n_max + 1)
-            for k in range(1, n + 1)
-            for j in range(k, n + 1)
-        ]
-        return ["n", "k", "j", "value"], rows
-    if kind == "tau":
+    if kind in ("lambda", "tau"):
+        poly_of = dbw.weinstein_poly if kind == "lambda" else dbw.debranges_poly
         rows = []
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
-                tau = dbw.debranges_poly(n, k)
-                for j in range(k, n + 1):
-                    rows.append((n, k, j, tau.coeff(j)))
+                poly = poly_of(n, k)
+                rows += [(n, k, j, poly.coeff(j)) for j in range(k, n + 1)]
         return ["n", "k", "j", "value"], rows
     raise ValueError(f"unknown table kind {kind!r}")
 
@@ -439,16 +431,23 @@ def _eval_target(args, error) -> Poly | None:
     return None
 
 
-# The largest --order that `eval W|B` takes.  A lone cold call costs about
-# order^5.  Timed in process, the slowest of W_1, W_2, W_(N/2), W_(N-1),
-# B_(N/2) and B_(N-1) took 0.025 s at order 30, 1.13 s at 60 (B_30; W_30
-# took 1.00 s) and 5.8 s at 80 (W_40) (2 CPUs, Python 3.11).
+# The largest --order that `eval W|B` takes.  The slowest lone cold call of
+# W_1, W_2, W_(N/2), W_(N-1), B_(N/2) and B_(N-1) took 0.025 s at order 30,
+# 0.97 s at 60 and 5.0 s at 80, near order^5.5 (in process; 2 CPUs, Python 3.11).
 SERIES_ORDER_LIMIT = 60
 
 # The largest --n that `eval A|tau|lambda` takes.  The slowest kind is A: a
 # cold CLI call took 0.4 s at n = 300, 0.7 s at 500 and 1.0 s at 600, where
 # tau and lambda at n = 500 took 0.15 s (2 CPUs, Python 3.11).
 EVAL_N_LIMIT = 500
+
+# The largest --n of `table`: the slowest kind, tau, took 0.7 s at n = 60 and
+# 3.3 s at 100 in JSON, 19 s at 200 in CSV (cold CLI; 2 CPUs, Python 3.11).
+TABLE_N_LIMIT = 100
+
+# The largest --n of `verify`: `verify all` took 0.96 s at n = 60, 3.2 s at
+# 100 and 30 s at 200 (cold CLI; 2 CPUs, Python 3.11).
+VERIFY_N_LIMIT = 100
 
 
 def cmd_eval(args, error) -> int:
@@ -606,11 +605,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_n(args, limit: int) -> None:
+    """Exit 2 through the subcommand's usage unless 1 <= --n <= limit."""
+    if args.n < 1:
+        args.usage_error("--n must be at least 1")
+    if args.n > limit:
+        args.usage_error(f"--n {args.n} is over the limit of {limit}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "table":
-        if args.n < 1:
-            args.usage_error("--n must be at least 1")
+        _check_n(args, TABLE_N_LIMIT)
         return cmd_table(args)
     if args.command == "eval":
         try:
@@ -618,8 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, IndexError) as exc:
             args.usage_error(str(exc))
     if args.command == "verify":
-        if args.n < 1:
-            args.usage_error("--n must be at least 1")
+        _check_n(args, VERIFY_N_LIMIT)
         report = run_suite(args.suite, args.n)
         if args.format == "json":
             sys.stdout.write(report.to_json() + "\n")

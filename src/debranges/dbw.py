@@ -50,13 +50,6 @@ def _weinstein_int(n: int, k: int, j: int) -> int:
     return sign * binomial(2 * j, j - k) * binomial(n + j + 1, n - j)
 
 
-def weinstein_coeff(n: int, k: int, j: int) -> Fraction:
-    """y^j coefficient of the Weinstein function L(n, k), in closed form."""
-    if not 1 <= k <= j <= n:
-        raise ValueError(f"need 1 <= k <= j <= n, got ({n}, {k}, {j})")
-    return Fraction(_weinstein_int(n, k, j))
-
-
 @lru_cache(maxsize=None)
 def weinstein_poly(n: int, k: int) -> Poly:
     """L(n, k) as a polynomial in y; lowest power y^k, degree n."""

@@ -10,6 +10,8 @@ its arithmetic runs on Python integers and normalises once per result; its
 coefficients are still read as ``Fraction``.  Polynomials are immutable and
 tagged with a variable name, so that quantities living in different
 variables (``y``, ``x``, a summation variable) cannot be mixed by accident.
+Calling a polynomial evaluates it at an exact scalar; the only substitutions
+are the linear ones, ``shift`` and ``subs_linear``.
 
 A product of two series in z whose coefficients are such polynomials is one
 packed kernel, ``Poly.series_product``: each coefficient polynomial becomes
@@ -113,7 +115,7 @@ def _make(nums: list[int], den: int, var: str) -> "Poly":
 def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int], scale: int) -> None:
     """out[i+j] += scale * a[i] * b[j] for every i, j; b must not be all zero."""
     lo = 0
-    while not b[lo]:  # the coefficients of 1 - w^2 and of the chain start with zeros
+    while not b[lo]:  # the chain coefficients w_n are divisible by y
         lo += 1
     b = b[lo:]
     for i, x in enumerate(a):
@@ -349,24 +351,9 @@ class Poly:
     def derivative(self) -> "Poly":
         return _make([i * n for i, n in enumerate(self._num) if i], self._den, self.var)
 
-    def __call__(self, value: "Poly | Scalar") -> "Fraction | Poly":
+    def __call__(self, value: Scalar) -> Fraction:
         """Evaluate at an exact scalar p/q: Horner on integers, with the
-        numerators weighted by powers of q, and one Fraction at the end.
-        Or substitute a polynomial a/d (integer numerators a over d):
-        den d^deg self(a/d) = sum_i n_i a^i d^(deg-i) by Horner on integer
-        polynomials, normalised once and in the variable of a/d."""
-        if isinstance(value, Poly):
-            a, d = value._num, value._den
-            if len(a) <= 1 or not self._num:
-                return Poly.const(self(value.coeff(0)), value.var)
-            acc, d_power = [self._num[-1]], 1
-            for n in reversed(self._num[:-1]):
-                d_power *= d
-                out = [0] * (len(acc) + len(a) - 1)
-                _convolve_into(out, acc, a, 1)
-                out[0] += n * d_power
-                acc = out
-            return _make(acc, self._den * d_power, value.var)
+        numerators weighted by powers of q, and one Fraction at the end."""
         p, q = _ratio(value)
         acc, q_power = 0, 1
         for n in reversed(self._num):
@@ -456,10 +443,8 @@ class Poly:
         return sign * acc * g.const_value() ** f.degree
 
     @staticmethod
-    def sum_of_products(
-        pairs: Iterable[tuple["Poly", "Poly"]], var: str, scale: Scalar = 1
-    ) -> "Poly":
-        """scale times the sum of x*y over the pairs, all polynomials in var.
+    def sum_of_products(pairs: Iterable[tuple["Poly", "Poly"]], var: str) -> "Poly":
+        """The sum of x*y over the pairs, all polynomials in var.
 
         The fused inner step of the sequential series recurrences, the
         inverse and the Koebe chain, where each coefficient needs the ones
@@ -467,14 +452,13 @@ class Poly:
         common denominator, and the result is normalised once instead of
         once per product and per sum."""
         terms = [(x._num, y._num, x._den * y._den) for x, y in pairs if x._num and y._num]
-        p, q = _ratio(scale)
-        if not terms or not p:
+        if not terms:
             return Poly.zero(var)
         den = math.lcm(*(d for _, _, d in terms))
         out = [0] * max(len(a) + len(b) - 1 for a, b, _ in terms)
         for a, b, d in terms:
-            _convolve_into(out, a, b, p * (den // d))
-        return _make(out, den * q, var)
+            _convolve_into(out, a, b, den // d)
+        return _make(out, den, var)
 
     @staticmethod
     def series_product(a: Sequence["Poly"], b: Sequence["Poly"], var: str) -> list["Poly"]:
@@ -651,20 +635,12 @@ class RationalFunction:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def const(cls, value: Scalar, var: str) -> "RationalFunction":
-        return cls(Poly.const(value, var))
-
     @property
     def var(self) -> str:
         return self.num.var
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def shift(self, c: Scalar = 1) -> "RationalFunction":
-        """Substitute var -> var + c in numerator and denominator."""
-        return RationalFunction(self.num.shift(c), self.den.shift(c))
 
     def __call__(self, value: Scalar) -> Fraction:
         d = self.den(value)

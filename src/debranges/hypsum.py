@@ -17,9 +17,10 @@ The terminating pFq evaluator computes sum_j (prod upper Pochhammers) /
 (prod lower Pochhammers j!) arg^j exactly, for series cut off by a
 nonpositive-integer upper parameter.  The term ratio is a rational function
 of j, so the coefficients are built as integers over one common denominator
-and the argument is substituted once, by Horner; it may be a rational or a
-polynomial, which is how the closed hypergeometric forms of the chain and
-Weinstein polynomials are produced.
+and the argument is substituted once: a rational by Horner, a linear
+polynomial a*x + b by ``Poly.subs_linear``, which is how the closed
+hypergeometric forms of the chain, Weinstein and Gegenbauer polynomials are
+produced.
 """
 
 from __future__ import annotations
@@ -824,9 +825,11 @@ def pfq_terminating(
 
     Some upper parameter must be a nonpositive integer -m, which cuts the
     series at j = m; a lower parameter that is a nonpositive integer > -m
-    would hit a pole first and is rejected.  The argument may be a rational
-    or a polynomial, and the result has the same type.  Parameters and
-    argument must be exact: a float raises TypeError.
+    would hit a pole first and is rejected.  The argument may be a rational,
+    giving a rational, or a polynomial of degree at most 1, giving a
+    polynomial in its variable; a polynomial of higher degree raises
+    ValueError.  Parameters and argument must be exact: a float raises
+    TypeError.
     """
     ups = [Fraction(*_ratio(u)) for u in upper]
     lows = [Fraction(*_ratio(b)) for b in lower]
@@ -850,4 +853,9 @@ def pfq_terminating(
         prefix.append(prefix[-1] * p)
         suffix.append(suffix[-1] * q)
     nums = [a * b for a, b in zip(prefix, reversed(suffix))]
-    return (Poly(nums, "t") * Fraction(1, suffix[-1]))(arg)
+    series = Poly(nums, "t") * Fraction(1, suffix[-1])
+    if not isinstance(arg, Poly):
+        return series(arg)
+    if arg.degree > 1:
+        raise ValueError(f"the argument {arg} is not linear")
+    return series.subs_linear(arg.coeff(1), arg.coeff(0), arg.var)

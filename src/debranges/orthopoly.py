@@ -36,13 +36,6 @@ def to_y(p: Poly) -> Poly:
     return p.subs_linear(-2, 1, "y")
 
 
-def to_x(p: Poly) -> Poly:
-    """Substitute y = (1 - x)/2, mapping a y-polynomial to an x-polynomial."""
-    if p.var != "y":
-        raise ValueError(f"expected a y-polynomial, got variable {p.var!r}")
-    return p.subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")
-
-
 def _choose_half(m: int) -> Fraction:
     # binomial coefficient (1/2 choose m) = (-1)^m (-1/2)_m / m!
     return (-1) ** m * pochhammer(Fraction(-1, 2), m) / math.factorial(m)
@@ -88,8 +81,8 @@ def gegenbauer_expansion_witness(n: int) -> str | None:
         2 * pochhammer(1 - n, j) * pochhammer(n, j) / (math.factorial(j) * pochhammer(2, j))
         for j in range(n)
     ]
-    u = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")  # (1 - x) / 2
-    got, want = Poly(coeffs, "t")(u), gegenbauer_minus_half(n)
+    got = Poly(coeffs, "t").subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")  # t = (1 - x)/2
+    want = gegenbauer_minus_half(n)
     return None if got == want else f"n={n}: {got} != {want}"
 
 
@@ -141,11 +134,6 @@ def jacobi_poly(n: int, alpha: Scalar) -> Poly:
     return (mid * curr - back * prev) * (1 / lead)
 
 
-def jacobi_value(n: int, alpha: Scalar, x: Scalar) -> Fraction:
-    """P_n^(alpha, 0)(x), exactly."""
-    return jacobi_poly(n, alpha)(Fraction(x))
-
-
 @lru_cache(maxsize=None)
 def jacobi_partial_sum_poly(n: int, alpha: Scalar) -> Poly:
     """sum_{j=0..n} P_j^(alpha, 0) as an exact polynomial in x."""
@@ -154,7 +142,8 @@ def jacobi_partial_sum_poly(n: int, alpha: Scalar) -> Poly:
 
 @lru_cache(maxsize=None)
 def gegenbauer_partial_sum_poly(n: int) -> Poly:
-    """sum_{j=0..n} C_j^(-1/2) as an exact polynomial in x."""
+    """sum_{j=0..n} C_j^(-1/2) as an exact polynomial in x: the z^n Taylor
+    coefficient of sqrt(1 - 2xz + z^2) / (1 - z)."""
     return sum((gegenbauer_minus_half(j) for j in range(n + 1)), Poly.zero("x"))
 
 
@@ -170,12 +159,6 @@ def askey_gasper_sum(n: int, k: int, x: Scalar) -> Fraction:
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     return jacobi_partial_sum_poly(n, 2 * k)(_in_interval(x))
-
-
-def gegenbauer_partial_sum(n: int, x: Scalar) -> Fraction:
-    """sum_{j=0..n} C_j^(-1/2)(x): the z^n Taylor coefficient of
-    sqrt(1 - 2xz + z^2) / (1 - z)."""
-    return gegenbauer_partial_sum_poly(n)(Fraction(x))
 
 
 def gegenbauer_partial_sum_scan(

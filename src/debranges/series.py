@@ -130,7 +130,7 @@ class ZSeries:
         for n in range(1, self.order + 1):
             # b_n = -inv0 * (a_1 b_(n-1) + ... + a_n b_0)
             pairs = zip(self.coeffs[1 : n + 1], reversed(out))
-            out.append(Poly.sum_of_products(pairs, self.var, -inv0))
+            out.append(Poly.sum_of_products(pairs, self.var) * -inv0)
         return ZSeries(out, self.var)
 
     # -- calculus ---------------------------------------------------------
@@ -174,13 +174,6 @@ class ZSeries:
 
     def __repr__(self) -> str:
         return f"ZSeries({self})"
-
-
-def koebe(order: int) -> ZSeries:
-    """The Koebe function z/(1-z)^2 = sum n z^n, truncated at z^order."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return ZSeries([Poly.const(n, "y") for n in range(order + 1)])
 
 
 @lru_cache(maxsize=None)

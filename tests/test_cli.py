@@ -90,6 +90,15 @@ class TestTable:
         assert err.startswith("usage: debranges table")
         assert "debranges table: error: --n must be at least 1" in err
 
+    def test_n_over_the_limit_prints_the_table_usage(self, capsys):
+        n = cli.TABLE_N_LIMIT + 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["table", "lowner", "--n", str(n)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: debranges table")
+        assert f"debranges table: error: --n {n} is over the limit of 100" in err
+
 
 class TestEval:
     def test_tau_at_time_zero(self, capsys):
@@ -199,6 +208,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("usage: debranges verify")
         assert "debranges verify: error: --n must be at least 1" in err
+
+    def test_n_over_the_limit_prints_the_verify_usage(self, capsys):
+        n = cli.VERIFY_N_LIMIT + 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "lowner", "--n", str(n)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: debranges verify")
+        assert f"debranges verify: error: --n {n} is over the limit of 100" in err
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -515,11 +533,13 @@ PINNED_STDOUT = [
      "df0721d6eed0cf0ced5d3c22c2b96d4c1b179f09f28c362e6ad8875863166dea"),
     (["gosper", "(8-l)*binom(l+2,l-3)", "--var", "l", "--range", "3..7"],
      "4af29632a55eaaf20d2c32f4d98ae847741819508a9d4761b6a8d2925f9bd9d6"),
+    (["table", "lambda", "--n", "60"],
+     "88e1a5406763867e92e08182e32f25a0fabdd1fe71c06c689b5152c16ca165c9"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_STDOUT, ids=["table", "verify", "verify-30", "gosper"]
+    "argv, digest", PINNED_STDOUT, ids=["table", "verify", "verify-30", "gosper", "table-lambda"]
 )
 def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -15,38 +15,40 @@ from debranges.dbw import (
     jacobi_decomposition_check,
     milin_functional,
     positivity_scan,
-    weinstein_coeff,
     weinstein_poly,
     weinstein_series,
 )
 from debranges.exact import binomial
-from debranges.series import ZSeries, koebe, koebe_chain, time_derivative
+from debranges.series import ZSeries, koebe_chain, time_derivative
 
 
 class TestWeinsteinCoefficients:
     def test_lowest_index_value(self):
         for n in range(1, 10):
             for k in range(1, n + 1):
-                assert weinstein_coeff(n, k, k) == binomial(n + k + 1, n - k)
+                assert weinstein_poly(n, k).coeff(k) == binomial(n + k + 1, n - k)
 
     def test_top_corner_is_one(self):
         for n in range(1, 12):
-            assert weinstein_coeff(n, n, n) == 1
+            assert weinstein_poly(n, n).coeff(n) == 1
 
     def test_series_derived_value(self):
-        assert weinstein_coeff(3, 1, 2) == -24
+        assert weinstein_poly(3, 1).coeff(2) == -24
 
     def test_sign_pattern(self):
         for n in range(1, 9):
             for k in range(1, n + 1):
                 for j in range(k, n + 1):
-                    value = weinstein_coeff(n, k, j)
+                    value = weinstein_poly(n, k).coeff(j)
                     assert value != 0
                     assert (value > 0) == ((k + j) % 2 == 0)
 
     def test_triangle_validation(self):
         with pytest.raises(ValueError):
-            weinstein_coeff(3, 2, 1)
+            weinstein_poly(2, 3)
+        with pytest.raises(ValueError):
+            weinstein_poly(3, 0)
+        assert all(weinstein_poly(3, 2).coeff(j) == 0 for j in range(2))
 
 
 class TestWeinsteinPoly:
@@ -95,7 +97,7 @@ class TestWeinsteinSeries:
         # W_1 = -K(z) dw/dt
         order = 10
         w = koebe_chain(order)
-        assert weinstein_series(1, order) == -(koebe(order) * w.tdot())
+        assert weinstein_series(1, order) == -(ZSeries(range(order + 1)) * w.tdot())
 
     def test_coupled_series_relation(self):
         # dW_k/dt + dW_{k+1}/dt = (k+1) W_{k+1} - k W_k
@@ -167,7 +169,7 @@ class TestSeriesFromChainPowers:
         # the oracle multiplies out the definitions with public ZSeries ops:
         # W_k = w^(k+1) (1 - w^2)^-1 / y and B_k = K(z) w^k
         for order in range(2, 15):
-            w = koebe_chain(order)
+            w, koebe = koebe_chain(order), ZSeries(range(order + 1))
             inverse = (ZSeries.one(order) - w * w).inverse()
             powers = [ZSeries.one(order), w]
             while len(powers) <= order:
@@ -178,7 +180,7 @@ class TestSeriesFromChainPowers:
                 assert weinstein_series(k, order) == ZSeries(
                     [_drop_y(c) for c in body.coeffs]
                 ), (order, k)
-                assert debranges_generating_series(k, order) == koebe(order) * powers[k], (
+                assert debranges_generating_series(k, order) == koebe * powers[k], (
                     order, k,
                 )
 
@@ -219,7 +221,7 @@ class TestDeBrangesPoly:
 
     def test_generating_series_oracle(self):
         # tau(2, 1) is the z^3 coefficient of K(z) w(z, t)
-        product = koebe(6) * koebe_chain(6)
+        product = ZSeries(range(7)) * koebe_chain(6)
         assert product.coefficient(3) == debranges_poly(2, 1)
 
     def test_slope_is_weinstein(self):

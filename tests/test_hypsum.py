@@ -258,7 +258,7 @@ class TestTermRatio:
         assert ratio == expected
 
     def test_geometric(self):
-        assert term_ratio(parse_term("5^l", "l")) == RationalFunction.const(5, "l")
+        assert term_ratio(parse_term("5^l", "l")) == RationalFunction(Poly.const(5, "l"))
 
     def test_ratio_matches_values(self):
         for src in (
@@ -593,6 +593,11 @@ class TestPFQ:
             with pytest.raises(TypeError, match="exact scalar"):
                 pfq_terminating(upper, lower, arg)
 
+    def test_nonlinear_argument_rejected(self):
+        y = Poly.variable("y")
+        with pytest.raises(ValueError, match="not linear"):
+            pfq_terminating([-2, 1], [3], y * y)
+
     def test_lower_pole_beyond_termination_allowed(self):
         # lower parameter -3 is only reached after the series stops at j = 3
         value = pfq_terminating([-3, 1], [-3], Fraction(1, 2))
@@ -633,10 +638,10 @@ pfq_params = st.integers(-8, 8) | st.fractions(
 pfq_args = (
     st.integers(-5, 5)
     | st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=9)
-    | st.builds(
+    | st.builds(  # a polynomial argument has degree at most 1
         Poly,
         st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
-                              max_denominator=4), max_size=4),
+                              max_denominator=4), max_size=2),
         st.sampled_from("xyt"),
     )
 )
