@@ -126,6 +126,17 @@ def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int], scale: in
                 out[j] += x * y
 
 
+def _horner(num: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(acc, q^(d+1)) for acc = sum_i num[i] p^i q^(d-i), d = len(num) - 1:
+    Horner on integers, with the numerators weighted by powers of q, so
+    that sum_i num[i] (p/q)^i = acc q / q^(d+1)."""
+    acc, q_power = 0, 1
+    for n in reversed(num):
+        acc = acc * p + n * q_power
+        q_power *= q
+    return acc, q_power
+
+
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """Integer division s*a = q*b + r with s > 0 and deg r < deg b.
 
@@ -352,19 +363,17 @@ class Poly:
         return _make([i * n for i, n in enumerate(self._num) if i], self._den, self.var)
 
     def __call__(self, value: Scalar) -> Fraction:
-        """Evaluate at an exact scalar p/q: Horner on integers, with the
-        numerators weighted by powers of q, and one Fraction at the end."""
+        """Evaluate at an exact scalar p/q: Horner on integers, and one
+        Fraction at the end."""
         p, q = _ratio(value)
-        acc, q_power = 0, 1
-        for n in reversed(self._num):
-            acc = acc * p + n * q_power
-            q_power *= q
-        # q_power is now q**(degree + 1)
+        acc, q_power = _horner(self._num, p, q)
         return Fraction(acc * q, self._den * q_power)
 
     def shift(self, c: Scalar = 1) -> "Poly":
         """Substitute var -> var + c."""
         p, q = _ratio(c)
+        if not p:
+            return self
         deg = self.degree
         # den q^deg self(x + p/q) = T(q x) for T(u) = sum_i n_i q^(deg-i) (u + p)^i,
         # and T comes from n_i q^(deg-i) by the integer Taylor shift
@@ -643,10 +652,16 @@ class RationalFunction:
         return self.num.is_zero()
 
     def __call__(self, value: Scalar) -> Fraction:
-        d = self.den(value)
-        if d == 0:
+        """num(value) / den(value): both by integer Horner, and one Fraction."""
+        p, q = _ratio(value)
+        top, top_power = _horner(self.num._num, p, q)
+        bottom, bottom_power = _horner(self.den._num, p, q)
+        if not bottom:
             raise ZeroDivisionError(f"pole of {self!r} at {value}")
-        return self.num(value) / d
+        # num = top q / (num._den top_power), den = bottom q / (den._den bottom_power)
+        return Fraction(
+            top * self.den._den * bottom_power, bottom * self.num._den * top_power
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalFunction):

@@ -4,6 +4,12 @@ A hypergeometric term b_l is entered through a tiny expression grammar
 (integers, rationals via division, the summation variable, ``+ - * / ^``,
 ``fact(...)``, ``binom(...)``, parentheses) and normalized into a product of
 factors whose shift quotient b_{l+1}/b_l is a rational function of l.
+A term is evaluated on integers: each factor's value p/q is multiplied into
+one numerator and one denominator, and one Fraction is built at the end.
+The quotient is kept as its roots, and a product of linear factors
+prod (l - p/q)^m, such as its numerator and denominator, is expanded in one
+list of integer numerators, multiplied in place by q l - p per factor and
+normalised once over the common denominator prod q^m.
 Gosper's algorithm then decides whether b_l has a hypergeometric
 antidifference s_l with s_l - s_{l-1} = b_l, and returns a certificate
 multiplier R with s_l = R(l) b_l that can be checked both symbolically and
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import Poly, RationalFunction, Scalar, _ratio, binomial, pochhammer
+from .exact import Poly, RationalFunction, Scalar, _make, _ratio, binomial, pochhammer
 
 
 class TermSyntaxError(ValueError):
@@ -61,8 +67,8 @@ class GosperLimitError(ValueError):
 
 # bound on deg c and on the degree bound for x in gosper.  term_ratio admits
 # at most 5 * GOSPER_WORK_LIMIT linear factors, counted before they cancel.
-# At 200, gosper took 0.4 s on 1/((l+1)*(l+201)) (deg c = 200) and term_ratio
-# 4.3 s on fact(1000*l+1/1000003); at 400, 4.9 s and 30 s (2 CPUs, Python 3.11).
+# At 200, gosper took 0.07 s on 1/((l+1)*(l+201)) (deg c = 200) and term_ratio
+# 2.8 s on fact(1000*l+1/1000003); at 400, 0.5 s and 29 s (2 CPUs, Python 3.11).
 GOSPER_WORK_LIMIT = 200
 
 # bound on the bits of a constant: of the constants base^a that geometric
@@ -492,31 +498,39 @@ def parse_term(src: str, var: str) -> HypTerm:
 
 def term_value(term: HypTerm, l: int) -> Fraction:
     """Evaluate the term at an integer point, with the combinatorial
-    convention binom(u, v) = 0 outside 0 <= v <= u."""
-    result = term.const
+    convention binom(u, v) = 0 outside 0 <= v <= u.  Each factor's value
+    p/q is multiplied into one integer numerator and denominator, and one
+    Fraction is built at the end."""
+    num, den = term.const.numerator, term.const.denominator
     for f in term.factors:
         if isinstance(f, LinearFactor):
-            base = f.a * l + f.b
-            if base == 0 and f.exponent < 0:
+            # a l + b = (a.num b.den l + b.num a.den) / (a.den b.den)
+            p = f.a.numerator * f.b.denominator * l + f.b.numerator * f.a.denominator
+            q, e = f.a.denominator * f.b.denominator, f.exponent
+            if not p and e < 0:
                 raise ZeroDivisionError(f"pole of {f} at l = {l}")
-            result *= base**f.exponent
         elif isinstance(f, FactorialFactor):
-            arg = f.a * l + f.b
-            if arg.denominator != 1 or arg < 0:
-                raise ValueError(f"factorial argument {arg} at l = {l}")
-            result *= Fraction(math.factorial(int(arg))) ** f.exponent
+            # a l is an integer, so a l + b is one when b is
+            arg = f.a * l + f.b.numerator
+            if f.b.denominator != 1 or arg < 0:
+                raise ValueError(f"factorial argument {f.a * l + f.b} at l = {l}")
+            p, q, e = math.factorial(arg), 1, f.exponent
         elif isinstance(f, BinomialFactor):
-            u = f.a1 * l + f.b1
-            v = f.a2 * l + f.b2
-            if u.denominator != 1 or v.denominator != 1:
+            if f.b1.denominator != 1 or f.b2.denominator != 1:
                 raise ValueError(f"non-integer binomial arguments at l = {l}")
-            val = binomial(int(u), int(v))
-            if val == 0 and f.exponent < 0:
+            p = binomial(f.a1 * l + f.b1.numerator, f.a2 * l + f.b2.numerator)
+            q, e = 1, f.exponent
+            if not p and e < 0:
                 raise ZeroDivisionError(f"pole of {f} at l = {l}")
-            result *= Fraction(val) ** f.exponent
         else:
-            result *= f.base ** (f.a * l + f.b)
-    return result
+            p, q, e = f.base.numerator, f.base.denominator, f.a * l + f.b
+        if e >= 0:
+            num *= p**e
+            den *= q**e
+        else:
+            num *= q**-e
+            den *= p**-e
+    return Fraction(num, den)
 
 
 class ShiftQuotient(RationalFunction):
@@ -535,12 +549,20 @@ class ShiftQuotient(RationalFunction):
 
 
 def _from_roots(roots: dict[Fraction, int], var: str) -> Poly:
-    """The monic polynomial prod (l - root)^multiplicity."""
-    p = Poly.const(1, var)
+    """The monic polynomial prod (l - p/q)^multiplicity: one list of integer
+    numerators, multiplied in place by q l - p per factor, over the common
+    denominator prod q^multiplicity, and normalised once."""
+    nums, den = [1], 1
     for r, m in roots.items():
+        p, q = r.numerator, r.denominator
         for _ in range(m):
-            p = p * Poly((-r, 1), var)
-    return p
+            prev = 0  # nums[i - 1] before this factor
+            for i, x in enumerate(nums):
+                nums[i] = q * prev - p * x
+                prev = x
+            nums.append(q * prev)
+        den *= q**m
+    return _make(nums, den, var)
 
 
 def _factorial_roots(roots: Counter, a: int, b: Fraction, e: int) -> Fraction:

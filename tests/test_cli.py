@@ -535,11 +535,19 @@ PINNED_STDOUT = [
      "4af29632a55eaaf20d2c32f4d98ae847741819508a9d4761b6a8d2925f9bd9d6"),
     (["table", "lambda", "--n", "60"],
      "88e1a5406763867e92e08182e32f25a0fabdd1fe71c06c689b5152c16ca165c9"),
+    (["gosper", "1/((l+1)*(l+41))", "--var", "l", "--range", "1..40"],  # deg c = 40
+     "83eda5000d8b457a6362d2e2d0fab9f029f75bfac2d3de212e595e4ab802b8ab"),
+    (["gosper", "(30+1-l)*binom(l+20-1,l-20)", "--var", "l", "--range", "20..30"],
+     "88bc93b42e79c214d5b95ac4f04b8cda0f91f8b1e91a2c5b589a5a329cf58dcf"),
+    (["gosper", "(l+3)*(2/3)^l", "--var", "l", "--range", "2..12"],
+     "d9900052a61ab8c4490b9ec5706d2ba4bf493f3cf7cffbf28cb704bac19352c6"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_STDOUT, ids=["table", "verify", "verify-30", "gosper", "table-lambda"]
+    "argv, digest", PINNED_STDOUT,
+    ids=["table", "verify", "verify-30", "gosper", "table-lambda",
+         "gosper-deg-c-40", "gosper-weighted-binomial", "gosper-geometric"],
 )
 def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

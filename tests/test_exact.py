@@ -257,6 +257,15 @@ class TestKernelAgainstReference:
     def test_shift(self, a, c):
         self.check(Poly(a, "y").shift(c), ref_compose_linear(ref_trim(a), 1, c))
 
+    @given(a=coeff_lists, zero=st.sampled_from([0, Fraction(0)]))
+    @settings(max_examples=25, deadline=None)
+    def test_shift_by_zero(self, a, zero):
+        # shift(0) returns the polynomial itself, and the bare substitution
+        # var -> new_var only renames the variable
+        p = Poly(a, "y")
+        assert p.shift(zero) is p
+        self.check(p.subs_linear(1, zero, "x"), ref_compose_linear(ref_trim(a), 1, 0), "x")
+
     @given(a=coeff_lists, s=rationals, t=rationals)
     @settings(max_examples=25, deadline=None)
     def test_subs_linear(self, a, s, t):
@@ -340,6 +349,37 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Poly([1], "l"), Poly.zero("l"))
+
+    @given(
+        num=coeff_lists,
+        den=coeff_lists.filter(lambda cs: any(cs)),
+        pole=rationals | st.integers(-30, 30),
+        v=rationals | st.integers(-30, 30),
+    )
+    @settings(max_examples=50, deadline=None)
+    @example(num=[1], den=[2], pole=Fraction(1, 3), v=Fraction(1, 3))
+    @example(num=[0, 1], den=[0, 0, 3], pole=5, v=0)
+    def test_evaluation_against_quotient_of_values(self, num, den, pole, v):
+        # den has a root at pole: evaluate there and at v, against
+        # num(v) / den(v) with the same ZeroDivisionError at a pole
+        rf = RationalFunction(Poly(num, "l"), Poly(den, "l") * Poly([-pole, 1], "l"))
+
+        def quotient(value):
+            d = rf.den(value)
+            if d == 0:
+                raise ZeroDivisionError(f"pole of {rf!r} at {value}")
+            return rf.num(value) / d
+
+        for value in (pole, v):
+            try:
+                want = quotient(value)
+            except ZeroDivisionError as exc:
+                with pytest.raises(ZeroDivisionError) as excinfo:
+                    rf(value)
+                assert str(excinfo.value) == str(exc)
+            else:
+                got = rf(value)
+                assert type(got) is Fraction and got == want
 
 
 class TestCombinatorics:

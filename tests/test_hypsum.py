@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from debranges.hypsum import (
     GeometricFactor,
     GosperCertificate,
     GosperLimitError,
+    HypTerm,
     LinearFactor,
     TermSemanticError,
     TermSyntaxError,
@@ -27,6 +29,7 @@ from debranges.hypsum import (
     term_value,
     verify_certificate,
     weighted_binomial_sum,
+    _from_roots,
     _solve_gosper_equation,
 )
 
@@ -238,6 +241,130 @@ class TestTermValue:
         term = parse_term("fact(l)", "l")
         with pytest.raises(ValueError):
             term_value(term, -1)
+
+
+def fraction_term_value(term, l):
+    """The evaluator as one Fraction product per factor: the oracle for
+    term_value's integer numerator and denominator."""
+    result = term.const
+    for f in term.factors:
+        if isinstance(f, LinearFactor):
+            base = f.a * l + f.b
+            if base == 0 and f.exponent < 0:
+                raise ZeroDivisionError(f"pole of {f} at l = {l}")
+            result *= base**f.exponent
+        elif isinstance(f, FactorialFactor):
+            arg = f.a * l + f.b
+            if arg.denominator != 1 or arg < 0:
+                raise ValueError(f"factorial argument {arg} at l = {l}")
+            result *= Fraction(math.factorial(int(arg))) ** f.exponent
+        elif isinstance(f, BinomialFactor):
+            u = f.a1 * l + f.b1
+            v = f.a2 * l + f.b2
+            if u.denominator != 1 or v.denominator != 1:
+                raise ValueError(f"non-integer binomial arguments at l = {l}")
+            val = binomial(int(u), int(v))
+            if val == 0 and f.exponent < 0:
+                raise ZeroDivisionError(f"pole of {f} at l = {l}")
+            result *= Fraction(val) ** f.exponent
+        else:
+            result *= f.base ** (f.a * l + f.b)
+    return result
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# offsets with denominators 1 and 2, so that factorial and binomial
+# arguments leave the integers at some points
+offsets = st.integers(-4, 4) | st.fractions(
+    min_value=Fraction(-4), max_value=Fraction(4), max_denominator=2
+)
+exponents = st.integers(-3, 3)
+hyp_factors = st.one_of(
+    st.builds(
+        LinearFactor,
+        st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3).filter(bool),
+        st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3),
+        exponents,
+    ),
+    st.builds(FactorialFactor, st.integers(-3, 3), offsets, exponents),
+    st.builds(BinomialFactor, st.integers(-3, 3), offsets, st.integers(-3, 3), offsets, exponents),
+    st.builds(
+        GeometricFactor,
+        st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=5).filter(bool),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    ),
+)
+
+
+class TestTermValueAgainstFractions:
+    """term_value against the one-Fraction-per-factor oracle: the same value,
+    or the same exception type and message at a pole or outside the
+    factorial and binomial domains."""
+
+    @given(
+        const=st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7),
+        factors=st.lists(hyp_factors, max_size=5),
+        l=st.integers(-6, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(const=Fraction(2), factors=[LinearFactor(Fraction(1), Fraction(-2), -1)], l=2)
+    @example(const=Fraction(1), factors=[FactorialFactor(1, Fraction(1, 2), 1)], l=3)
+    @example(const=Fraction(1), factors=[FactorialFactor(2, Fraction(0), -1)], l=-1)
+    @example(const=Fraction(1), factors=[BinomialFactor(1, Fraction(0), 1, Fraction(1, 2), 1)], l=1)
+    @example(const=Fraction(1), factors=[BinomialFactor(1, Fraction(0), 1, Fraction(1), -2)], l=1)
+    @example(const=Fraction(-1, 3), factors=[GeometricFactor(Fraction(-2, 3), 1, -2)], l=-3)
+    def test_values_and_errors_agree(self, const, factors, l):
+        term = HypTerm("l", const, tuple(factors))
+        got, want = outcome(term_value, term, l), outcome(fraction_term_value, term, l)
+        assert got == want
+        assert type(got) is type(want)
+
+    def test_parsed_terms_agree(self):
+        for src in ("(8-l)*binom(l+2,l-3)", "(l+3)*(2/3)^l", "1/((l+1)*(l+41))",
+                    "fact(2*l)/fact(l)^2/4^l", "binom(-l+30,l)^-2*(1/2-l)^-3"):
+            term = parse_term(src, "l")
+            for l in range(-5, 12):
+                assert outcome(term_value, term, l) == outcome(fraction_term_value, term, l)
+
+
+def product_of_factors(roots, var):
+    """prod (l - root)^multiplicity, one Poly product per linear factor."""
+    p = Poly.const(1, var)
+    for r, m in roots.items():
+        for _ in range(m):
+            p = p * Poly((-r, 1), var)
+    return p
+
+
+class TestFromRoots:
+    """The one-list integer expansion against the one-factor Poly product."""
+
+    @given(
+        roots=st.dictionaries(
+            st.fractions(min_value=Fraction(-20), max_value=Fraction(20), max_denominator=9),
+            st.integers(1, 3),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(roots={Fraction(1, 2): 1})
+    @example(roots={Fraction(-2, 3): 2, Fraction(5): 1, Fraction(0): 2})
+    def test_matches_the_factor_product(self, roots):
+        got = _from_roots(Counter(roots), "l")
+        assert got == product_of_factors(roots, "l")
+        assert got.leading == 1
+
+    def test_empty(self):
+        assert _from_roots(Counter(), "l") == Poly.const(1, "l")
+        assert _from_roots(Counter(), "x").var == "x"
 
 
 class TestTermRatio:
