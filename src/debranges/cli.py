@@ -445,8 +445,9 @@ EVAL_N_LIMIT = 500
 # 3.3 s at 100 in JSON, 19 s at 200 in CSV (cold CLI; 2 CPUs, Python 3.11).
 TABLE_N_LIMIT = 100
 
-# The largest --n of `verify`: `verify all` took 0.96 s at n = 60, 3.2 s at
-# 100 and 30 s at 200 (cold CLI; 2 CPUs, Python 3.11).
+# The largest --n of `verify`: `verify all` took 0.68 s at n = 60, 2.4 s at
+# 100 (cold CLI, medians of 5 and 3) and 30 s at 200 (one process; 2 CPUs,
+# Python 3.11).
 VERIFY_N_LIMIT = 100
 
 

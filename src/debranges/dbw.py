@@ -39,15 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import EvalGrid, Poly, Scalar, binomial, format_rational
+from .exact import EvalGrid, Poly, Scalar, _make, binomial, format_rational
 from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
-
-
-def _weinstein_int(n: int, k: int, j: int) -> int:
-    # (-1)^(k+j) C(2j, j-k) C(n+j+1, n-j)
-    sign = -1 if (k + j) % 2 else 1
-    return sign * binomial(2 * j, j - k) * binomial(n + j + 1, n - j)
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +49,11 @@ def weinstein_poly(n: int, k: int) -> Poly:
     """L(n, k) as a polynomial in y; lowest power y^k, degree n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
-    return Poly([0] * k + [_weinstein_int(n, k, j) for j in range(k, n + 1)], "y")
+    nums = [
+        (-1) ** (k + j) * binomial(2 * j, j - k) * binomial(n + j + 1, n - j)
+        for j in range(k, n + 1)
+    ]
+    return Poly([0] * k + nums, "y")
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +100,11 @@ def debranges_poly(n: int, k: int) -> Poly:
         raise ValueError(f"need 1 <= k <= n + 1, got (n, k) = ({n}, {k})")
     if k == n + 1:
         return Poly.zero("y")
-    # (k/j) L_j = k L_j (D/j) / D over D = lcm(k..n)
+    # (k/j) L_j = k L_j (D/j) / D over D = lcm(k..n), on the numerators of L
+    lam = weinstein_poly(n, k)
     d = math.lcm(*range(k, n + 1))
-    nums = [k * _weinstein_int(n, k, j) * (d // j) for j in range(k, n + 1)]
-    return Poly([0] * k + nums, "y") * Fraction(1, d)
+    nums = [k * c * (d // j) for j, c in enumerate(lam._num[k:], k)]
+    return _make([0] * k + nums, d * lam._den, "y")
 
 
 def debranges_system_residual(n: int, k: int) -> Poly:

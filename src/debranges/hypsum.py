@@ -745,6 +745,56 @@ def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Opt
     return Poly([q * x - p * y for x, y in zip(U, V)], var) * Fraction(1, du * q)
 
 
+def _root_classes(
+    roots: Sequence[tuple[Fraction, int]], sign: int
+) -> dict[tuple[int, int], Counter]:
+    """The roots p/q whose exponent has the given sign, with sign * exponent
+    as multiplicity, keyed by the class (q, p mod q) and then by the integer
+    p // q: two roots differ by an integer exactly when they share a class,
+    and then by the difference of their integer parts."""
+    classes: dict[tuple[int, int], Counter] = {}
+    for r, e in roots:
+        if e * sign > 0:
+            p, q = r.numerator, r.denominator
+            classes.setdefault((q, p % q), Counter())[p // q] = e * sign
+    return classes
+
+
+def _dispersion(roots: Sequence[tuple[Fraction, int]]) -> tuple[Counter, Counter, Counter]:
+    """Gosper's dispersion step on the roots of a shift quotient (positive
+    exponents the roots of a, negative those of b): for each integer h >= 0
+    in increasing order and each root r of a with r + h a root of b, their
+    common multiplicity m moves r out of a, r + h out of b and r + 1 .. r + h
+    into c.  Returns the moved roots of a and of b and the roots of c.  The
+    roots are compared as integers within their class, so no Fraction is
+    hashed until one moves.  Raises GosperLimitError when deg c exceeds
+    GOSPER_WORK_LIMIT."""
+    b_classes = _root_classes(roots, -1)
+    moved_a: Counter = Counter()
+    moved_b: Counter = Counter()
+    c_roots: Counter = Counter()
+    deg_c = 0
+    for (q, res), a_ints in _root_classes(roots, 1).items():
+        b_ints = b_classes.get((q, res))
+        if b_ints is None:
+            continue
+        for h in sorted({s - r for r in a_ints for s in b_ints if s >= r}):
+            for r in a_ints:
+                m = min(a_ints[r], b_ints[r + h])
+                if m == 0:
+                    continue
+                deg_c += h * m
+                if deg_c > GOSPER_WORK_LIMIT:
+                    raise GosperLimitError(f"Gosper work limit: deg c > {GOSPER_WORK_LIMIT}")
+                a_ints[r] -= m
+                b_ints[r + h] -= m
+                moved_a[Fraction(r * q + res, q)] += m
+                moved_b[Fraction((r + h) * q + res, q)] += m
+                for i in range(1, h + 1):
+                    c_roots[Fraction((r + i) * q + res, q)] += m
+    return moved_a, moved_b, c_roots
+
+
 def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
     """Decide hypergeometric antidifference existence for a term with the
     given shift quotient, as returned by term_ratio; returns the
@@ -763,27 +813,7 @@ def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
     if not isinstance(ratio, ShiftQuotient):
         raise TypeError("gosper needs the factored quotient returned by term_ratio")
     var = ratio.var
-    a_roots = Counter({r: e for r, e in ratio.roots if e > 0})
-    b_roots = Counter({s: -e for s, e in ratio.roots if e < 0})
-    c_roots: Counter = Counter()
-    moved_a: Counter = Counter()  # the factors of a and b that go into c
-    moved_b: Counter = Counter()
-    differences = {s - r for r in a_roots for s in b_roots}
-    deg_c = 0
-    for h in sorted(int(d) for d in differences if d.denominator == 1 and d >= 0):
-        for r in list(a_roots):
-            m = min(a_roots[r], b_roots[r + h])
-            if m == 0:
-                continue
-            deg_c += h * m
-            if deg_c > GOSPER_WORK_LIMIT:
-                raise GosperLimitError(f"Gosper work limit: deg c > {GOSPER_WORK_LIMIT}")
-            a_roots[r] -= m
-            b_roots[r + h] -= m
-            moved_a[r] += m
-            moved_b[r + h] += m
-            for i in range(1, h + 1):
-                c_roots[r + i] += m
+    moved_a, moved_b, c_roots = _dispersion(ratio.roots)
     a, b = ratio.num, ratio.den
     if c_roots:  # divide the moved factors out of the quotient's expansion
         a = a.exact_div(_from_roots(moved_a, var))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import EvalGrid, Poly, Scalar, binomial, pochhammer
+from .exact import EvalGrid, Poly, Scalar, _make, binomial, pochhammer
 from . import lowner
 
 
@@ -36,11 +36,6 @@ def to_y(p: Poly) -> Poly:
     return p.subs_linear(-2, 1, "y")
 
 
-def _choose_half(m: int) -> Fraction:
-    # binomial coefficient (1/2 choose m) = (-1)^m (-1/2)_m / m!
-    return (-1) ** m * pochhammer(Fraction(-1, 2), m) / math.factorial(m)
-
-
 @lru_cache(maxsize=None)
 def gegenbauer_minus_half(n: int) -> Poly:
     """C_n^(-1/2)(x): the z^n coefficient of sqrt(1 - 2xz + z^2).
@@ -49,15 +44,21 @@ def gegenbauer_minus_half(n: int) -> Poly:
 
         C_n(x) = sum_m (1/2 choose m) C(m, n-m) (-2x)^(2m-n),
 
-    the sum running over ceil(n/2) <= m <= n.
+    the sum running over ceil(n/2) <= m <= n.  With (1/2 choose m) =
+    (-1)^(m+1) C(2m, m) / (4^m (2m-1)), the x^(2m-n) coefficient is
+    (-1)^(m+n+1) C(2m, m) C(m, n-m) / (2^n (2m-1)), one integer numerator
+    each over 2^n lcm(2m-1).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coeffs = [Fraction(0)] * (n + 1)
-    for m in range((n + 1) // 2, n + 1):
-        power = 2 * m - n
-        coeffs[power] += _choose_half(m) * binomial(m, n - m) * Fraction(-2) ** power
-    return Poly(coeffs, "x")
+    ms = range((n + 1) // 2, n + 1)
+    d = math.lcm(*(2 * m - 1 for m in ms))
+    nums = [0] * (n + 1)
+    for m in ms:
+        nums[2 * m - n] = (
+            (-1) ** (m + n + 1) * binomial(2 * m, m) * binomial(m, n - m) * (d // (2 * m - 1))
+        )
+    return _make(nums, d << n, "x")
 
 
 def gegenbauer_expansion_check(n: int) -> bool:
@@ -112,32 +113,60 @@ def chain_gegenbauer_witness(n: int) -> str | None:
 @lru_cache(maxsize=None)
 def jacobi_poly(n: int, alpha: Scalar) -> Poly:
     """P_n^(alpha, 0) as an exact polynomial in x, by one step of the
-    classical three-term recurrence from the cached P_(n-1) and P_(n-2)."""
+    classical three-term recurrence from the cached P_(n-1) and P_(n-2).
+
+    With alpha = p/q every factor of the step is an integer over a power of
+    q, so P_n is one row of integer numerators built from the rows of its
+    predecessors and normalised once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     alpha = Fraction(alpha)
-    x = Poly.variable("x")
+    p, q = alpha.numerator, alpha.denominator
     if n == 0:
         return Poly.const(1, "x")
-    if n == 1:
-        return x * Fraction(alpha + 2, 2) + Fraction(alpha, 2)
+    if n == 1:  # ((alpha + 2) x + alpha) / 2
+        return _make([p, p + 2 * q], 2 * q, "x")
     for m in range(2, n - 1):  # fill the cache upward, so the depth stays constant
         jacobi_poly(m, alpha)
     prev, curr = jacobi_poly(n - 2, alpha), jacobi_poly(n - 1, alpha)
-    lead = Fraction(2 * n) * (n + alpha) * (2 * n + alpha - 2)
+    # with 2n + alpha = s/q: q^2 lead = 2n (n q + p) (s - 2q), q^3 mid = c1 x + c0
+    # and q^3 back = b
+    s = 2 * n * q + p
+    lead = 2 * n * (n * q + p) * (s - 2 * q)
     if lead == 0:
         raise ValueError(f"three-term recurrence degenerates at n={n}, alpha={alpha}")
-    mid = (x * ((2 * n + alpha) * (2 * n + alpha - 2)) + alpha * alpha) * (
-        2 * n + alpha - 1
-    )
-    back = Fraction(2) * (n + alpha - 1) * (n - 1) * (2 * n + alpha)
-    return (mid * curr - back * prev) * (1 / lead)
+    c1 = (s - q) * s * (s - 2 * q)
+    c0 = (s - q) * p * p
+    b = 2 * ((n - 1) * q + p) * (n - 1) * s * q
+    # P_n = (mid P_(n-1) - back P_(n-2)) / lead over the row denominators
+    g = math.gcd(curr._den, prev._den)
+    su, sv = prev._den // g, curr._den // g
+    u, v = curr._num, prev._num
+    row = [0] * (n + 1)
+    for i, c in enumerate(u):
+        c *= su
+        row[i] += c0 * c
+        row[i + 1] += c1 * c
+    for i, c in enumerate(v):
+        row[i] -= b * sv * c
+    return _make(row, q * lead * su * curr._den, "x")
 
 
 @lru_cache(maxsize=None)
 def jacobi_partial_sum_poly(n: int, alpha: Scalar) -> Poly:
-    """sum_{j=0..n} P_j^(alpha, 0) as an exact polynomial in x."""
-    return sum((jacobi_poly(j, alpha) for j in range(n + 1)), Poly.zero("x"))
+    """sum_{j=0..n} P_j^(alpha, 0) as an exact polynomial in x: the cached
+    sum to n - 1 plus P_n."""
+    if n < 0:
+        return Poly.zero("x")
+    if n == 0:
+        return jacobi_poly(0, alpha)
+    for m in range(n - 1):  # fill the cache upward, so the depth stays constant
+        _jacobi_partial_sum(m, alpha)
+    return _jacobi_partial_sum(n - 1, alpha) + jacobi_poly(n, alpha)
+
+
+# the recursion's own handle on the memo, which a patched module name leaves alone
+_jacobi_partial_sum = jacobi_partial_sum_poly
 
 
 @lru_cache(maxsize=None)

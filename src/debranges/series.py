@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .exact import Poly, Scalar
+from .exact import Poly, Scalar, _make
 
 PolyOrScalar = Union[Poly, int, Fraction]
 
@@ -33,9 +33,10 @@ PolyOrScalar = Union[Poly, int, Fraction]
 def time_derivative(p: Poly) -> Poly:
     """d/dt applied to a polynomial in y = e^(-t), i.e. -y * dp/dy.
 
-    This single convention realizes every t-derivative in the package.
+    This single convention realizes every t-derivative in the package: the
+    y^i numerator n_i becomes -i n_i over the same denominator.
     """
-    return -(Poly.variable(p.var) * p.derivative())
+    return _make([-i * n for i, n in enumerate(p._num)], p._den, p.var)
 
 
 class ZSeries:

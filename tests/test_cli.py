@@ -541,13 +541,15 @@ PINNED_STDOUT = [
      "88bc93b42e79c214d5b95ac4f04b8cda0f91f8b1e91a2c5b589a5a329cf58dcf"),
     (["gosper", "(l+3)*(2/3)^l", "--var", "l", "--range", "2..12"],
      "d9900052a61ab8c4490b9ec5706d2ba4bf493f3cf7cffbf28cb704bac19352c6"),
+    (["verify", "all", "--n", "60"],
+     "341211ba63d6d7e7ba7b45413c083ef05ac6e8fb11683a39c0ac03b250edd80e"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest", PINNED_STDOUT,
     ids=["table", "verify", "verify-30", "gosper", "table-lambda",
-         "gosper-deg-c-40", "gosper-weighted-binomial", "gosper-geometric"],
+         "gosper-deg-c-40", "gosper-weighted-binomial", "gosper-geometric", "verify-60"],
 )
 def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """De Branges / Weinstein systems: closed forms, series, identities, scans."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,26 @@ from debranges.dbw import (
 )
 from debranges.exact import binomial
 from debranges.series import ZSeries, koebe_chain, time_derivative
+
+
+def _rising(a: int, j: int) -> int:
+    return math.prod(range(a, a + j))
+
+
+def debranges_closed_form(n: int, k: int) -> Poly:
+    """De Branges' closed form, an oracle that shares no code with the
+    integration of -k L:
+
+        T(n, k) = k sum_j (-1)^j (2k+j+1)_j (2k+2j+2)_(n-k-j)
+                  / ((k+j) j! (n-k-j)!) y^(k+j),  j = 0 .. n-k.
+    """
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in range(n - k + 1):
+        coeffs[k + j] = Fraction(
+            (-1) ** j * k * _rising(2 * k + j + 1, j) * _rising(2 * k + 2 * j + 2, n - k - j),
+            (k + j) * math.factorial(j) * math.factorial(n - k - j),
+        )
+    return Poly(coeffs, "y")
 
 
 class TestWeinsteinCoefficients:
@@ -218,6 +239,11 @@ class TestDeBrangesPoly:
         for n in range(1, 15):
             for k in range(1, n + 2):
                 assert debranges_poly(n, k)(1) == n + 1 - k
+
+    def test_closed_form_oracle(self):
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                assert debranges_poly(n, k) == debranges_closed_form(n, k), (n, k)
 
     def test_generating_series_oracle(self):
         # tau(2, 1) is the z^3 coefficient of K(z) w(z, t)

@@ -29,6 +29,7 @@ from debranges.hypsum import (
     term_value,
     verify_certificate,
     weighted_binomial_sum,
+    _dispersion,
     _from_roots,
     _solve_gosper_equation,
 )
@@ -365,6 +366,66 @@ class TestFromRoots:
     def test_empty(self):
         assert _from_roots(Counter(), "l") == Poly.const(1, "l")
         assert _from_roots(Counter(), "x").var == "x"
+
+
+def former_dispersion(roots):
+    """The dispersion step as it was, kept as an oracle: roots as Fraction
+    keys, every difference s - r hashed and filtered for integers >= 0."""
+    a_roots = Counter({r: e for r, e in roots if e > 0})
+    b_roots = Counter({s: -e for s, e in roots if e < 0})
+    moved_a, moved_b, c_roots = Counter(), Counter(), Counter()
+    differences = {s - r for r in a_roots for s in b_roots}
+    deg_c = 0
+    for h in sorted(int(d) for d in differences if d.denominator == 1 and d >= 0):
+        for r in list(a_roots):
+            m = min(a_roots[r], b_roots[r + h])
+            if m == 0:
+                continue
+            deg_c += h * m
+            if deg_c > GOSPER_WORK_LIMIT:
+                raise GosperLimitError(f"Gosper work limit: deg c > {GOSPER_WORK_LIMIT}")
+            a_roots[r] -= m
+            b_roots[r + h] -= m
+            moved_a[r] += m
+            moved_b[r + h] += m
+            for i in range(1, h + 1):
+                c_roots[r + i] += m
+    return moved_a, moved_b, c_roots
+
+
+def _outcome(step, roots):
+    try:
+        return tuple(dict(c) for c in step(roots))
+    except GosperLimitError as exc:
+        return str(exc)
+
+
+class TestDispersion:
+    """Roots compared as integers within their class (q, p mod q), against
+    the Fraction-keyed loop."""
+
+    @given(
+        roots=st.dictionaries(
+            st.builds(
+                Fraction, st.integers(-400, 400), st.sampled_from([1, 1, 2, 3, 4, 6])
+            ),
+            st.integers(-3, 3).filter(bool),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(roots={Fraction(-42): 1, Fraction(-1): -1})
+    @example(roots={Fraction(-203): 1, Fraction(-1): -1})  # deg c > GOSPER_WORK_LIMIT
+    @example(  # over the limit only in sum over two classes
+        roots={
+            Fraction(-111): 1, Fraction(-1): -1, Fraction(-221, 2): 1, Fraction(-1, 2): -1
+        }
+    )
+    @example(roots={Fraction(1, 3): 2, Fraction(7, 3): -1, Fraction(13, 3): -3, Fraction(5): 1})
+    @example(roots={})
+    def test_matches_the_fraction_keyed_loop(self, roots):
+        items = tuple(sorted(roots.items()))
+        assert _outcome(_dispersion, items) == _outcome(former_dispersion, items)
 
 
 class TestTermRatio:

@@ -71,6 +71,40 @@ def jacobi_gf_oracle(alpha: int, order: int) -> ZSeries:
     return root.inverse() * denom * Fraction(2**alpha)
 
 
+def _former_jacobi_polys(n_max: int, alpha) -> list[Poly]:
+    """P_0 .. P_(n_max) by the former builder, kept as an oracle: the
+    three-term recurrence on Poly and Fraction temporaries."""
+    alpha = Fraction(alpha)
+    x = Poly.variable("x")
+    rows = [Poly.const(1, "x"), x * Fraction(alpha + 2, 2) + Fraction(alpha, 2)]
+    for n in range(2, n_max + 1):
+        lead = Fraction(2 * n) * (n + alpha) * (2 * n + alpha - 2)
+        if lead == 0:
+            raise ValueError(f"three-term recurrence degenerates at n={n}, alpha={alpha}")
+        mid = (x * ((2 * n + alpha) * (2 * n + alpha - 2)) + alpha * alpha) * (
+            2 * n + alpha - 1
+        )
+        back = Fraction(2) * (n + alpha - 1) * (n - 1) * (2 * n + alpha)
+        rows.append((mid * rows[-1] - back * rows[-2]) * (1 / lead))
+    return rows[: n_max + 1]
+
+
+def _former_gegenbauer_polys(n_max: int) -> list[Poly]:
+    """C_0 .. C_(n_max) by the former builder, kept as an oracle: the
+    Fraction sum of (1/2 choose m) C(m, n-m) (-2x)^(2m-n)."""
+    halves = [_choose(Fraction(1, 2), 0)]
+    for m in range(1, n_max + 1):
+        halves.append(halves[-1] * (Fraction(1, 2) - m + 1) / m)
+    polys = []
+    for n in range(n_max + 1):
+        coeffs = [Fraction(0)] * (n + 1)
+        for m in range((n + 1) // 2, n + 1):
+            power = 2 * m - n
+            coeffs[power] += halves[m] * math.comb(m, n - m) * Fraction(-2) ** power
+        polys.append(Poly(coeffs, "x"))
+    return polys
+
+
 class TestGegenbauer:
     def test_first_polynomials(self):
         assert gegenbauer_minus_half(0) == Poly.const(1, "x")
@@ -361,3 +395,63 @@ class TestGridScans:
         assert askey_gasper_scan(-1, 0, [0]) == []
         assert gegenbauer_partial_sum_scan(-1, [0]) == []
         assert askey_gasper_scan(4, 0, []) == []
+
+
+class TestIntegerRowBuilders:
+    """The builders on integer rows against the former Poly/Fraction
+    builders, and the partial-sum memo against patched names and deep
+    cold calls."""
+
+    ALPHAS = [*range(0, 121, 2), Fraction(1, 7), Fraction(3, 2)]
+
+    def test_jacobi_and_partial_sums_match_the_former_builders(self):
+        n_max = 30
+        for alpha in self.ALPHAS:
+            rows = _former_jacobi_polys(n_max, alpha)
+            total = Poly.zero("x")
+            for n, row in enumerate(rows):
+                total = total + row
+                assert jacobi_poly(n, alpha) == row, (n, alpha)
+                assert orthopoly.jacobi_partial_sum_poly(n, alpha) == total, (n, alpha)
+
+    def test_degenerate_step_keeps_the_former_message(self):
+        with pytest.raises(ValueError) as former:
+            _former_jacobi_polys(2, -2)
+        for build in (jacobi_poly, orthopoly.jacobi_partial_sum_poly):
+            with pytest.raises(ValueError) as got:
+                build(2, -2)
+            assert str(got.value) == str(former.value)
+
+    def test_gegenbauer_matches_the_former_builder(self):
+        for n, want in enumerate(_former_gegenbauer_polys(100)):
+            assert gegenbauer_minus_half(n) == want, n
+
+    def test_partial_sums_clean_after_a_patched_name_is_undone(self):
+        # sums built while the module name is patched must not reach the memo
+        grid = [Fraction(i, 10) for i in range(-10, 11)]
+        orthopoly.jacobi_partial_sum_poly.cache_clear()
+        broken = _dipped(orthopoly.jacobi_partial_sum_poly)
+        with mock.patch.object(orthopoly, "jacobi_partial_sum_poly", broken):
+            for k in (0, 3):
+                assert {n for n, _, _ in askey_gasper_scan(8, k, grid)} == {2, 5}
+        for k in (0, 3):
+            assert askey_gasper_scan(12, k, grid) == _askey_gasper_loop(12, k, grid) == []
+            total = Poly.zero("x")
+            for n, row in enumerate(_former_jacobi_polys(12, 2 * k)):
+                total = total + row
+                assert orthopoly.jacobi_partial_sum_poly(n, 2 * k) == total
+
+    def test_cold_partial_sum_deeper_than_the_recursion_limit(self):
+        n, alpha = 150, Fraction(1, 7)
+        expected = orthopoly.jacobi_partial_sum_poly(n, alpha)
+        orthopoly.jacobi_partial_sum_poly.cache_clear()
+        jacobi_poly.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            assert orthopoly.jacobi_partial_sum_poly(n, alpha) == expected
+        finally:
+            sys.setrecursionlimit(limit)

@@ -292,6 +292,21 @@ class TestTimeDerivative:
         assert time_derivative(y * y) == Poly([0, 0, -2], "y")
         assert time_derivative(Poly.const(5, "y")).is_zero()
 
+    @given(
+        coeffs=st.lists(
+            st.integers(-(10**12), 10**12) | st.fractions(max_denominator=60), max_size=9
+        ),
+        var=st.sampled_from(["y", "x"]),
+    )
+    @example(coeffs=[], var="y")
+    @example(coeffs=[Fraction(7, 3)], var="y")
+    @example(coeffs=[0, Fraction(1, 2), 0, Fraction(1, 6)], var="y")
+    @settings(max_examples=100, deadline=None)
+    def test_matches_minus_y_times_the_derivative(self, coeffs, var):
+        # the former construction, kept as the oracle: -(y * dp/dy) on Poly
+        p = Poly(coeffs, var)
+        assert time_derivative(p) == -(Poly.variable(var) * p.derivative())
+
 
 class TestLogOverZ:
     def test_koebe_log_coefficients(self):
