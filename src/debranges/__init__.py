@@ -45,6 +45,7 @@ from .hypsum import (
     HypTerm,
     TermSemanticError,
     TermSyntaxError,
+    certificate_witness,
     gosper,
     parse_term,
     pfq_terminating,
@@ -71,6 +72,7 @@ __all__ = [
     "askey_gasper_scan",
     "askey_gasper_sum",
     "binomial",
+    "certificate_witness",
     "chain_gegenbauer_check",
     "chain_gegenbauer_witness",
     "chain_pde_residual",

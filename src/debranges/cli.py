@@ -5,7 +5,11 @@ Output is deterministic byte-for-byte: rationals are rendered as ``p/q``
 (or ``p`` when the denominator is 1) in both CSV and JSON, row order is
 lexicographic in the indices, and line endings are LF.  Exit codes: 0 for
 success or a passing verification, 1 for a failing verification, 2 for
-usage or parse errors.
+usage or parse errors and for inputs over a stated limit.
+
+A verification check is recorded by its witness alone and passes exactly
+when that is None; a witness says where and by how much a check failed, as
+``exact.first_mismatch`` or ``hypsum.certificate_witness`` writes it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -21,25 +26,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dbw, hypsum, lowner, orthopoly, series
-from .exact import Poly, binomial, format_rational
+from .exact import Poly, binomial, first_mismatch, format_rational
 
 
 @dataclass
 class Check:
-    """One verified identity instance."""
+    """One verified identity instance: it passes exactly when it has no
+    witness, the string that says where it failed and by how much."""
 
     id: str
     indices: list[int]
-    ok: bool
     witness: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "indices": self.indices,
-            "pass": self.ok,
-            "witness": self.witness,
-        }
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 @dataclass
@@ -54,14 +55,18 @@ class Report:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add(self, id: str, indices: list[int], ok: bool, witness: str | None = None):
-        self.checks.append(Check(id, indices, ok, None if ok else witness))
+    def add(self, id: str, indices: list[int], witness: str | None):
+        """Record a check that passes exactly when witness is None."""
+        self.checks.append(Check(id, indices, witness))
 
     def to_json(self) -> str:
         payload = {
             "suite": self.suite,
             "n_max": self.n_max,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [
+                {"id": c.id, "indices": c.indices, "pass": c.ok, "witness": c.witness}
+                for c in self.checks
+            ],
             "pass": self.passed,
         }
         return json.dumps(payload, indent=2)
@@ -85,116 +90,80 @@ def _suite_lowner(n_max: int) -> Report:
     report = Report("lowner", n_max)
     table = lowner.coeff_table(n_max)
     for n in range(1, n_max + 1):
-        witness = None  # the first failing j
-        for j in range(1, n + 1):
-            closed, recurrence = lowner.coeff_closed(n, j), table[(n, j)]
-            if closed != recurrence:
-                witness = (
-                    f"(n,j)=({n},{j}): {format_rational(closed)}"
-                    f" != {format_rational(recurrence)}"
-                )
-                break
-        report.add("closed-vs-recurrence", [n], witness is None, witness)
+        report.add("closed-vs-recurrence", [n], first_mismatch(
+            (f"(n,j)=({n},{j})", lowner.coeff_closed(n, j), table[(n, j)])
+            for j in range(1, n + 1)
+        ))
     chain_max = min(n_max, 30)
     chain = series.koebe_chain(chain_max)
     for n in range(1, chain_max + 1):
-        got = chain.coefficient(n)
-        want = lowner.chain_poly(n)
-        report.add(
-            "newton-vs-closed", [n], got == want,
-            None if got == want else f"z^{n}: {got} != {want}",
-        )
-    for n in range(1, n_max + 1):
-        residual = lowner.ode_residual(n)
-        report.add(
-            "ode-residual", [n], residual.is_zero(),
-            None if residual.is_zero() else str(residual),
-        )
-    for n in range(2, n_max + 1):
-        residual = lowner.system_residual(n)
-        report.add(
-            "system-residual", [n], residual.is_zero(),
-            None if residual.is_zero() else str(residual),
-        )
-    for n in range(2, n_max + 1):
-        value = lowner.chain_poly(n)(1)
-        report.add(
-            "vanishes-at-t0", [n], value == 0,
-            None if value == 0 else format_rational(value),
-        )
+        report.add("newton-vs-closed", [n], first_mismatch(
+            [(f"z^{n}", chain.coefficient(n), lowner.chain_poly(n))]
+        ))
+    for id, n_min, zero in (
+        ("ode-residual", 1, lowner.ode_residual),
+        ("system-residual", 2, lowner.system_residual),
+        ("vanishes-at-t0", 2, lambda n: lowner.chain_poly(n)(1)),
+    ):
+        for n in range(n_min, n_max + 1):
+            report.add(id, [n], first_mismatch([(f"n={n}", zero(n), 0)]))
     return report
-
-
-def _mismatch(n: int, k: int, got, want) -> str | None:
-    """None when got == want, else a witness naming (n, k) and both values."""
-    if got == want:
-        return None
-    show = format_rational if isinstance(got, Fraction) else str
-    return f"(n,k)=({n},{k}): {show(got)} != {show(want)}"
 
 
 def _suite_theorem2(n_max: int) -> Report:
     report = Report("theorem2", n_max)
     for n in range(1, n_max + 1):
-        # the first failing k of each check, as a witness
-        slope = init = parity = None
-        for k in range(1, n + 1):
-            tau = dbw.debranges_poly(n, k)
-            lam = dbw.weinstein_poly(n, k)
-            slope = slope or _mismatch(n, k, series.time_derivative(tau), -k * lam)
-            init = init or _mismatch(n, k, tau(1), Fraction(n + 1 - k))
-            expected = Fraction(-k) if (n - k) % 2 == 0 else Fraction(0)
-            parity = parity or _mismatch(n, k, dbw.debranges_slope_at_zero(n, k), expected)
-        report.add("slope-identity", [n], slope is None, slope)
-        report.add("initial-value", [n], init is None, init)
-        report.add("slope-parity", [n], parity is None, parity)
+        ks = [(f"(n,k)=({n},{k})", k, dbw.debranges_poly(n, k)) for k in range(1, n + 1)]
+        slope = first_mismatch(
+            (at, series.time_derivative(tau), -k * dbw.weinstein_poly(n, k)) for at, k, tau in ks
+        )
+        init = first_mismatch((at, tau(1), n + 1 - k) for at, k, tau in ks)
+        parity = first_mismatch(
+            (at, dbw.debranges_slope_at_zero(n, k), -k if (n - k) % 2 == 0 else 0)
+            for at, k, tau in ks
+        )
+        report.add("slope-identity", [n], slope)
+        report.add("initial-value", [n], init)
+        report.add("slope-parity", [n], parity)
     series_max = min(n_max, 25)
     for k in range(1, series_max + 1):
-        witness = _coefficient_witness(
+        report.add("weinstein-series-vs-closed", [k], _coefficient_witness(
             dbw.weinstein_series(k, series_max + 1), dbw.weinstein_poly, k, series_max
-        )
-        report.add("weinstein-series-vs-closed", [k], witness is None, witness)
+        ))
     return report
 
 
 def _coefficient_witness(gen, closed, k: int, n_max: int) -> str | None:
     """None when the z^(n+1) coefficient of gen is closed(n, k) for every
     k <= n <= n_max, else the first failing n with both polynomials."""
-    for n in range(k, n_max + 1):
-        got, want = gen.coefficient(n + 1), closed(n, k)
-        if got != want:
-            return f"n={n}: {got} != {want}"
-    return None
+    return first_mismatch(
+        (f"n={n}", gen.coefficient(n + 1), closed(n, k)) for n in range(k, n_max + 1)
+    )
 
 
 def _suite_theorem3(n_max: int) -> Report:
     report = Report("theorem3", n_max)
     gen_max = min(n_max, 25)
     for k in range(1, gen_max + 1):
-        witness = _coefficient_witness(
+        report.add("generating-coefficients", [k], _coefficient_witness(
             dbw.debranges_generating_series(k, gen_max + 1), dbw.debranges_poly, k, gen_max
-        )
-        report.add("generating-coefficients", [k], witness is None, witness)
+        ))
     for k in range(1, min(4, n_max) + 1):
-        witness = dbw.explicit_generating_witness(k, 12, 8)
-        report.add("y-expansion", [k], witness is None, witness)
+        report.add("y-expansion", [k], dbw.explicit_generating_witness(k, 12, 8))
     return report
 
 
 def _suite_gegenbauer(n_max: int) -> Report:
     report = Report("gegenbauer", n_max)
     for n in range(2, min(n_max, 40) + 1):
-        witness = orthopoly.chain_gegenbauer_witness(n)
-        report.add("chain-difference", [n], witness is None, witness)
+        report.add("chain-difference", [n], orthopoly.chain_gegenbauer_witness(n))
     for n in range(2, min(n_max, 25) + 1):
-        witness = orthopoly.gegenbauer_expansion_witness(n)
-        report.add("expansion-at-one", [n], witness is None, witness)
+        report.add("expansion-at-one", [n], orthopoly.gegenbauer_expansion_witness(n))
     # the expansion genuinely fails at n = 1; the suite records that fact
     held = orthopoly.gegenbauer_expansion_witness(1) is None
-    report.add(
-        "expansion-at-one-fails-at-n1", [1], not held,
-        f"n=1: the expansion reproduces {orthopoly.gegenbauer_minus_half(1)}",
-    )
+    report.add("expansion-at-one-fails-at-n1", [1], (
+        f"n=1: the expansion reproduces {orthopoly.gegenbauer_minus_half(1)}" if held else None
+    ))
     return report
 
 
@@ -203,33 +172,26 @@ def _suite_hypergeometric(n_max: int) -> Report:
     y = Poly.variable("y")
     for n in range(1, min(n_max, 30) + 1):
         value = n * y * hypsum.pfq_terminating([1 - n, n + 1], [3], y)
-        want = lowner.chain_poly(n)
-        report.add(
-            "chain-2f1", [n], value == want,
-            None if value == want else f"n={n}: {value} != {want}",
-        )
+        report.add("chain-2f1", [n], first_mismatch([(f"n={n}", value, lowner.chain_poly(n))]))
     lam_max = min(n_max, 25)
     for n in range(1, lam_max + 1):
-        witness = None  # the first failing k
-        for k in range(1, n + 1):
-            scale = dbw.binomial(n + k + 1, n - k)
-            prefactor = Poly.monomial(scale, k, "y")
-            value = prefactor * hypsum.pfq_terminating(
-                [Fraction(2 * k + 1, 2), n + k + 2, k - n],
-                [Fraction(2 * k + 3, 2), 2 * k + 1],
-                y,
+        report.add("weinstein-3f2", [n], first_mismatch(
+            (
+                f"(n,k)=({n},{k})",
+                Poly.monomial(dbw.binomial(n + k + 1, n - k), k, "y") * hypsum.pfq_terminating(
+                    [Fraction(2 * k + 1, 2), n + k + 2, k - n], [Fraction(2 * k + 3, 2), 2 * k + 1],
+                    y,
+                ),
+                dbw.weinstein_poly(n, k),
             )
-            witness = witness or _mismatch(n, k, value, dbw.weinstein_poly(n, k))
-        report.add("weinstein-3f2", [n], witness is None, witness)
+            for k in range(1, n + 1)
+        ))
     x = Poly.variable("x")
     half_one_minus_x = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")
     for n in range(2, min(n_max, 25) + 1):
         value = (1 - x) * hypsum.pfq_terminating([1 - n, n], [2], half_one_minus_x)
         want = orthopoly.gegenbauer_minus_half(n)
-        report.add(
-            "gegenbauer-2f1", [n], value == want,
-            None if value == want else f"n={n}: {value} != {want}",
-        )
+        report.add("gegenbauer-2f1", [n], first_mismatch([(f"n={n}", value, want)]))
     return report
 
 
@@ -237,57 +199,43 @@ def _suite_gosper(n_max: int) -> Report:
     report = Report("gosper", n_max)
     for n in range(1, min(n_max, 10) + 1):
         for j in range(1, n + 1):
-            src = f"({n}+1-l) * binom(l+{j}-1, l-{j})"
-            term = hypsum.parse_term(src, "l")
+            term = hypsum.parse_term(f"({n}+1-l) * binom(l+{j}-1, l-{j})", "l")
             cert = hypsum.gosper(hypsum.term_ratio(term))
-            witness = _telescoping_witness(term, cert, j, n)
-            if witness is None:
-                total = hypsum.telescoped_sum(term, cert, j, n)
-                closed = Fraction(
-                    (j + n) * (n + 1 + j), 2 * j * (2 * j + 1)
-                ) * binomial(n + j - 1, n - j)
-                if total != closed or total != hypsum.weighted_binomial_sum(n, j):
-                    witness = f"sum {total} vs closed {closed}"
-            report.add("telescoping-certificate", [n, j], witness is None, witness)
+            closed = Fraction((j + n) * (n + 1 + j), 2 * j * (2 * j + 1))
+            closed *= binomial(n + j - 1, n - j)
+            witness = _telescoping_witness(term, cert, j, n) or first_mismatch([
+                ("telescoped sum", hypsum.telescoped_sum(term, cert, j, n), closed),
+                ("direct sum", hypsum.weighted_binomial_sum(n, j), closed),
+            ])
+            report.add("telescoping-certificate", [n, j], witness)
     arith = hypsum.parse_term("l", "l")
-    witness = _telescoping_witness(arith, hypsum.gosper(hypsum.term_ratio(arith)), 1, 20)
-    report.add("arithmetic-series", [], witness is None, witness)
+    report.add("arithmetic-series", [], _telescoping_witness(
+        arith, hypsum.gosper(hypsum.term_ratio(arith)), 1, 20
+    ))
     for id, src in (("factorial-not-summable", "fact(l)"),
                     ("inverse-factorial-not-summable", "1/fact(l)")):
         cert = hypsum.gosper(hypsum.term_ratio(hypsum.parse_term(src, "l")))
-        report.add(
-            id, [], cert is None, None if cert is None else f"unexpected R(l) = {cert.multiplier}"
-        )
+        report.add(id, [], cert and f"unexpected R(l) = {cert.multiplier}")
     return report
 
 
 def _telescoping_witness(term, cert, lo: int, hi: int) -> str | None:
-    """None when cert telescopes term on [lo, hi], else why not: there is no
-    cert, or R(l) has a pole in [lo-1, hi], or the first l where
-    s_l - s_(l-1) != b_l with both values, or else the symbolic identity."""
+    """hypsum.certificate_witness, or "not summable" when there is no cert."""
     if cert is None:
         return "not summable"
-    if hypsum.verify_certificate(term, cert, lo, hi):
-        return None
-    for l in range(lo - 1, hi + 1):
-        if cert.multiplier.den(l) == 0:
-            return f"pole of R(l) at l={l}"
-    for l in range(lo, hi + 1):
-        b = hypsum.term_value(term, l)
-        step = cert.multiplier(l) * b - cert.multiplier(l - 1) * hypsum.term_value(term, l - 1)
-        if step != b:
-            return f"l={l}: {format_rational(step)} != {format_rational(b)}"
-    return "R(l) - R(l-1)/r(l-1) != 1"
+    return hypsum.certificate_witness(term, cert, lo, hi)
+
+
+def _first_negative(scan) -> str | None:
+    """The first (n, x, value) of a sign scan as a witness, or None."""
+    return next((f"n={n}, x={x}: {value}" for n, x, value in scan), None)
 
 
 def _suite_positivity(n_max: int) -> Report:
     report = Report("positivity", n_max)
     grid = [Fraction(i, 10) for i in range(1, 10)]
     violations = dbw.positivity_scan(n_max, grid)
-    report.add(
-        "positivity-scan", [n_max], not violations,
-        None if not violations else "; ".join(str(v) for v in violations[:5]),
-    )
+    report.add("positivity-scan", [n_max], "; ".join(map(str, violations[:5])) or None)
     return report
 
 
@@ -297,19 +245,11 @@ def _suite_askey_gasper(n_max: int) -> Report:
     sum_max = min(n_max, 20)
     for k in range(0, 9):
         scan = orthopoly.askey_gasper_scan(sum_max, k, grid)
-        witness = None  # the first failing (n, x)
-        if scan:
-            n, x, value = scan[0]
-            witness = f"n={n}, x={format_rational(x)}: {format_rational(value)}"
-        report.add("jacobi-partial-sums", [k], witness is None, witness)
+        report.add("jacobi-partial-sums", [k], _first_negative(scan))
     scan = orthopoly.gegenbauer_partial_sum_scan(sum_max, grid)
-    report.add(
-        "sqrt-coefficient-positivity", [sum_max], not scan,
-        None if not scan else str(scan[0]),
-    )
+    report.add("sqrt-coefficient-positivity", [sum_max], _first_negative(scan))
     for k in range(1, min(3, n_max) + 1):
-        witness = dbw.jacobi_decomposition_witness(k, 12)
-        report.add("jacobi-decomposition", [k], witness is None, witness)
+        report.add("jacobi-decomposition", [k], dbw.jacobi_decomposition_witness(k, 12))
     return report
 
 
@@ -333,7 +273,7 @@ def run_suite(name: str, n_max: int) -> Report:
             sub = _SUITES[suite_name](n_max)
             for check in sub.checks:
                 combined.checks.append(
-                    Check(f"{suite_name}/{check.id}", check.indices, check.ok, check.witness)
+                    Check(f"{suite_name}/{check.id}", check.indices, check.witness)
                 )
         return combined
     return _SUITES[name](n_max)
@@ -450,6 +390,14 @@ TABLE_N_LIMIT = 100
 # Python 3.11).
 VERIFY_N_LIMIT = 100
 
+# The largest |LO| and |HI| of `gosper --range`: a cold call at l = 10^5 took
+# 0.4 s for fact(l) and 0.9 s for binom(2*l,l); l*fact(l) at 10^6 took 8 s.
+GOSPER_RANGE_LIMIT = 100_000
+
+# The most terms `gosper --range` sums one by one: from l = 1, 2000 took 0.4 s
+# for fact(l) and 0.75 s for binom(2*l,l) (cold CLI; 2 CPUs, Python 3.11).
+GOSPER_TERMS_LIMIT = 2000
+
 
 def cmd_eval(args, error) -> int:
     """Run `eval`; error(message) reports a usage error and exits 2."""
@@ -495,6 +443,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("range bounds must be integers") from exc
     if hi_i < lo_i:
         raise argparse.ArgumentTypeError("range upper bound below lower bound")
+    if max(-lo_i, hi_i) > GOSPER_RANGE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"range bounds must lie within -{GOSPER_RANGE_LIMIT}..{GOSPER_RANGE_LIMIT}"
+        )
     return lo_i, hi_i
 
 
@@ -518,7 +470,7 @@ def cmd_gosper(args) -> int:
         lo, hi = args.range
         try:
             total = _range_sum(term, certificate, lo, hi)
-        except (ValueError, ZeroDivisionError) as exc:  # undefined
+        except (ValueError, ZeroDivisionError) as exc:  # undefined, or over the limit
             sys.stderr.write(f"error: {exc}\n")
             return 2
         try:
@@ -537,14 +489,31 @@ def _too_long_to_print() -> int:
 
 
 def _range_sum(term, certificate, lo: int, hi: int) -> Fraction:
-    """The sum over lo..hi: telescoped by the certificate where R(l) b_l is
-    defined at l = lo - 1 and l = hi, else term by term."""
-    if certificate is not None:
+    """The sum over lo..hi: telescoped by the certificate as s_hi - s_m,
+    s_l = R(l) b_l, from the first m >= lo - 1 where s_m is defined, with
+    the terms lo..m summed one by one; every term one by one when there is
+    no certificate, no such m or no s_hi.  Raises ValueError for more than
+    GOSPER_TERMS_LIMIT terms one by one."""
+    low = certificate and _antidifference(term, certificate, range(lo - 1, hi + 1))
+    high = low and _antidifference(term, certificate, [hi])
+    singles = range(lo, hi + 1 if high is None else low[0] + 1)
+    if len(singles) > GOSPER_TERMS_LIMIT:
+        raise ValueError(
+            f"the sum needs {len(singles)} terms one by one, over the limit of {GOSPER_TERMS_LIMIT}"
+        )
+    total = sum((hypsum.term_value(term, l) for l in singles), Fraction(0))
+    return total if high is None else total + high[1] - low[1]
+
+
+def _antidifference(term, certificate, ls) -> tuple[int, Fraction] | None:
+    """The first l of ls, among at most GOSPER_TERMS_LIMIT + 1, where
+    s_l = R(l) b_l is defined, with s_l; None when there is none."""
+    for l in itertools.islice(ls, GOSPER_TERMS_LIMIT + 1):
         try:
-            return hypsum.telescoped_sum(term, certificate, lo, hi)
-        except (ValueError, ZeroDivisionError):
+            return l, certificate.multiplier(l) * hypsum.term_value(term, l)
+        except (ValueError, ZeroDivisionError):  # a pole of R or an undefined term
             pass
-    return sum((hypsum.term_value(term, l) for l in range(lo, hi + 1)), Fraction(0))
+    return None
 
 
 # ---------------------------------------------------------------------------

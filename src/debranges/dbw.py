@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import EvalGrid, Poly, Scalar, _make, binomial, format_rational
+from .exact import EvalGrid, Poly, Scalar, _make, binomial, first_mismatch, format_rational
 from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
 
@@ -162,14 +162,12 @@ def explicit_generating_witness(k: int, order: int, j_max: int) -> str | None:
     if j_max > order:
         raise ValueError("j_max cannot exceed the series order")
     gen = debranges_generating_series(k, order)
-    for j in range(j_max + 1):
-        sign = -1 if (j + k) % 2 else 1
-        factor = Fraction(sign * 2 * k, j + k) * binomial(2 * j - 1, j - k)
-        for n, c in enumerate(gen.coeffs):
-            got, want = c.coeff(j), factor * binomial(n + j, 2 * j + 1)
-            if got != want:
-                return f"y^{j} z^{n}: {format_rational(got)} != {format_rational(want)}"
-    return None
+    return first_mismatch(
+        (f"y^{j} z^{n}", c.coeff(j), factor * binomial(n + j, 2 * j + 1))
+        for j in range(j_max + 1)
+        for factor in [Fraction((-1) ** (j + k) * 2 * k, j + k) * binomial(2 * j - 1, j - k)]
+        for n, c in enumerate(gen.coeffs)
+    )
 
 
 def jacobi_decomposition_check(k: int, order: int) -> bool:
@@ -195,10 +193,9 @@ def jacobi_decomposition_witness(k: int, order: int) -> str | None:
     product = ZSeries(jac) * ZSeries(geg)
     rhs = (product * Poly.monomial(1, k, "y")).shift_up(k + 1)
     gen = debranges_generating_series(k, order)
-    for n, (got, want) in enumerate(zip(gen.coeffs, rhs.coeffs)):
-        if got != want:
-            return f"z^{n}: {got} != {want}"
-    return None
+    return first_mismatch(
+        (f"z^{n}", got, want) for n, (got, want) in enumerate(zip(gen.coeffs, rhs.coeffs))
+    )
 
 
 def milin_functional(d: Sequence[Scalar], n: int) -> Fraction:

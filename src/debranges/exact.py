@@ -62,6 +62,16 @@ def format_rational(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def first_mismatch(cases: Iterable[tuple[str, object, object]]) -> str | None:
+    """The witness "where: got != want" of the first (where, got, want) case
+    whose values differ, or None; str writes a Fraction as format_rational
+    does.  A generator of cases is read only up to the first failure."""
+    for where, got, want in cases:
+        if got != want:
+            return f"{where}: {got} != {want}"
+    return None
+
+
 def _ratio(value: Scalar) -> tuple[int, int]:
     """Numerator and positive denominator of an exact scalar."""
     if isinstance(value, int):

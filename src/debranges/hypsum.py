@@ -38,7 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import Poly, RationalFunction, Scalar, _make, _ratio, binomial, pochhammer
+from .exact import (
+    Poly, RationalFunction, Scalar, _make, _ratio, binomial, first_mismatch, pochhammer
+)
 
 
 class TermSyntaxError(ValueError):
@@ -842,17 +844,32 @@ def telescoped_sum(
     return s_hi - s_below
 
 
+def certificate_witness(
+    term: HypTerm, certificate: GosperCertificate, lo: int, hi: int
+) -> str | None:
+    """None when the certificate telescopes the term on [lo, hi], else why
+    not: the first pole of R(l) in [lo-1, hi], or the first l where
+    s_l - s_(l-1) != b_l (s_l = R(l) b_l, exact rationals) with both
+    values, or else the symbolic identity R(l) - R(l-1)/r(l-1) = 1."""
+    v, values, s = term.var, {}, {}
+    for l in range(lo - 1, hi + 1):
+        try:
+            r = certificate.multiplier(l)
+        except ZeroDivisionError:
+            return f"pole of R({v}) at {v}={l}"
+        values[l] = term_value(term, l)
+        s[l] = r * values[l]
+    witness = first_mismatch((f"{v}={l}", s[l] - s[l - 1], values[l]) for l in range(lo, hi + 1))
+    if witness is None and not certificate.verify_symbolic():
+        return f"R({v}) - R({v}-1)/r({v}-1) != 1"
+    return witness
+
+
 def verify_certificate(
     term: HypTerm, certificate: GosperCertificate, lo: int, hi: int
 ) -> bool:
-    """True iff the certificate telescopes the term numerically on
-    [lo, hi] (s_l - s_{l-1} = b_l with exact rationals) and the symbolic
-    identity R(l) - R(l-1)/r(l-1) = 1 holds."""
-    if not certificate.verify_symbolic():
-        return False
-    values = {l: term_value(term, l) for l in range(lo - 1, hi + 1)}
-    s = {l: certificate.multiplier(l) * values[l] for l in range(lo - 1, hi + 1)}
-    return all(s[l] - s[l - 1] == values[l] for l in range(lo, hi + 1))
+    """True when certificate_witness finds no failure."""
+    return certificate_witness(term, certificate, lo, hi) is None
 
 
 def weighted_binomial_sum(n: int, j: int) -> Fraction:

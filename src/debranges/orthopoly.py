@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import EvalGrid, Poly, Scalar, _make, binomial, pochhammer
+from .exact import EvalGrid, Poly, Scalar, _make, binomial, first_mismatch, pochhammer
 from . import lowner
 
 
@@ -83,8 +83,7 @@ def gegenbauer_expansion_witness(n: int) -> str | None:
         for j in range(n)
     ]
     got = Poly(coeffs, "t").subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")  # t = (1 - x)/2
-    want = gegenbauer_minus_half(n)
-    return None if got == want else f"n={n}: {got} != {want}"
+    return first_mismatch([(f"n={n}", got, gegenbauer_minus_half(n))])
 
 
 def chain_gegenbauer_check(n: int) -> bool:
@@ -106,8 +105,7 @@ def chain_gegenbauer_witness(n: int) -> str | None:
     quotient, remainder = diff.divmod(Poly([-1, 1], "x"))
     if not remainder.is_zero():
         return f"n={n}: remainder {remainder} != 0"
-    got, want = to_y(quotient), lowner.chain_poly(n)
-    return None if got == want else f"n={n}: {got} != {want}"
+    return first_mismatch([(f"n={n}", to_y(quotient), lowner.chain_poly(n))])
 
 
 @lru_cache(maxsize=None)
@@ -165,15 +163,20 @@ def jacobi_partial_sum_poly(n: int, alpha: Scalar) -> Poly:
     return _jacobi_partial_sum(n - 1, alpha) + jacobi_poly(n, alpha)
 
 
-# the recursion's own handle on the memo, which a patched module name leaves alone
-_jacobi_partial_sum = jacobi_partial_sum_poly
-
-
 @lru_cache(maxsize=None)
 def gegenbauer_partial_sum_poly(n: int) -> Poly:
     """sum_{j=0..n} C_j^(-1/2) as an exact polynomial in x: the z^n Taylor
-    coefficient of sqrt(1 - 2xz + z^2) / (1 - z)."""
-    return sum((gegenbauer_minus_half(j) for j in range(n + 1)), Poly.zero("x"))
+    coefficient of sqrt(1 - 2xz + z^2) / (1 - z), the cached sum to n - 1
+    plus C_n."""
+    if n < 0:
+        return Poly.zero("x")
+    for m in range(n - 1):  # fill the cache upward, so the depth stays constant
+        _gegenbauer_partial_sum(m)
+    return _gegenbauer_partial_sum(n - 1) + gegenbauer_minus_half(n)
+
+
+# the recursions' own handles on their memos, which patched module names leave alone
+_jacobi_partial_sum, _gegenbauer_partial_sum = jacobi_partial_sum_poly, gegenbauer_partial_sum_poly
 
 
 def _in_interval(x: Scalar) -> Fraction:

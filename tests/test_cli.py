@@ -287,7 +287,7 @@ class TestVerify:
     def test_failure_exits_1(self, capsys, monkeypatch):
         def broken(n_max):
             report = cli.Report("lowner", n_max)
-            report.add("synthetic", [1], False, "forced failure")
+            report.add("synthetic", [1], "forced failure")
             return report
 
         monkeypatch.setitem(cli._SUITES, "lowner", broken)
@@ -296,6 +296,27 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is False
         assert payload["checks"][0]["witness"] == "forced failure"
+
+    def test_a_check_passes_exactly_when_it_has_no_witness(self, capsys, monkeypatch):
+        def mixed(n_max):
+            report = cli.Report("lowner", n_max)
+            report.add("held", [1], None)
+            report.add("failed", [2], "n=2: 1 != 0")
+            report.add("held", [3], None)
+            return report
+
+        monkeypatch.setitem(cli._SUITES, "lowner", mixed)
+        code, out, _ = run(capsys, "verify", "lowner", "--n", "3")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [(c["pass"], c["witness"]) for c in checks] == [
+            (True, None), (False, "n=2: 1 != 0"), (True, None)
+        ]
+        code, out, _ = run(capsys, "verify", "lowner", "--n", "3", "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "held,1,true,", "failed,2,false,n=2: 1 != 0", "held,3,true,"
+        ]
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -606,6 +627,8 @@ class TestGosper:
              ["R(l) = (1/3*l^2 - 4*l - 13/3) / (l - 9)", "sum[2..9] = 112"]),
             # the term is undefined at l = lo - 1 = -1
             ("l*fact(l)", "0..3", ["R(l) = (l + 1) / (l)", "sum[0..3] = 23"]),
+            # R(l) has its pole at l = lo - 1 = 0: sum_(l=1..5) l*l! = 6! - 1
+            ("l*fact(l)", "1..5", ["R(l) = (l + 1) / (l)", "sum[1..5] = 719"]),
         ],
     )
     def test_undefined_range_end_sums_directly(self, capsys, term, span, lines):
@@ -677,6 +700,48 @@ class TestGosper:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == f"error: column 3: constant {what} of more than 20000 bits\n"
+
+    def test_long_range_after_a_pole_evaluates_few_terms(self, capsys, monkeypatch):
+        real, calls = hypsum.term_value, []
+
+        def counted(term, l):
+            calls.append(l)
+            return real(term, l)
+
+        monkeypatch.setattr(hypsum, "term_value", counted)
+        code, out, err = run(capsys, "gosper", "l*fact(l)", "--var", "l", "--range", "1..20000")
+        assert code == 2 and out == "R(l) = (l + 1) / (l)\n"
+        assert err == f"error: result has an integer of more than {sys.get_int_max_str_digits()} digits\n"
+        assert sorted(calls) == [1, 1, 20000]  # R(0) is a pole, so b_0 is never needed
+
+    @pytest.mark.parametrize("span", ["1..100001", "-100001..5", "3..10000000000000000000"])
+    def test_range_end_over_the_limit_exits_2_before_any_term(self, capsys, monkeypatch, span):
+        def refuse(*args):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(hypsum, "term_value", refuse)
+        monkeypatch.setattr(hypsum, "parse_term", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["gosper", "fact(l)", "--var", "l", f"--range={span}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: debranges gosper")
+        assert f"range bounds must lie within -{cli.GOSPER_RANGE_LIMIT}..{cli.GOSPER_RANGE_LIMIT}" in err
+
+    def test_range_end_at_the_limit_is_summed(self, capsys):
+        n = cli.GOSPER_RANGE_LIMIT
+        code, out, err = run(capsys, "gosper", "l", "--var", "l", f"--range=-{n}..{n}")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"sum[-{n}..{n}] = 0"
+
+    def test_too_many_terms_one_by_one_exits_2_before_summing(self, capsys, monkeypatch):
+        limit = cli.GOSPER_TERMS_LIMIT
+        code, out, _ = run(capsys, "gosper", "1/(l+1)", "--var", "l", "--range", f"1..{limit}")
+        assert code == 0 and out.startswith("NOT GOSPER-SUMMABLE\nsum[")
+        monkeypatch.setattr(hypsum, "term_value", None)  # never called
+        code, out, err = run(capsys, "gosper", "fact(l)", "--var", "l", "--range", f"1..{limit + 1}")
+        assert (code, out) == (2, "NOT GOSPER-SUMMABLE\n")
+        assert err == f"error: the sum needs {limit + 1} terms one by one, over the limit of {limit}\n"
 
     def test_range_sum_too_long_to_print_exits_2(self, capsys):
         code, out, err = run(capsys, "gosper", "2^(10000*l)", "--var", "l", "--range", "0..2")

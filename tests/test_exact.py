@@ -12,6 +12,7 @@ from debranges.exact import (
     Poly,
     RationalFunction,
     binomial,
+    first_mismatch,
     format_rational,
     pochhammer,
 )
@@ -44,6 +45,32 @@ class TestRationalScalar:
         assert format_rational(Fraction(3, 4)) == "3/4"
         assert format_rational(Fraction(8, 4)) == "2"
         assert format_rational(Fraction(-5, 10)) == "-1/2"
+
+
+class TestFirstMismatch:
+    def test_renders_rationals_as_p_over_q_and_polys_through_str(self):
+        assert first_mismatch([("n=2", Fraction(-59, 3), -20)]) == "n=2: -59/3 != -20"
+        assert first_mismatch([("k=1", 6, Fraction(6, 2) + 1)]) == "k=1: 6 != 4"
+        got, want = Poly([0, 2, -3], "y"), Poly([0, 1], "y")
+        assert first_mismatch([("z^4", got, want)]) == f"z^4: {got} != {want}"
+        assert first_mismatch([("z^4", got, want)]) == "z^4: -3*y^2 + 2*y != y"
+
+    def test_none_when_every_case_agrees(self):
+        assert first_mismatch([]) is None
+        cases = [("a", Fraction(1, 2), Fraction(2, 4)), ("b", Poly([1], "x"), 1)]
+        assert first_mismatch(cases) is None
+
+    def test_names_the_first_failure_and_stops_there(self):
+        seen = []
+
+        def cases():
+            for i in range(10):
+                seen.append(i)
+                yield f"i={i}", i * i, 2 * i
+
+        # i = 0 agrees and i = 1 is the first case that does not
+        assert first_mismatch(cases()) == "i=1: 1 != 2"
+        assert seen == [0, 1]
 
 
 class TestPoly:

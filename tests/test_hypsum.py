@@ -21,6 +21,7 @@ from debranges.hypsum import (
     LinearFactor,
     TermSemanticError,
     TermSyntaxError,
+    certificate_witness,
     gosper,
     parse_term,
     pfq_terminating,
@@ -541,6 +542,36 @@ class TestGosper:
         bad = GosperCertificate(cert.ratio, RationalFunction(n + d, d))
         assert not bad.verify_symbolic()
         assert not verify_certificate(term, bad, 1, 10)
+
+    def test_pole_of_the_multiplier_is_a_witness_not_an_exception(self):
+        # R = (l + 1)/l telescopes l*l! with s_l = (l+1)!, but R has its pole
+        # at l = 0 = lo - 1, where s_0 = R(0) * 0 is undefined
+        term = parse_term("l*fact(l)", "l")
+        cert = gosper(term_ratio(term))
+        assert cert.multiplier == RationalFunction(Poly([1, 1], "l"), Poly([0, 1], "l"))
+        assert not verify_certificate(term, cert, 1, 5)
+        assert certificate_witness(term, cert, 1, 5) == "pole of R(l) at l=0"
+        assert verify_certificate(term, cert, 2, 5)
+        assert certificate_witness(term, cert, 2, 5) is None
+
+    def test_witnesses_under_fault_injection(self):
+        term = parse_term("l", "l")
+        cert = gosper(term_ratio(term))  # R(l) = (l + 1)/2
+        l = Poly.variable("l")
+        n, d = cert.multiplier.num, cert.multiplier.den
+        # a pole inside the range names its first l
+        pole = GosperCertificate(cert.ratio, RationalFunction(n, d * (l - 3) * (l - 5)))
+        assert certificate_witness(term, pole, 1, 10) == "pole of R(l) at l=3"
+        # 2R gives s_l = l (l + 1): s_1 - s_0 = 2 against b_1 = 1
+        doubled = GosperCertificate(cert.ratio, RationalFunction(2 * n, d))
+        assert certificate_witness(term, doubled, 1, 10) == "l=1: 2 != 1"
+        assert certificate_witness(term, doubled, 4, 10) == "l=4: 8 != 4"
+        # a wrong quotient r leaves every step right and the identity wrong
+        wrong_ratio = GosperCertificate(RationalFunction(l + 2, l), cert.multiplier)
+        assert not wrong_ratio.verify_symbolic()
+        assert certificate_witness(term, wrong_ratio, 1, 10) == "R(l) - R(l-1)/r(l-1) != 1"
+        assert not verify_certificate(term, wrong_ratio, 1, 10)
+        assert certificate_witness(term, cert, 1, 10) is None
 
     def test_symbolic_check_matches_rational_function_route(self):
         # the cross-multiplied identity against R(l) - R(l-1)/r(l-1) = 1 at

@@ -277,6 +277,19 @@ class TestSqrtCoefficientPositivity:
         grid = [Fraction(i, 10) for i in range(-10, 11)]
         assert gegenbauer_partial_sum_scan(12, grid) == []
 
+    def test_each_partial_sum_is_the_last_plus_one_term(self, monkeypatch):
+        orthopoly.gegenbauer_partial_sum_poly.cache_clear()
+        direct = [
+            sum((gegenbauer_minus_half(j) for j in range(n + 1)), Poly.zero("x"))
+            for n in range(31)
+        ]
+        # the recursion reads its own memo, not the module name
+        monkeypatch.setattr(orthopoly, "gegenbauer_partial_sum_poly", None)
+        assert orthopoly._gegenbauer_partial_sum(30) == direct[30]
+        assert [orthopoly._gegenbauer_partial_sum(n) for n in range(31)] == direct
+        assert orthopoly._gegenbauer_partial_sum.cache_info().misses == 32  # n = -1 .. 30
+        assert orthopoly._gegenbauer_partial_sum(-1) == Poly.zero("x")
+
     def test_partial_sums_match_series_quotient(self):
         # coefficients of sqrt(1 - 2xz + z^2)/(1 - z) are the partial sums
         order = 10
