@@ -18,7 +18,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -203,13 +202,13 @@ def _suite_gosper(n_max: int) -> Report:
             cert = hypsum.gosper(hypsum.term_ratio(term))
             closed = Fraction((j + n) * (n + 1 + j), 2 * j * (2 * j + 1))
             closed *= binomial(n + j - 1, n - j)
-            witness = _telescoping_witness(term, cert, j, n) or first_mismatch([
+            witness = hypsum.certificate_witness(term, cert, j, n) or first_mismatch([
                 ("telescoped sum", hypsum.telescoped_sum(term, cert, j, n), closed),
                 ("direct sum", hypsum.weighted_binomial_sum(n, j), closed),
             ])
             report.add("telescoping-certificate", [n, j], witness)
     arith = hypsum.parse_term("l", "l")
-    report.add("arithmetic-series", [], _telescoping_witness(
+    report.add("arithmetic-series", [], hypsum.certificate_witness(
         arith, hypsum.gosper(hypsum.term_ratio(arith)), 1, 20
     ))
     for id, src in (("factorial-not-summable", "fact(l)"),
@@ -217,13 +216,6 @@ def _suite_gosper(n_max: int) -> Report:
         cert = hypsum.gosper(hypsum.term_ratio(hypsum.parse_term(src, "l")))
         report.add(id, [], cert and f"unexpected R(l) = {cert.multiplier}")
     return report
-
-
-def _telescoping_witness(term, cert, lo: int, hi: int) -> str | None:
-    """hypsum.certificate_witness, or "not summable" when there is no cert."""
-    if cert is None:
-        return "not summable"
-    return hypsum.certificate_witness(term, cert, lo, hi)
 
 
 def _first_negative(scan) -> str | None:
@@ -394,10 +386,6 @@ VERIFY_N_LIMIT = 100
 # 0.4 s for fact(l) and 0.9 s for binom(2*l,l); l*fact(l) at 10^6 took 8 s.
 GOSPER_RANGE_LIMIT = 100_000
 
-# The most terms `gosper --range` sums one by one: from l = 1, 2000 took 0.4 s
-# for fact(l) and 0.75 s for binom(2*l,l) (cold CLI; 2 CPUs, Python 3.11).
-GOSPER_TERMS_LIMIT = 2000
-
 
 def cmd_eval(args, error) -> int:
     """Run `eval`; error(message) reports a usage error and exits 2."""
@@ -454,7 +442,7 @@ def cmd_gosper(args) -> int:
     try:
         term = hypsum.parse_term(args.term, args.var)
         certificate = hypsum.gosper(hypsum.term_ratio(term))
-    except (hypsum.TermSyntaxError, hypsum.TermSemanticError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if certificate is None:
@@ -469,7 +457,7 @@ def cmd_gosper(args) -> int:
     if args.range is not None:
         lo, hi = args.range
         try:
-            total = _range_sum(term, certificate, lo, hi)
+            total = hypsum.telescoped_sum(term, certificate, lo, hi)
         except (ValueError, ZeroDivisionError) as exc:  # undefined, or over the limit
             sys.stderr.write(f"error: {exc}\n")
             return 2
@@ -486,34 +474,6 @@ def _too_long_to_print() -> int:
     limit = sys.get_int_max_str_digits()
     sys.stderr.write(f"error: result has an integer of more than {limit} digits\n")
     return 2
-
-
-def _range_sum(term, certificate, lo: int, hi: int) -> Fraction:
-    """The sum over lo..hi: telescoped by the certificate as s_hi - s_m,
-    s_l = R(l) b_l, from the first m >= lo - 1 where s_m is defined, with
-    the terms lo..m summed one by one; every term one by one when there is
-    no certificate, no such m or no s_hi.  Raises ValueError for more than
-    GOSPER_TERMS_LIMIT terms one by one."""
-    low = certificate and _antidifference(term, certificate, range(lo - 1, hi + 1))
-    high = low and _antidifference(term, certificate, [hi])
-    singles = range(lo, hi + 1 if high is None else low[0] + 1)
-    if len(singles) > GOSPER_TERMS_LIMIT:
-        raise ValueError(
-            f"the sum needs {len(singles)} terms one by one, over the limit of {GOSPER_TERMS_LIMIT}"
-        )
-    total = sum((hypsum.term_value(term, l) for l in singles), Fraction(0))
-    return total if high is None else total + high[1] - low[1]
-
-
-def _antidifference(term, certificate, ls) -> tuple[int, Fraction] | None:
-    """The first l of ls, among at most GOSPER_TERMS_LIMIT + 1, where
-    s_l = R(l) b_l is defined, with s_l; None when there is none."""
-    for l in itertools.islice(ls, GOSPER_TERMS_LIMIT + 1):
-        try:
-            return l, certificate.multiplier(l) * hypsum.term_value(term, l)
-        except (ValueError, ZeroDivisionError):  # a pole of R or an undefined term
-            pass
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +543,20 @@ def _check_n(args, limit: int) -> None:
         args.usage_error(f"--n {args.n} is over the limit of {limit}")
 
 
+# Options whose value may start with "-", as a negative LO, y or t does:
+# argparse reads such a value as an option unless it looks like -5 or -0.5,
+# so main glues a value with one leading "-" to its option as --opt=VALUE.
+_SIGNED_OPTIONS = ("--range", "--y", "--t")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    glued: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if glued and glued[-1] in _SIGNED_OPTIONS and arg.startswith("-") and arg[1:2] != "-":
+            glued[-1] += "=" + arg
+        else:
+            glued.append(arg)
+    args = _parser().parse_args(glued)
     if args.command == "table":
         _check_n(args, TABLE_N_LIMIT)
         return cmd_table(args)

@@ -130,6 +130,21 @@ class TestEval:
         exact = lowner.chain_poly(40)(Fraction(math.exp(-0.001)))
         assert float(out) == float(exact) == 0.0007748081369449619
 
+    @pytest.mark.parametrize("option, value", [("--y", "-1/2"), ("--t", "-1e-3")])
+    def test_value_starting_with_minus_reaches_its_option(self, capsys, option, value):
+        # argparse alone reads -1/2 and -1e-3 as options: "expected one argument"
+        glued = run(capsys, "eval", "A", "--n", "3", f"{option}={value}")
+        assert run(capsys, "eval", "A", "--n", "3", option, value) == glued
+        assert glued[0] == 0 and glued[2] == ""
+        if option == "--y":
+            assert glued[1] == "-33/8\n"
+
+    def test_missing_value_before_an_option_keeps_its_message(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "A", "--n", "3", "--y", "--t", "1"])
+        assert excinfo.value.code == 2
+        assert "argument --y: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", [["A", "--n", "3"], ["W", "--k", "1", "--order", "4"]])
     def test_nonfinite_time_point_exits_2(self, capsys, kind):
         with pytest.raises(SystemExit) as excinfo:
@@ -728,6 +743,10 @@ class TestGosper:
         assert err.startswith("usage: debranges gosper")
         assert f"range bounds must lie within -{cli.GOSPER_RANGE_LIMIT}..{cli.GOSPER_RANGE_LIMIT}" in err
 
+    def test_range_with_a_negative_lo(self, capsys):
+        code, out, err = run(capsys, "gosper", "l", "--var", "l", "--range", "-5..5")
+        assert (code, out, err) == (0, "R(l) = (1/2*l + 1/2) / (1)\nsum[-5..5] = 0\n", "")
+
     def test_range_end_at_the_limit_is_summed(self, capsys):
         n = cli.GOSPER_RANGE_LIMIT
         code, out, err = run(capsys, "gosper", "l", "--var", "l", f"--range=-{n}..{n}")
@@ -735,7 +754,7 @@ class TestGosper:
         assert out.splitlines()[1] == f"sum[-{n}..{n}] = 0"
 
     def test_too_many_terms_one_by_one_exits_2_before_summing(self, capsys, monkeypatch):
-        limit = cli.GOSPER_TERMS_LIMIT
+        limit = hypsum.GOSPER_TERMS_LIMIT
         code, out, _ = run(capsys, "gosper", "1/(l+1)", "--var", "l", "--range", f"1..{limit}")
         assert code == 0 and out.startswith("NOT GOSPER-SUMMABLE\nsum[")
         monkeypatch.setattr(hypsum, "term_value", None)  # never called

@@ -646,6 +646,63 @@ class TestGosper:
         assert gosper_sum(sympy.factorial(l), (l, 0, sympy.abc.n)) is None
 
 
+# terms for the range-sum differential test: R = (l+1)/l has its pole at 0,
+# where l*fact(l) vanishes; binom(l,3) is zero for every l < 3;
+# 1/(l*(l+1)) is undefined at -1 and 0; R has its pole at 9, where
+# (9-l)*binom(l,l-1) vanishes; fact(l) is not summable
+RANGE_TERMS = ["l*fact(l)", "binom(l,3)", "1/(l*(l+1))", "(9-l)*binom(l,l-1)", "fact(l)"]
+
+
+def _direct_sum(term, lo, hi):
+    """sum_{l=lo..hi} b_l term by term, or None when a term is undefined."""
+    try:
+        return sum((term_value(term, l) for l in range(lo, hi + 1)), Fraction(0))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+class TestTelescopedSum:
+    def test_telescopes_past_a_pole_of_the_multiplier(self):
+        # s_0 = R(0) * 0 is undefined at lo - 1 = 0, so the sum starts from
+        # s_1 = 2 and b_1 = 1 is summed by itself: 1 + (720 - 2) = 6! - 1
+        term = parse_term("l*fact(l)", "l")
+        cert = gosper(term_ratio(term))
+        assert telescoped_sum(term, cert, 1, 5) == 719
+
+    def test_without_a_certificate_sums_term_by_term(self, monkeypatch):
+        term = parse_term("fact(l)", "l")
+        assert telescoped_sum(term, None, 0, 4) == 1 + 1 + 2 + 6 + 24
+        calls = []
+        monkeypatch.setattr(hypsum, "term_value", lambda t, l: calls.append(l) or Fraction(1))
+        assert telescoped_sum(term, None, -2, 2) == 5 and calls == [-2, -1, 0, 1, 2]
+
+    def test_empty_range_and_too_many_terms_raise(self):
+        term = parse_term("fact(l)", "l")
+        with pytest.raises(ValueError, match="empty summation range"):
+            telescoped_sum(term, None, 3, 2)
+        limit = hypsum.GOSPER_TERMS_LIMIT
+        with pytest.raises(ValueError, match=f"needs {limit + 1} terms one by one"):
+            telescoped_sum(term, None, 1, limit + 1)
+
+    def test_no_certificate_is_a_witness(self):
+        term = parse_term("fact(l)", "l")
+        assert certificate_witness(term, None, 1, 5) == "not summable"
+        assert not verify_certificate(term, None, 1, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(RANGE_TERMS), st.integers(-8, 12), st.integers(0, 14))
+    @example("l*fact(l)", 1, 4)
+    @example("binom(l,3)", -5, 15)
+    @example("1/(l*(l+1))", 1, 10)
+    @example("(9-l)*binom(l,l-1)", 2, 7)
+    def test_matches_the_direct_sum(self, src, lo, width):
+        term = parse_term(src, "l")
+        want = _direct_sum(term, lo, lo + width)
+        if want is None:  # a term of the range is undefined
+            return
+        assert telescoped_sum(term, gosper(term_ratio(term)), lo, lo + width) == want
+
+
 # small integers, and small rationals to exercise the common denominator
 # and the lead / gcd scaling of the integer solver
 small = st.integers(-3, 3) | st.fractions(
