@@ -346,23 +346,6 @@ def _at_time(p: Poly, t: float) -> str:
         raise ValueError(f"y or the value at t = {t} is not a finite binary64 number") from None
 
 
-def _eval_target(args, error) -> Poly | None:
-    kind = args.kind
-    if kind in ("A", "tau", "lambda"):
-        if args.n is None:
-            error(f"eval {kind} requires --n")
-        if args.n > EVAL_N_LIMIT:
-            error(f"--n {args.n} is over the limit of {EVAL_N_LIMIT}")
-        if kind == "A":
-            return lowner.chain_poly(args.n)
-        if args.k is None:
-            error(f"eval {kind} requires --k")
-        if kind == "tau":
-            return dbw.debranges_poly(args.n, args.k)
-        return dbw.weinstein_poly(args.n, args.k)
-    return None
-
-
 # The largest --order that `eval W|B` takes.  The slowest lone cold call of
 # W_1, W_2, W_(N/2), W_(N-1), B_(N/2) and B_(N-1) took 0.025 s at order 30,
 # 0.97 s at 60 and 5.0 s at 80, near order^5.5 (in process; 2 CPUs, Python 3.11).
@@ -389,8 +372,20 @@ GOSPER_RANGE_LIMIT = 100_000
 
 def cmd_eval(args, error) -> int:
     """Run `eval`; error(message) reports a usage error and exits 2."""
-    if args.kind in ("A", "tau", "lambda"):
-        poly = _eval_target(args, error)
+    kind = args.kind
+    if kind in ("A", "tau", "lambda"):
+        if args.n is None:
+            error(f"eval {kind} requires --n")
+        if args.n > EVAL_N_LIMIT:
+            error(f"--n {args.n} is over the limit of {EVAL_N_LIMIT}")
+        if kind == "A":
+            poly = lowner.chain_poly(args.n)
+        elif args.k is None:
+            error(f"eval {kind} requires --k")
+        elif kind == "tau":
+            poly = dbw.debranges_poly(args.n, args.k)
+        else:
+            poly = dbw.weinstein_poly(args.n, args.k)
         if args.y is not None:
             sys.stdout.write(format_rational(poly(args.y)) + "\n")
         else:
@@ -398,10 +393,10 @@ def cmd_eval(args, error) -> int:
         return 0
     # series kinds: W and B
     if args.k is None or args.order is None:
-        error(f"eval {args.kind} requires --k and --order")
+        error(f"eval {kind} requires --k and --order")
     if args.order > SERIES_ORDER_LIMIT:
         error(f"--order {args.order} is over the limit of {SERIES_ORDER_LIMIT}")
-    if args.kind == "W":
+    if kind == "W":
         zs = dbw.weinstein_series(args.k, args.order)
     else:
         zs = dbw.debranges_generating_series(args.k, args.order)
@@ -484,12 +479,13 @@ def _too_long_to_print() -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="debranges",
+        allow_abbrev=False,
         description="Exact tables, evaluations and identity verification for "
         "the Koebe chain and the de Branges / Weinstein function systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("table", help="emit a coefficient table")
+    p_table = sub.add_parser("table", allow_abbrev=False, help="emit a coefficient table")
     p_table.add_argument("kind", choices=["lowner", "lambda", "tau"])
     p_table.add_argument("--n", type=int, default=30, metavar="N",
                          help="largest n (default 30)")
@@ -498,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="render values as binary64 instead of p/q")
     p_table.set_defaults(usage_error=p_table.error)
 
-    p_eval = sub.add_parser("eval", help="evaluate a function exactly or in binary64")
+    p_eval = sub.add_parser("eval", allow_abbrev=False,
+                            help="evaluate a function exactly or in binary64")
     p_eval.add_argument("kind", choices=["A", "tau", "lambda", "W", "B"])
     p_eval.add_argument("--n", type=int)
     p_eval.add_argument("--k", type=int)
@@ -510,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluation at time t, rounded once to binary64")
     p_eval.set_defaults(usage_error=p_eval.error)
 
-    p_verify = sub.add_parser("verify", help="run an identity verification suite")
+    p_verify = sub.add_parser("verify", allow_abbrev=False,
+                              help="run an identity verification suite")
     p_verify.add_argument(
         "suite",
         choices=["all"] + sorted(_SUITES),
@@ -520,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["csv", "json"], default="json")
     p_verify.set_defaults(usage_error=p_verify.error)
 
-    p_gosper = sub.add_parser("gosper", help="find a telescoping certificate")
+    p_gosper = sub.add_parser("gosper", allow_abbrev=False, help="find a telescoping certificate")
     p_gosper.add_argument("term", help="hypergeometric term expression")
     p_gosper.add_argument("--var", required=True, help="summation variable")
     p_gosper.add_argument("--range", type=_parse_range, metavar="LO..HI",

@@ -13,11 +13,14 @@ variables (``y``, ``x``, a summation variable) cannot be mixed by accident.
 Calling a polynomial evaluates it at an exact scalar; the only substitutions
 are the linear ones, ``shift`` and ``subs_linear``.
 
-A product of two series in z whose coefficients are such polynomials is one
-packed kernel, ``Poly.series_product``: each coefficient polynomial becomes
-one integer by Kronecker substitution, so that each z-coefficient of the
-product is one dot product of integers, computed by CPython's big-integer
-multiply, and is unpacked once.  A division of such a series by factors
+A product of two polynomials is the schoolbook convolution of their integer
+numerators, ``_convolve_into``; the Koebe chain in :mod:`debranges.series`
+folds its symmetric square with it too.  A product of two series in z whose
+coefficients are such polynomials is one packed kernel,
+``Poly.series_product``: each coefficient polynomial becomes one integer by
+Kronecker substitution, so that each z-coefficient of the product is one dot
+product of integers, computed by CPython's big-integer multiply, and is
+unpacked once.  A division of such a series by factors
 1 - z^s is ``Poly.running_sums``, running sums on the integer numerators.
 """
 
@@ -460,24 +463,6 @@ class Poly:
             f, g = g, r
         # g is now a nonzero constant
         return sign * acc * g.const_value() ** f.degree
-
-    @staticmethod
-    def sum_of_products(pairs: Iterable[tuple["Poly", "Poly"]], var: str) -> "Poly":
-        """The sum of x*y over the pairs, all polynomials in var.
-
-        The fused inner step of the sequential series recurrences, the
-        inverse and the Koebe chain, where each coefficient needs the ones
-        before it: the products are summed on integer numerators over one
-        common denominator, and the result is normalised once instead of
-        once per product and per sum."""
-        terms = [(x._num, y._num, x._den * y._den) for x, y in pairs if x._num and y._num]
-        if not terms:
-            return Poly.zero(var)
-        den = math.lcm(*(d for _, _, d in terms))
-        out = [0] * max(len(a) + len(b) - 1 for a, b, _ in terms)
-        for a, b, d in terms:
-            _convolve_into(out, a, b, den // d)
-        return _make(out, den, var)
 
     @staticmethod
     def series_product(a: Sequence["Poly"], b: Sequence["Poly"], var: str) -> list["Poly"]:

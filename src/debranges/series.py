@@ -15,8 +15,9 @@ ever extrapolated.
 A product of two series is the packed kernel ``Poly.series_product``: each
 coefficient polynomial is packed once into one integer, and each z^m
 coefficient of the product is one dot product of those integers.  The
-inverse and the chain, where each coefficient needs the ones before it, sum
-their products with ``Poly.sum_of_products`` instead.
+inverse and the chain, where each coefficient needs the ones before it, are
+sequential instead: the inverse sums plain ``Poly`` products, and the chain
+folds its symmetric square on integer numerators with ``_convolve_into``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .exact import Poly, Scalar, _make
+from .exact import Poly, Scalar, _convolve_into, _make
 
 PolyOrScalar = Union[Poly, int, Fraction]
 
@@ -122,7 +123,10 @@ class ZSeries:
 
     def inverse(self) -> "ZSeries":
         """Multiplicative inverse; the z^0 coefficient must be a unit
-        (a nonzero constant polynomial)."""
+        (a nonzero constant polynomial).
+
+        Each coefficient is a sum of plain ``Poly`` products of the ones
+        before it."""
         c0 = self.coeffs[0]
         if not c0.is_const() or c0.is_zero():
             raise ValueError(f"z^0 coefficient {c0!r} is not a unit")
@@ -131,7 +135,7 @@ class ZSeries:
         for n in range(1, self.order + 1):
             # b_n = -inv0 * (a_1 b_(n-1) + ... + a_n b_0)
             pairs = zip(self.coeffs[1 : n + 1], reversed(out))
-            out.append(Poly.sum_of_products(pairs, self.var) * -inv0)
+            out.append(sum((x * y for x, y in pairs), Poly.zero(self.var)) * -inv0)
         return ZSeries(out, self.var)
 
     # -- calculus ---------------------------------------------------------
@@ -185,6 +189,11 @@ def koebe_chain(order: int) -> ZSeries:
     w_0 = 0 and w_1 = y (at y = 1 the chain is w = z) its z^n coefficient gives
 
         w_n = (2 - 2y) w_(n-1) - w_(n-2) + y sum_{i=1..n-2} w_i w_(n-1-i).
+
+    Every w_n is a polynomial in y with integer coefficients, and the square
+    is symmetric in i and n-1-i: it is folded on the integer numerators,
+    each pair once, i <= n-1-i, with scale 2 off the middle and 1 on it, and
+    normalised once.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -192,8 +201,11 @@ def koebe_chain(order: int) -> ZSeries:
     two_minus_2y = Poly([2, -2], "y")
     w = [Poly.zero("y"), y]
     for n in range(2, order + 1):
-        square = Poly.sum_of_products(zip(w[1 : n - 1], w[n - 2 : 0 : -1]), "y")
-        w.append(two_minus_2y * w[n - 1] - w[n - 2] + y * square)
+        square = [0] * n
+        for i in range(1, (n + 1) // 2):
+            j = n - 1 - i
+            _convolve_into(square, w[j]._num, w[i]._num, 2 if i < j else 1)
+        w.append(two_minus_2y * w[n - 1] - w[n - 2] + y * _make(square, 1, "y"))
     return ZSeries(w)
 
 

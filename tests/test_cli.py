@@ -627,6 +627,20 @@ class TestGosper:
             cli.main(["gosper", "l", "--var", "l", "--range", "7..3"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gosper", "l", "--var", "l", "--ran=-5..5"],
+        ["gosper", "l", "--var", "l", "--ran", "-5..5"],
+        ["gosper", "l", "--var", "l", "--ra", "2..4"],
+        ["verify", "lowner", "--n", "3", "--form", "csv"],
+    ])
+    def test_option_prefixes_are_refused(self, capsys, argv):
+        # main glues a value that starts with "-" to the full option name
+        # only, so a prefix would read --ran=-5..5 and --ran -5..5 apart
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_not_summable_range_falls_back_to_direct_sum(self, capsys):
         code, out, _ = run(
             capsys, "gosper", "fact(l)", "--var", "l", "--range", "0..4"

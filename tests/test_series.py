@@ -197,16 +197,17 @@ class TestPackedProduct:
             assert c == Poly(expected, "y")
 
     @pytest.mark.parametrize("order", [12, 28])
-    def test_chain_powers_equal_the_fused_products(self, order):
+    def test_chain_powers_equal_the_schoolbook_products(self, order):
         w = koebe_chain(order)
         power = w
         for m in range(1, order + 1):
-            fused = [
-                Poly.sum_of_products(zip(power.coeffs[: n + 1], reversed(w.coeffs[: n + 1])), "y")
+            schoolbook = [
+                sum((x * y for x, y in zip(power.coeffs[: n + 1], reversed(w.coeffs[: n + 1]))),
+                    Poly.zero("y"))
                 for n in range(order + 1)
             ]
             power = power * w
-            assert list(power.coeffs) == fused, f"w^{m} * w"
+            assert list(power.coeffs) == schoolbook, f"w^{m} * w"
 
 
 class TestKoebe:
