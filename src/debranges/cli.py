@@ -21,34 +21,45 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dbw, hypsum, lowner, orthopoly, series
-from .exact import Poly, binomial, first_mismatch, format_rational
+from .exact import Poly, Record, _set_field, binomial, first_mismatch, format_rational
 
 
-@dataclass
-class Check:
+class Check(Record):
     """One verified identity instance: it passes exactly when it has no
     witness, the string that says where it failed and by how much."""
 
+    __slots__ = ("id", "indices", "witness")
+
     id: str
     indices: list[int]
-    witness: str | None = None
+    witness: str | None
+
+    def __init__(self, id: str, indices: list[int], witness: str | None = None):
+        _set_field(self, "id", id)
+        _set_field(self, "indices", indices)
+        _set_field(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
         return self.witness is None
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Outcome of a verification suite; passes iff every check passes."""
+
+    __slots__ = ("suite", "n_max", "checks")
 
     suite: str
     n_max: int
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
+
+    def __init__(self, suite: str, n_max: int, checks: list[Check] | None = None):
+        _set_field(self, "suite", suite)
+        _set_field(self, "n_max", n_max)
+        _set_field(self, "checks", [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:

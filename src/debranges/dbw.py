@@ -34,12 +34,13 @@ Tdot(n, k)(0) = -k (n - k even) / 0 (n - k odd).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import EvalGrid, Poly, Scalar, _make, binomial, first_mismatch, format_rational
+from .exact import (
+    EvalGrid, Poly, Record, Scalar, _make, _set_field, binomial, first_mismatch, format_rational,
+)
 from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
 
@@ -210,15 +211,23 @@ def milin_functional(d: Sequence[Scalar], n: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class PositivityViolation:
+class PositivityViolation(Record):
     """A sign failure witnessed at an exact grid point."""
+
+    __slots__ = ("quantity", "n", "k", "y", "value")
 
     quantity: str  # "weinstein", "debranges" or "debranges_slope"
     n: int
     k: int
     y: Fraction
     value: Fraction
+
+    def __init__(self, quantity: str, n: int, k: int, y: Fraction, value: Fraction):
+        _set_field(self, "quantity", quantity)
+        _set_field(self, "n", n)
+        _set_field(self, "k", k)
+        _set_field(self, "y", y)
+        _set_field(self, "value", value)
 
     def __str__(self) -> str:
         return (

@@ -22,6 +22,10 @@ Kronecker substitution, so that each z-coefficient of the product is one dot
 product of integers, computed by CPython's big-integer multiply, and is
 unpacked once.  A division of such a series by factors
 1 - z^s is ``Poly.running_sums``, running sums on the integer numerators.
+
+``Record`` is the base of the package's immutable records and values: their
+fields are slots, set once by each class's own ``__init__``, and a record
+compares, hashes, prints, pickles and copies by its fields.
 """
 
 from __future__ import annotations
@@ -109,6 +113,68 @@ def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
             den //= g
             nums = [n // g for n in nums]
     return tuple(nums), den
+
+
+# sets a field of a Record in its __init__, past the refusal of __setattr__
+_set_field = object.__setattr__
+
+
+def _rebuild(cls: type, values: tuple) -> "Record":
+    """The instance of cls with the given field values, without __init__:
+    how pickle and copy rebuild a Record."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _set_field(obj, name, value)
+    return obj
+
+
+class Record:
+    """Base of the immutable records.
+
+    A record's fields are its ``__slots__``, after those of its bases, and
+    each subclass sets them in its own positional ``__init__`` through
+    ``_set_field``.  Setting or deleting a field afterwards raises
+    AttributeError.  Two records are equal when they have the same type and
+    equal fields, the hash is that of the tuple of fields, and the repr is
+    ``Name(field=value, ...)``.  Pickle and copy rebuild a record from its
+    fields without calling ``__init__``.
+    A value type that overrides ``__eq__``, ``__hash__`` and ``__repr__``
+    keeps only the refusals and the rebuilding.
+    """
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ())
+        )
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, (type(self), self._values())
 
 
 def _raw(num: tuple[int, ...], den: int, var: str) -> "Poly":
@@ -209,7 +275,7 @@ def _pack(digits: Sequence[int], bits: int) -> int:
     return acc
 
 
-class Poly:
+class Poly(Record):
     """Dense univariate polynomial over Q with a variable tag.
 
     Stored as a tuple of integer numerators over one positive denominator:
@@ -234,9 +300,6 @@ class Poly:
         _set_num(self, num)
         _set_den(self, den)
         _set_var(self, var)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -604,7 +667,7 @@ class EvalGrid:
         ]
 
 
-class RationalFunction:
+class RationalFunction(Record):
     """Reduced quotient of two polynomials in the same variable.
 
     Kept canonical: gcd(num, den) = 1 and den is monic, so equality is plain
@@ -633,11 +696,8 @@ class RationalFunction:
             if lead != 1:
                 num = num * (1 / lead)
                 den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalFunction is immutable")
+        _set_field(self, "num", num)
+        _set_field(self, "den", den)
 
     @property
     def var(self) -> str:

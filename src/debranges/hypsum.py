@@ -34,12 +34,12 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exact import (
-    Poly, RationalFunction, Scalar, _make, _ratio, binomial, first_mismatch, pochhammer
+    Poly, RationalFunction, Record, Scalar, _make, _ratio, _set_field, binomial,
+    first_mismatch, pochhammer,
 )
 
 
@@ -56,11 +56,12 @@ class TermSyntaxError(ValueError):
 
 
 class TermSemanticError(ValueError):
-    """Structurally valid input that is not a hypergeometric term."""
+    """Structurally valid input that is not a hypergeometric term, with the
+    1-based column, or None for a summation variable that cannot be one."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int | None):
         self.position = position
-        super().__init__(f"column {position}: {message}")
+        super().__init__(message if position is None else f"column {position}: {message}")
 
 
 class GosperLimitError(ValueError):
@@ -89,27 +90,40 @@ _CONSTANT_BITS = 20_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearFactor:
+class LinearFactor(Record):
     """(a*l + b) ** exponent."""
+
+    __slots__ = ("a", "b", "exponent")
 
     a: Fraction
     b: Fraction
     exponent: int
 
+    def __init__(self, a: Fraction, b: Fraction, exponent: int):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class FactorialFactor:
+
+class FactorialFactor(Record):
     """fact(a*l + b) ** exponent; a is an integer so the shift telescopes."""
+
+    __slots__ = ("a", "b", "exponent")
 
     a: int
     b: Fraction
     exponent: int
 
+    def __init__(self, a: int, b: Fraction, exponent: int):
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class BinomialFactor:
+
+class BinomialFactor(Record):
     """binom(a1*l + b1, a2*l + b2) ** exponent, integer leading coefficients."""
+
+    __slots__ = ("a1", "b1", "a2", "b2", "exponent")
 
     a1: int
     b1: Fraction
@@ -117,26 +131,45 @@ class BinomialFactor:
     b2: Fraction
     exponent: int
 
+    def __init__(self, a1: int, b1: Fraction, a2: int, b2: Fraction, exponent: int):
+        _set_field(self, "a1", a1)
+        _set_field(self, "b1", b1)
+        _set_field(self, "a2", a2)
+        _set_field(self, "b2", b2)
+        _set_field(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class GeometricFactor:
+
+class GeometricFactor(Record):
     """base ** (a*l + b) with integer a, b and a nonzero rational base."""
+
+    __slots__ = ("base", "a", "b")
 
     base: Fraction
     a: int
     b: int
 
+    def __init__(self, base: Fraction, a: int, b: int):
+        _set_field(self, "base", base)
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+
 
 Factor = Union[LinearFactor, FactorialFactor, BinomialFactor, GeometricFactor]
 
 
-@dataclass(frozen=True)
-class HypTerm:
+class HypTerm(Record):
     """A term const * prod(factors) in the summation variable."""
+
+    __slots__ = ("var", "const", "factors")
 
     var: str
     const: Fraction
     factors: tuple[Factor, ...]
+
+    def __init__(self, var: str, const: Fraction, factors: tuple[Factor, ...]):
+        _set_field(self, "var", var)
+        _set_field(self, "const", const)
+        _set_field(self, "factors", factors)
 
     def is_zero(self) -> bool:
         return self.const == 0
@@ -146,14 +179,22 @@ class HypTerm:
 # parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),]")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"\d+|{_IDENT}|[-+*/^(),]")
+_IDENT_RE = re.compile(_IDENT)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")
+
     kind: str  # "num", "ident", "end", or the operator character itself
     text: str
     pos: int  # 1-based column
+
+    def __init__(self, kind: str, text: str, pos: int):
+        _set_field(self, "kind", kind)
+        _set_field(self, "text", text)
+        _set_field(self, "pos", pos)
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -490,8 +531,12 @@ def parse_term(src: str, var: str) -> HypTerm:
     Raises TermSyntaxError (with a 1-based column and expected-token set) on
     grammar violations, and TermSemanticError when the expression is not a
     product of hypergeometric factors (for instance a nonlinear factorial
-    argument).
+    argument), also when var is not one identifier or is a function name.
     """
+    if not _IDENT_RE.fullmatch(var):
+        raise TermSemanticError(f"the variable {var!r} is not an identifier", None)
+    if var in ("fact", "binom"):
+        raise TermSemanticError(f"the variable {var!r} is a function name", None)
     value = _Parser(src, var).parse()
     prod = _as_product(value)
     return HypTerm(var, prod.const, prod.factors)
@@ -514,20 +559,20 @@ def term_value(term: HypTerm, l: int) -> Fraction:
             p = f.a.numerator * f.b.denominator * l + f.b.numerator * f.a.denominator
             q, e = f.a.denominator * f.b.denominator, f.exponent
             if not p and e < 0:
-                raise ZeroDivisionError(f"pole of {f} at l = {l}")
+                raise ZeroDivisionError(f"pole of {f} at {term.var} = {l}")
         elif isinstance(f, FactorialFactor):
             # a l is an integer, so a l + b is one when b is
             arg = f.a * l + f.b.numerator
             if f.b.denominator != 1 or arg < 0:
-                raise ValueError(f"factorial argument {f.a * l + f.b} at l = {l}")
+                raise ValueError(f"factorial argument {f.a * l + f.b} at {term.var} = {l}")
             p, q, e = math.factorial(arg), 1, f.exponent
         elif isinstance(f, BinomialFactor):
             if f.b1.denominator != 1 or f.b2.denominator != 1:
-                raise ValueError(f"non-integer binomial arguments at l = {l}")
+                raise ValueError(f"non-integer binomial arguments at {term.var} = {l}")
             p = binomial(f.a1 * l + f.b1.numerator, f.a2 * l + f.b2.numerator)
             q, e = 1, f.exponent
             if not p and e < 0:
-                raise ZeroDivisionError(f"pole of {f} at l = {l}")
+                raise ZeroDivisionError(f"pole of {f} at {term.var} = {l}")
         else:
             p, q, e = f.base.numerator, f.base.denominator, f.a * l + f.b
         if e >= 0:
@@ -549,9 +594,9 @@ class ShiftQuotient(RationalFunction):
     roots: tuple[tuple[Fraction, int], ...]
 
     def __init__(self, scale: Fraction, roots: Counter, var: str):
-        object.__setattr__(self, "num", _from_roots(+roots, var) * scale)
-        object.__setattr__(self, "den", _from_roots(-roots, var))
-        object.__setattr__(self, "roots", tuple(sorted((r, e) for r, e in roots.items() if e)))
+        _set_field(self, "num", _from_roots(+roots, var) * scale)
+        _set_field(self, "den", _from_roots(-roots, var))
+        _set_field(self, "roots", tuple(sorted((r, e) for r, e in roots.items() if e)))
 
 
 def _from_roots(roots: dict[Fraction, int], var: str) -> Poly:
@@ -644,13 +689,18 @@ def term_ratio(term: HypTerm) -> ShiftQuotient:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GosperCertificate:
+class GosperCertificate(Record):
     """Antidifference certificate: s_l = multiplier(l) * b_l satisfies
     s_l - s_{l-1} = b_l whenever b has the stated shift quotient."""
 
+    __slots__ = ("ratio", "multiplier")
+
     ratio: RationalFunction
     multiplier: RationalFunction
+
+    def __init__(self, ratio: RationalFunction, multiplier: RationalFunction):
+        _set_field(self, "ratio", ratio)
+        _set_field(self, "multiplier", multiplier)
 
     def verify_symbolic(self) -> bool:
         """Check R(l) - R(l-1) / r(l-1) = 1 as one polynomial identity.

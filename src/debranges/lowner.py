@@ -17,19 +17,23 @@ defining differential relations, all in exact arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Poly, binomial
+from .exact import Poly, Record, _set_field, binomial
 
 
-@dataclass
-class CoeffTable:
+class CoeffTable(Record):
     """Triangular table (n, j) -> a(n, j) for 1 <= j <= n <= n_max."""
+
+    __slots__ = ("n_max", "entries")
 
     n_max: int
     entries: dict[tuple[int, int], Fraction]
+
+    def __init__(self, n_max: int, entries: dict[tuple[int, int], Fraction]):
+        _set_field(self, "n_max", n_max)
+        _set_field(self, "entries", entries)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         n, j = key

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .exact import Poly, Scalar, _convolve_into, _make
+from .exact import Poly, Record, Scalar, _convolve_into, _make, _set_field
 
 PolyOrScalar = Union[Poly, int, Fraction]
 
@@ -40,7 +40,7 @@ def time_derivative(p: Poly) -> Poly:
     return _make([-i * n for i, n in enumerate(p._num)], p._den, p.var)
 
 
-class ZSeries:
+class ZSeries(Record):
     """Power series in z truncated at z^order, with Poly coefficients.
 
     coeffs[n] is the coefficient of z^n; all coefficients share one inner
@@ -63,11 +63,8 @@ class ZSeries:
                 converted.append(c)
             else:
                 converted.append(Poly.const(c, var))
-        object.__setattr__(self, "coeffs", tuple(converted))
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ZSeries is immutable")
+        _set_field(self, "coeffs", tuple(converted))
+        _set_field(self, "var", var)
 
     # -- constructors ---------------------------------------------------
 

@@ -665,6 +665,26 @@ class TestGosper:
         assert (code, err) == (0, "")
         assert out.splitlines() == lines
 
+    def test_pole_message_names_the_variable(self, capsys):
+        # the one place where a record's repr reaches the user
+        code, out, err = run(capsys, "gosper", "1/n", "--var", "n", "--range=-2..2")
+        assert (code, out) == (2, "NOT GOSPER-SUMMABLE\n")
+        assert err == (
+            "error: pole of LinearFactor(a=Fraction(1, 1), b=Fraction(0, 1), exponent=-1)"
+            " at n = 0\n"
+        )
+
+    @pytest.mark.parametrize("var, message", [
+        ("2x", "the variable '2x' is not an identifier"),
+        ("", "the variable '' is not an identifier"),
+        ("l l", "the variable 'l l' is not an identifier"),
+        ("fact", "the variable 'fact' is a function name"),
+        ("binom", "the variable 'binom' is a function name"),
+    ])
+    def test_variable_that_cannot_be_one_exits_2(self, capsys, var, message):
+        code, out, err = run(capsys, "gosper", "l", "--var", var)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_undefined_term_in_range_exits_2(self, capsys):
         code, out, err = run(capsys, "gosper", "1/(l-3)", "--var", "l", "--range", "1..5")
         assert code == 2

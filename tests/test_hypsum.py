@@ -170,6 +170,24 @@ class TestParser:
             parse_term("binom(l+2, m)", "l")
         assert excinfo.value.position == 12
 
+    @pytest.mark.parametrize("var", ["2x", "", "l l", " l", "l+1", "λ"])
+    def test_variable_that_is_not_an_identifier_is_refused(self, var):
+        with pytest.raises(TermSemanticError) as excinfo:
+            parse_term("l", var)
+        assert str(excinfo.value) == f"the variable {var!r} is not an identifier"
+        assert excinfo.value.position is None
+
+    @pytest.mark.parametrize("var", ["fact", "binom"])
+    def test_variable_that_is_a_function_name_is_refused(self, var):
+        with pytest.raises(TermSemanticError, match=f"^the variable '{var}' is a function name$"):
+            parse_term(f"{var}(3)", var)
+
+    def test_any_identifier_is_a_variable(self):
+        for var in ("n", "_k", "x2", "factor", "binomial"):
+            term = parse_term(f"fact({var})*{var}", var)
+            assert term.var == var
+            assert term_value(term, 3) == 18
+
     def test_sum_of_products_rejected(self):
         with pytest.raises(TermSemanticError):
             parse_term("fact(l) + 1", "l")
@@ -243,6 +261,19 @@ class TestTermValue:
         term = parse_term("fact(l)", "l")
         with pytest.raises(ValueError):
             term_value(term, -1)
+
+    @pytest.mark.parametrize("src, error, message", [
+        ("1/n", ZeroDivisionError, "pole of LinearFactor(a=Fraction(1, 1), b=Fraction(0, 1), "
+         "exponent=-1) at n = 0"),
+        ("1/binom(n,3)", ZeroDivisionError, "pole of BinomialFactor(a1=1, b1=Fraction(0, 1), "
+         "a2=0, b2=Fraction(3, 1), exponent=-1) at n = 0"),
+        ("fact(n-3)", ValueError, "factorial argument -3 at n = 0"),
+        ("binom(n+1/2,n)", ValueError, "non-integer binomial arguments at n = 0"),
+    ])
+    def test_messages_name_the_variable(self, src, error, message):
+        with pytest.raises(error) as excinfo:
+            term_value(parse_term(src, "n"), 0)
+        assert str(excinfo.value) == message
 
 
 def fraction_term_value(term, l):
