@@ -282,6 +282,17 @@ def run_suite(name: str, n_max: int) -> Report:
     return _SUITES[name](n_max)
 
 
+def cmd_verify(args, error) -> int:
+    """Run `verify`; error(message) reports a usage error and exits 2."""
+    _check_n(args.n, VERIFY_N_LIMIT, error)
+    report = run_suite(args.suite, args.n)
+    if args.format == "json":
+        sys.stdout.write(report.to_json() + "\n")
+    else:
+        sys.stdout.write(report.to_csv())
+    return 0 if report.passed else 1
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -313,7 +324,9 @@ def _render_value(value: Fraction, as_float: bool) -> str:
     return format_rational(value)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, error) -> int:
+    """Run `table`; error(message) reports a usage error and exits 2."""
+    _check_n(args.n, TABLE_N_LIMIT, error)
     header, rows = _table_rows(args.kind, args.n)
     if args.format == "csv":
         lines = [",".join(header)]
@@ -381,45 +394,52 @@ VERIFY_N_LIMIT = 100
 GOSPER_RANGE_LIMIT = 100_000
 
 
+# The options that each kind of `eval` does not read.
+_EVAL_UNREAD = {"A": ("k", "order"), "tau": ("order",), "lambda": ("order",),
+                "W": ("n",), "B": ("n",)}
+
+
 def cmd_eval(args, error) -> int:
-    """Run `eval`; error(message) reports a usage error and exits 2."""
+    """Run `eval`; error(message) reports a usage error and exits 2: an option
+    missing or unread, a value over its limit, or a ValueError or IndexError."""
     kind = args.kind
-    if kind in ("A", "tau", "lambda"):
-        if args.n is None:
-            error(f"eval {kind} requires --n")
-        if args.n > EVAL_N_LIMIT:
-            error(f"--n {args.n} is over the limit of {EVAL_N_LIMIT}")
-        if kind == "A":
-            poly = lowner.chain_poly(args.n)
-        elif args.k is None:
-            error(f"eval {kind} requires --k")
-        elif kind == "tau":
-            poly = dbw.debranges_poly(args.n, args.k)
-        else:
-            poly = dbw.weinstein_poly(args.n, args.k)
-        if args.y is not None:
-            sys.stdout.write(format_rational(poly(args.y)) + "\n")
-        else:
-            sys.stdout.write(_at_time(poly, args.t) + "\n")
-        return 0
-    # series kinds: W and B
-    if args.k is None or args.order is None:
-        error(f"eval {kind} requires --k and --order")
-    if args.order > SERIES_ORDER_LIMIT:
-        error(f"--order {args.order} is over the limit of {SERIES_ORDER_LIMIT}")
-    if kind == "W":
-        zs = dbw.weinstein_series(args.k, args.order)
-    else:
-        zs = dbw.debranges_generating_series(args.k, args.order)
-    lines = []
-    if args.y is not None:
-        for m, value in enumerate(zs.eval_inner(args.y)):
-            lines.append(f"{m},{format_rational(value)}")
-    else:
-        for m, coeff in enumerate(zs.coeffs):
-            lines.append(f"{m},{_at_time(coeff, args.t)}")
+    for name in _EVAL_UNREAD[kind]:
+        if getattr(args, name) is not None:
+            error(f"eval {kind} does not take --{name}")
+    if kind in ("W", "B"):
+        if args.k is None or args.order is None:
+            error(f"eval {kind} requires --k and --order")
+        if args.order > SERIES_ORDER_LIMIT:
+            error(f"--order {args.order} is over the limit of {SERIES_ORDER_LIMIT}")
+    elif args.n is None:
+        error(f"eval {kind} requires --n")
+    elif args.n > EVAL_N_LIMIT:
+        error(f"--n {args.n} is over the limit of {EVAL_N_LIMIT}")
+    elif kind != "A" and args.k is None:
+        error(f"eval {kind} requires --k")
+    try:
+        lines = _eval_lines(args)
+    except (ValueError, IndexError) as exc:
+        error(str(exc))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
+
+
+def _eval_lines(args) -> list[str]:
+    """A checked `eval`'s output: one value, or m,value for each z^m of W or B."""
+    if args.kind in ("W", "B"):
+        series_of = dbw.weinstein_series if args.kind == "W" else dbw.debranges_generating_series
+        zs = series_of(args.k, args.order)
+        if args.y is not None:
+            return [f"{m},{format_rational(v)}" for m, v in enumerate(zs.eval_inner(args.y))]
+        return [f"{m},{_at_time(coeff, args.t)}" for m, coeff in enumerate(zs.coeffs)]
+    if args.kind == "A":
+        poly = lowner.chain_poly(args.n)
+    elif args.kind == "tau":
+        poly = dbw.debranges_poly(args.n, args.k)
+    else:
+        poly = dbw.weinstein_poly(args.n, args.k)
+    return [format_rational(poly(args.y)) if args.y is not None else _at_time(poly, args.t)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +464,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def cmd_gosper(args) -> int:
+def cmd_gosper(args, error) -> int:
+    """Run `gosper`; it prints its own errors with no usage, so error goes unused."""
     try:
         term = hypsum.parse_term(args.term, args.var)
         certificate = hypsum.gosper(hypsum.term_ratio(term))
@@ -487,7 +508,18 @@ def _too_long_to_print() -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _check_n(n: int, limit: int, error) -> None:
+    """error(message) unless 1 <= n <= limit."""
+    if n < 1:
+        error("--n must be at least 1")
+    if n > limit:
+        error(f"--n {n} is over the limit of {limit}")
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and each command's parser by its name, built once per
+    process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="debranges",
         allow_abbrev=False,
@@ -503,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--float", action="store_true",
                          help="render values as binary64 instead of p/q")
-    p_table.set_defaults(usage_error=p_table.error)
 
     p_eval = sub.add_parser("eval", allow_abbrev=False,
                             help="evaluate a function exactly or in binary64")
@@ -516,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact evaluation point y = e^(-t), as p/q")
     group.add_argument("--t", type=float,
                        help="evaluation at time t, rounded once to binary64")
-    p_eval.set_defaults(usage_error=p_eval.error)
 
     p_verify = sub.add_parser("verify", allow_abbrev=False,
                               help="run an identity verification suite")
@@ -527,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=30, metavar="N",
                           help="sweep bound (default 30; larger is slower)")
     p_verify.add_argument("--format", choices=["csv", "json"], default="json")
-    p_verify.set_defaults(usage_error=p_verify.error)
 
     p_gosper = sub.add_parser("gosper", allow_abbrev=False, help="find a telescoping certificate")
     p_gosper.add_argument("term", help="hypergeometric term expression")
@@ -535,21 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gosper.add_argument("--range", type=_parse_range, metavar="LO..HI",
                           help="also telescope the sum over this range")
 
-    return parser
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
-def _check_n(args, limit: int) -> None:
-    """Exit 2 through the subcommand's usage unless 1 <= --n <= limit."""
-    if args.n < 1:
-        args.usage_error("--n must be at least 1")
-    if args.n > limit:
-        args.usage_error(f"--n {args.n} is over the limit of {limit}")
+    return parser, {"table": p_table, "eval": p_eval, "verify": p_verify, "gosper": p_gosper}
 
 
 # Options whose value may start with "-", as a negative LO, y or t does:
@@ -559,31 +574,23 @@ _SIGNED_OPTIONS = ("--range", "--y", "--t")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line, read by its command's parser alone.  The top
+    parser only reports a line with no command or with arguments left over."""
     glued: list[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
         if glued and glued[-1] in _SIGNED_OPTIONS and arg.startswith("-") and arg[1:2] != "-":
             glued[-1] += "=" + arg
         else:
             glued.append(arg)
-    args = _parser().parse_args(glued)
-    if args.command == "table":
-        _check_n(args, TABLE_N_LIMIT)
-        return cmd_table(args)
-    if args.command == "eval":
-        try:
-            return cmd_eval(args, args.usage_error)
-        except (ValueError, IndexError) as exc:
-            args.usage_error(str(exc))
-    if args.command == "verify":
-        _check_n(args, VERIFY_N_LIMIT)
-        report = run_suite(args.suite, args.n)
-        if args.format == "json":
-            sys.stdout.write(report.to_json() + "\n")
-        else:
-            sys.stdout.write(report.to_csv())
-        return 0 if report.passed else 1
-    if args.command == "gosper":
-        return cmd_gosper(args)
+    top, parsers = _parser()
+    parser = parsers.get(glued[0]) if glued else None
+    if parser is not None:
+        args, extra = parser.parse_known_args(glued[1:])
+        if not extra:
+            # looked up per call, so a wrapped or patched cmd_* is the one that runs
+            run = {"table": cmd_table, "eval": cmd_eval, "verify": cmd_verify, "gosper": cmd_gosper}
+            return run[glued[0]](args, parser.error)
+    top.parse_args(glued)  # exits 2 with the top usage, or 0 for --help
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -598,6 +598,9 @@ class ShiftQuotient(RationalFunction):
         _set_field(self, "den", _from_roots(-roots, var))
         _set_field(self, "roots", tuple(sorted((r, e) for r, e in roots.items() if e)))
 
+    def __repr__(self) -> str:
+        return f"ShiftQuotient({self}, roots={self.roots!r})"
+
 
 def _from_roots(roots: dict[Fraction, int], var: str) -> Poly:
     """The monic polynomial prod (l - p/q)^multiplicity: one list of integer

@@ -1,9 +1,11 @@
 """Command line contract: formats, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -198,6 +200,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("usage: debranges eval")
         assert "debranges eval: error: " in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["A", "--n", "3", "--k", "2"], "--k"),
+            (["tau", "--n", "3", "--k", "1", "--order", "4"], "--order"),
+            (["lambda", "--n", "3", "--k", "1", "--order", "4"], "--order"),
+            (["W", "--k", "1", "--order", "3", "--n", "9"], "--n"),
+            (["B", "--k", "1", "--order", "3", "--n", "9"], "--n"),
+        ],
+        ids=["A", "tau", "lambda", "W", "B"],
+    )
+    def test_an_option_the_kind_does_not_read_is_refused(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", *argv, "--y", "1/2"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: debranges eval")
+        assert err.endswith(f"debranges eval: error: eval {argv[0]} does not take {option}\n")
 
     def test_requires_evaluation_point(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -591,6 +613,214 @@ def test_stdout_is_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The usage of each parser as argparse prints it at 80 columns.
+TOP_USAGE = "usage: debranges [-h] {table,eval,verify,gosper} ...\n"
+TABLE_USAGE = (
+    "usage: debranges table [-h] [--n N] [--format {csv,json}] [--float]\n"
+    "                       {lowner,lambda,tau}\n"
+)
+EVAL_USAGE = (
+    "usage: debranges eval [-h] [--n N] [--k K] [--order ORDER] (--y Y | --t T)\n"
+    "                      {A,tau,lambda,W,B}\n"
+)
+VERIFY_USAGE = (
+    "usage: debranges verify [-h] [--n N] [--format {csv,json}]\n"
+    "                        {all,askey-gasper,gegenbauer,gosper,hypergeometric,lowner,positivity,"
+    "theorem2,theorem3}\n"
+)
+GOSPER_USAGE = "usage: debranges gosper [-h] --var VAR [--range LO..HI] term\n"
+
+
+def _usage_error(usage: str, message: str) -> str:
+    """The stderr of a usage error: the usage, then `prog: error: message`."""
+    prog = usage[len("usage: "):usage.index(" [")]
+    return f"{usage}{prog}: error: {message}\n"
+
+
+# Exit status and full stderr of each command line, taken before main read a
+# line with its command's parser alone, except the six lines of the last group,
+# which exited 0 with the option ignored.  A line that the command's parser
+# leaves arguments of must still be reported by the top parser, with its usage.
+DISPATCH = [
+    # every command, run validly
+    (["table", "lowner", "--n", "3"], 0, ""),
+    (["table", "tau", "--n", "2", "--format", "json", "--float"], 0, ""),
+    (["eval", "A", "--n", "3", "--y", "1/2"], 0, ""),
+    (["eval", "tau", "--n", "3", "--k", "1", "--t", "0.5"], 0, ""),
+    (["eval", "lambda", "--n", "3", "--k", "1", "--y", "-1/2"], 0, ""),
+    (["eval", "W", "--k", "1", "--order", "3", "--y", "1/2"], 0, ""),
+    (["eval", "B", "--k", "1", "--order", "3", "--t", "-0.5"], 0, ""),
+    (["eval", "--n", "3", "A", "--y", "1/2"], 0, ""),
+    (["verify", "lowner", "--n", "3"], 0, ""),
+    (["verify", "gosper", "--n", "2", "--format", "csv"], 0, ""),
+    (["gosper", "l", "--var", "l"], 0, ""),
+    (["gosper", "l", "--var", "l", "--range", "-5..5"], 0, ""),
+    (["gosper", "fact(l)", "--var", "l", "--range=0..4"], 0, ""),
+    # no arguments, an unknown command, a top-level option before the command
+    ([], 2, _usage_error(TOP_USAGE, "the following arguments are required: command")),
+    (["nosuch"], 2,
+     _usage_error(TOP_USAGE, "argument command: invalid choice: 'nosuch'"
+                             " (choose from 'table', 'eval', 'verify', 'gosper')")),
+    (["tab", "lowner"], 2,
+     _usage_error(TOP_USAGE, "argument command: invalid choice: 'tab'"
+                             " (choose from 'table', 'eval', 'verify', 'gosper')")),
+    ([""], 2,
+     _usage_error(TOP_USAGE, "argument command: invalid choice: ''"
+                             " (choose from 'table', 'eval', 'verify', 'gosper')")),
+    (["-1"], 2,
+     _usage_error(TOP_USAGE, "argument command: invalid choice: '-1'"
+                             " (choose from 'table', 'eval', 'verify', 'gosper')")),
+    (["--foo"], 2, _usage_error(TOP_USAGE, "the following arguments are required: command")),
+    (["--n", "3", "eval", "A", "--y", "1/2"], 2,
+     _usage_error(TOP_USAGE, "argument command: invalid choice: '3'"
+                             " (choose from 'table', 'eval', 'verify', 'gosper')")),
+    (["-x", "table", "lowner"], 2, _usage_error(TOP_USAGE, "unrecognized arguments: -x")),
+    (["--foo", "eval", "A", "--n", "3", "--y", "1/2"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --foo")),
+    # -h and --help before and after a command
+    (["-h"], 0, ""),
+    (["--help"], 0, ""),
+    (["-h", "eval"], 0, ""),
+    (["--help", "table", "lowner"], 0, ""),
+    (["eval", "-h"], 0, ""),
+    (["table", "--help"], 0, ""),
+    (["verify", "--help"], 0, ""),
+    (["gosper", "-h"], 0, ""),
+    (["eval", "A", "--help"], 0, ""),
+    (["eval", "A", "--n", "3", "--y", "1/2", "-h"], 0, ""),
+    (["--foo", "-h"], 0, ""),
+    # -- at the start, the middle and the end
+    (["--"], 2, _usage_error(TOP_USAGE, "the following arguments are required: command")),
+    (["--", "eval", "A", "--n", "3", "--y", "1/2"], 2,
+     _usage_error(TOP_USAGE, "argument command: invalid choice: '--'"
+                             " (choose from 'table', 'eval', 'verify', 'gosper')")),
+    (["eval", "--", "A", "--n", "3", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "one of the arguments --y --t is required")),
+    (["eval", "A", "--n", "3", "--", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "one of the arguments --y --t is required")),
+    (["eval", "A", "--n", "3", "--y", "1/2", "--"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --")),
+    (["gosper", "--var", "l", "--", "l"], 0, ""),
+    (["gosper", "--var", "l", "--", "-l"], 0, ""),
+    (["table", "lowner", "--n", "2", "--"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --")),
+    (["verify", "lowner", "--n", "3", "--", "extra"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: -- extra")),
+    # an extra positional argument and an unknown option
+    (["eval", "A", "--n", "3", "--y", "1/2", "extra"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: extra")),
+    (["eval", "A", "--n", "3", "--y", "1/2", "--foo"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --foo")),
+    (["table", "lowner", "lambda"], 2, _usage_error(TOP_USAGE, "unrecognized arguments: lambda")),
+    (["verify", "lowner", "--n", "3", "--bogus", "1"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --bogus 1")),
+    (["gosper", "l", "--var", "l", "x"], 2, _usage_error(TOP_USAGE, "unrecognized arguments: x")),
+    (["table", "lowner", "--n", "3", "-q"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: -q")),
+    # an option prefix
+    (["gosper", "l", "--var", "l", "--ran", "2..4"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --ran 2..4")),
+    (["gosper", "l", "--var", "l", "--ran=-5..5"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --ran=-5..5")),
+    (["verify", "lowner", "--n", "3", "--form", "csv"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --form csv")),
+    (["eval", "W", "--k", "1", "--ord", "3", "--y", "1/2"], 2,
+     _usage_error(TOP_USAGE, "unrecognized arguments: --ord 3")),
+    (["table", "lowner", "--fl"], 2, _usage_error(TOP_USAGE, "unrecognized arguments: --fl")),
+    # values that start with -
+    (["eval", "A", "--n", "-3", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "n must be at least 1")),
+    (["eval", "A", "--n", "3", "--y", "-x"], 2,
+     _usage_error(EVAL_USAGE, "argument --y: not a rational: '-x'")),
+    (["eval", "A", "--n", "3", "--y", "--5"], 2,
+     _usage_error(EVAL_USAGE, "argument --y: expected one argument")),
+    (["eval", "A", "--n", "3", "--t", "-1e400"], 2,
+     _usage_error(EVAL_USAGE, "y or the value at t = -inf is not a finite binary64 number")),
+    (["eval", "-1", "--n", "3", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "argument kind: invalid choice: '-1'"
+                              " (choose from 'A', 'tau', 'lambda', 'W', 'B')")),
+    (["gosper", "-l", "--var", "l"], 2,
+     _usage_error(GOSPER_USAGE, "the following arguments are required: term")),
+    (["gosper", "l", "--var", "-l"], 2,
+     _usage_error(GOSPER_USAGE, "argument --var: expected one argument")),
+    (["gosper", "l", "--var", "l", "--range", "-5"], 2,
+     _usage_error(GOSPER_USAGE, "argument --range: range must look like 3..7")),
+    (["table", "lowner", "--n", "-2"], 2, _usage_error(TABLE_USAGE, "--n must be at least 1")),
+    # the command's own usage errors
+    (["eval"], 2, _usage_error(EVAL_USAGE, "the following arguments are required: kind")),
+    (["table"], 2, _usage_error(TABLE_USAGE, "the following arguments are required: kind")),
+    (["eval", "A", "--n", "3"], 2,
+     _usage_error(EVAL_USAGE, "one of the arguments --y --t is required")),
+    (["eval", "A", "--n", "3", "--y", "1/2", "--t", "1"], 2,
+     _usage_error(EVAL_USAGE, "argument --t: not allowed with argument --y")),
+    (["eval", "tau", "--n", "3", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval tau requires --k")),
+    (["eval", "W", "--k", "1", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval W requires --k and --order")),
+    (["eval", "W", "--k", "1", "--order", "61", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "--order 61 is over the limit of 60")),
+    (["eval", "A", "--n", "501", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "--n 501 is over the limit of 500")),
+    (["eval", "A", "--n", "3", "--y", "1/0"], 2,
+     _usage_error(EVAL_USAGE, "argument --y: not a rational: '1/0'")),
+    (["table", "tau", "--n", "0"], 2, _usage_error(TABLE_USAGE, "--n must be at least 1")),
+    (["verify", "all", "--n", "101"], 2,
+     _usage_error(VERIFY_USAGE, "--n 101 is over the limit of 100")),
+    (["verify", "nosuch"], 2,
+     _usage_error(VERIFY_USAGE, "argument suite: invalid choice: 'nosuch'"
+                                " (choose from 'all', 'askey-gasper', 'gegenbauer', 'gosper',"
+                                " 'hypergeometric', 'lowner', 'positivity', 'theorem2',"
+                                " 'theorem3')")),
+    (["gosper", "l", "--var", "l", "--range", "7..3"], 2,
+     _usage_error(GOSPER_USAGE, "argument --range: range upper bound below lower bound")),
+    (["gosper", "l"], 2,
+     _usage_error(GOSPER_USAGE, "the following arguments are required: --var")),
+    # an option that the kind of eval does not read
+    (["eval", "A", "--n", "3", "--k", "2", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval A does not take --k")),
+    (["eval", "A", "--n", "3", "--order", "4", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval A does not take --order")),
+    (["eval", "tau", "--n", "3", "--k", "1", "--order", "4", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval tau does not take --order")),
+    (["eval", "lambda", "--n", "3", "--k", "1", "--order", "4", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval lambda does not take --order")),
+    (["eval", "W", "--k", "1", "--order", "3", "--n", "9", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval W does not take --n")),
+    (["eval", "B", "--k", "1", "--order", "3", "--n", "9", "--y", "1/2"], 2,
+     _usage_error(EVAL_USAGE, "eval B does not take --n")),
+
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err", DISPATCH, ids=[shlex.join(argv) or "(none)" for argv, _, _ in DISPATCH]
+)
+def test_dispatch_keeps_every_message(capsys, monkeypatch, argv, code, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    try:
+        got = cli.main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, capsys.readouterr().err) == (code, err)
+
+
+VALID = [argv for argv, code, _ in DISPATCH if code == 0 and not {"-h", "--help"} & set(argv)]
+
+
+@pytest.mark.parametrize("argv", VALID, ids=map(shlex.join, VALID))
+def test_a_valid_line_is_parsed_once(capsys, monkeypatch, argv):
+    parsed = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert cli.main(list(argv)) == 0
+    assert parsed == [f"debranges {argv[0]}"]
 
 
 class TestGosper:

@@ -52,7 +52,8 @@ def values():
     ]
 
 
-# the repr a frozen dataclass printed for the records above
+# the repr a frozen dataclass printed for the records above; a shift
+# quotient's own repr names its class and its roots
 REPRS = [
     "LinearFactor(a=Fraction(1, 1), b=Fraction(-1, 2), exponent=-1)",
     "FactorialFactor(a=2, b=Fraction(1, 3), exponent=1)",
@@ -63,7 +64,8 @@ REPRS = [
     "GeometricFactor(base=Fraction(2, 1), a=1, b=0), "
     "FactorialFactor(a=1, b=Fraction(0, 1), exponent=-1)))",
     "_Token(kind='num', text='12', pos=3)",
-    "GosperCertificate(ratio=RationalFunction((l + 1) / (l)), "
+    "GosperCertificate(ratio=ShiftQuotient((l + 1) / (l), "
+    "roots=((Fraction(-1, 1), 1), (Fraction(0, 1), -1))), "
     "multiplier=RationalFunction((1/2*l + 1/2) / (1)))",
     "PositivityViolation(quantity='weinstein', n=3, k=1, y=Fraction(1, 2), value=Fraction(-1, 4))",
     "CoeffTable(n_max=2, entries={(1, 1): Fraction(1, 1), (2, 1): Fraction(4, 1), "
