@@ -371,8 +371,8 @@ def _at_time(p: Poly, t: float) -> str:
 
 
 # The largest --order that `eval W|B` takes.  The slowest lone cold call of
-# W_1, W_2, W_(N/2), W_(N-1), B_(N/2) and B_(N-1) took 0.025 s at order 30,
-# 0.97 s at 60 and 5.0 s at 80, near order^5.5 (in process; 2 CPUs, Python 3.11).
+# W_1, W_2, W_(N/2), W_(N-1), B_(N/2) and B_(N-1) took 0.009 s at order 30,
+# 0.32-0.41 s at 60 and 2.6 s at 80 (in process; 2 CPUs, Python 3.11).
 SERIES_ORDER_LIMIT = 60
 
 # The largest --n that `eval A|tau|lambda` takes.  The slowest kind is A: a
@@ -413,9 +413,11 @@ def cmd_eval(args, error) -> int:
             error(f"--order {args.order} is over the limit of {SERIES_ORDER_LIMIT}")
     elif args.n is None:
         error(f"eval {kind} requires --n")
+    elif kind == "A":
+        _check_n(args.n, EVAL_N_LIMIT, error)
     elif args.n > EVAL_N_LIMIT:
         error(f"--n {args.n} is over the limit of {EVAL_N_LIMIT}")
-    elif kind != "A" and args.k is None:
+    elif args.k is None:
         error(f"eval {kind} requires --k")
     try:
         lines = _eval_lines(args)

@@ -18,13 +18,18 @@ are verified, not imposed.  A generating-function route K(z) w^k, its
 expansion in powers of y, the Jacobi/Gegenbauer product factorization, the
 Milin functional, and exact positivity scans complete the picture.
 
-The series W_k and K(z) w^k both read the one chain power w^k, the only
-series products they take (one memo of w^m).  The logarithmic derivative of
-K(w) = y K(z), with K'(x)/K(x) = (1 + x)/(x (1 - x)), is the Koebe property
-(1 + w)(1 - z) z w_z = (1 + z)(1 - w) w; with y z (1 - w)^2 = (1 - z)^2 w it
-gives 1/(1 - w^2) = y z^2 w_z / (w^2 (1 - z^2)), so W_k = z^2 (w^k)' /
-(k (1 - z^2)) is one running sum with step 2, and K(z) w^k = z/(1-z)^2 w^k
-two running sums with step 1, of the coefficients of w^k.
+The series W_k and K(z) w^k both read the one chain power w^k = y^k (w/y)^k,
+the only series products they take (one memo of (w/y)^m).  The logarithmic
+derivative of K(w) = y K(z), with K'(x)/K(x) = (1 + x)/(x (1 - x)), is the
+Koebe property (1 + w)(1 - z) z w_z = (1 + z)(1 - w) w; with
+y z (1 - w)^2 = (1 - z)^2 w it gives 1/(1 - w^2) = y z^2 w_z / (w^2 (1 - z^2)),
+so W_k = z^2 (w^k)' / (k (1 - z^2)) is one running sum with step 2, and
+K(z) w^k = z/(1-z)^2 w^k two running sums with step 1, of the coefficients
+of w^k.  The powers and their running sums stay packed: each z-coefficient
+of w/y is one integer by Kronecker substitution in y, at one base per order
+wide enough for every digit of every power and every sum, so each power is
+one integer dot product per z^n, and each output coefficient is unpacked
+and normalised once.
 
 Convention: W_k(z, 0) = z^(k+1)/(1 - z^2), so L(n, k) at y = 1 is 1 when
 n - k is even and 0 when it is odd, matching the slope initial values
@@ -36,10 +41,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterable, Sequence
 
 from .exact import (
-    EvalGrid, Poly, Record, Scalar, _make, _set_field, binomial, first_mismatch, format_rational,
+    EvalGrid, Poly, Record, Scalar, _make, _pack, _set_field, _unpack, binomial, first_mismatch,
+    format_rational,
 )
 from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
@@ -58,13 +66,48 @@ def weinstein_poly(n: int, k: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _chain_power(order: int, m: int) -> ZSeries:
-    """w^m for m >= 1: the only series products of W_k and B_k."""
+def _packed_chain(order: int) -> tuple[int, tuple[int, ...]]:
+    """(nbytes, p): p[n] is the z^n coefficient w_n / y of w / y, n <= order,
+    packed once as its numerators at base 2^B, B = 8 * nbytes.
+
+    B is fixed by the 1-norm majorant.  For w^_n = ||w_n||_1, each
+    y-coefficient of the z^n coefficient of (w/y)^m is at most [z^n] w^^m,
+    so at most G = max_(n <= order) [z^n] 1 / (1 - w^).  A row of W_k or B_k
+    adds at most order + 1 of them, each with a weight of at most order + 1,
+    so B >= bitlen((order + 1)^2 G) + 1 puts every digit under 2^(B-1) in
+    size, and ``_unpack`` reads each one back."""
+    chain = koebe_chain(order).coeffs
+    norms = [sum(map(abs, c._num)) for c in chain]
+    g = [1]
+    for n in range(1, order + 1):
+        g.append(sum(map(mul, norms[1 : n + 1], reversed(g))))
+    nbytes = -(-(((order + 1) ** 2 * max(g)).bit_length() + 1) // 8)
+    return nbytes, tuple(_pack(c._num[1:], 8 * nbytes) for c in chain)
+
+
+@lru_cache(maxsize=None)
+def _chain_power(order: int, m: int) -> tuple[int, ...]:
+    """(w/y)^m for m >= 1, its z^n coefficients packed as in _packed_chain:
+    the only series products of W_k and B_k, each z^n coefficient one dot
+    product of the power before with the packed chain."""
+    chain = _packed_chain(order)[1]
     if m == 1:
-        return koebe_chain(order)
+        return chain
     for j in range(2, m - 1):  # fill the cache upward, so the depth stays constant
         _chain_power(order, j)
-    return _chain_power(order, m - 1) * koebe_chain(order)
+    prev = _chain_power(order, m - 1)
+    return (0,) * m + tuple(
+        sum(map(mul, prev[m - 1 : n], chain[n - m + 1 : 0 : -1])) for n in range(m, order + 1)
+    )
+
+
+def _series_from_rows(rows: Iterable[int], nbytes: int, k: int, den: int) -> ZSeries:
+    """The series sum_m y^k rows[m] z^(m+1) / den, with each packed row
+    unpacked and normalised once."""
+    zero, shift = Poly.zero("y"), [0] * k
+    return ZSeries(
+        [zero, *(_make(shift + _unpack(r, nbytes), den, "y") if r else zero for r in rows)]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +126,10 @@ def weinstein_series(k: int, order: int) -> ZSeries:
         raise ValueError("k must be at least 1")
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
-    power = _chain_power(order, k)
-    sums = Poly.running_sums(power.coeffs[:-1], (2,), power.var, range(order), Fraction(1, k))
-    return ZSeries([Poly.zero(power.var), *sums], power.var)
+    rows = [m * c for m, c in enumerate(_chain_power(order, k)[:order])]
+    rows[0::2] = accumulate(rows[0::2])
+    rows[1::2] = accumulate(rows[1::2])
+    return _series_from_rows(rows, _packed_chain(order)[0], k, k)
 
 
 @lru_cache(maxsize=None)
@@ -140,9 +184,8 @@ def debranges_generating_series(k: int, order: int) -> ZSeries:
         raise ValueError("k must be at least 1")
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
-    power = _chain_power(order, k)
-    sums = Poly.running_sums(power.coeffs[:-1], (1, 1), power.var)
-    return ZSeries([Poly.zero(power.var), *sums], power.var)
+    rows = accumulate(accumulate(_chain_power(order, k)[:order]))
+    return _series_from_rows(rows, _packed_chain(order)[0], k, 1)
 
 
 def explicit_generating_check(k: int, order: int, j_max: int) -> bool:

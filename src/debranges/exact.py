@@ -20,8 +20,9 @@ coefficients are such polynomials is one packed kernel,
 ``Poly.series_product``: each coefficient polynomial becomes one integer by
 Kronecker substitution, so that each z-coefficient of the product is one dot
 product of integers, computed by CPython's big-integer multiply, and is
-unpacked once.  A division of such a series by factors
-1 - z^s is ``Poly.running_sums``, running sums on the integer numerators.
+unpacked once.  ``_pack`` and ``_unpack`` are the two halves of that
+substitution, shared with the chain powers of :mod:`debranges.dbw`, which
+stay packed from one power to the next.
 
 ``Record`` is the base of the package's immutable records and values: their
 fields are slots, set once by each class's own ``__init__``, and a record
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -273,6 +274,22 @@ def _pack(digits: Sequence[int], bits: int) -> int:
     for x in reversed(digits):
         acc = (acc << bits) + x
     return acc
+
+
+def _unpack(s: int, nbytes: int) -> list[int]:
+    """The digits of s = _pack(digits, B) at B = 8 * nbytes, for digits of
+    size under 2^(B-1) whose last one is nonzero; [] for s = 0.
+
+    A sum with L such digits has a bit length from B(L-1) to BL-1, and one
+    offset of 2^(B-1) per digit turns its digits into bytes that read back
+    exactly."""
+    if not s:
+        return []
+    bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
+    size = nbytes * (s.bit_length() // bits + 1)
+    offsets = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (size // nbytes), "little")
+    raw = (s + offsets).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, size, nbytes)]
 
 
 class Poly(Record):
@@ -540,9 +557,7 @@ class Poly(Record):
         power of var that divides all its coefficients.  A digit of a dot
         product is a sum of at most pairs * length products of numerators,
         so with B >= bits(a) + bits(b) + bitlen(pairs) + bitlen(length) + 1
-        every digit is under 2^(B-1) in size.  Then a sum with L digits has
-        a bit length from B(L-1) to BL-1, and one offset of 2^(B-1) per
-        digit turns its digits into bytes that read back exactly."""
+        every digit is under 2^(B-1) in size, and ``_unpack`` reads it back."""
         n = min(len(a), len(b))
         zero = Poly.zero(var)
         va, vb = _z_valuation(a[:n]), _z_valuation(b[:n])
@@ -557,48 +572,14 @@ class Poly(Record):
             + min(len_a, len_b).bit_length() + 1
         )
         nbytes = -(-bound // 8)  # B is the least multiple of 8 that is at least the bound
-        bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
-        pa = [_pack(r, bits) for r in rows_a]
-        pb = [_pack(r, bits) for r in rows_b]
-        offsets = (bytes(nbytes - 1) + b"\x80") * (len_a + len_b - 1)
+        pa = [_pack(r, 8 * nbytes) for r in rows_a]
+        pb = [_pack(r, 8 * nbytes) for r in rows_b]
         den, shift = da * db, [0] * (sa + sb)
         out = [zero] * (va + vb)
         for m in range(pairs):
             s = sum(map(mul, pa[: m + 1], reversed(pb[: m + 1])))
-            if not s:
-                out.append(zero)
-                continue
-            size = nbytes * (s.bit_length() // bits + 1)
-            raw = (s + int.from_bytes(offsets[:size], "little")).to_bytes(size, "little")
-            digits = [
-                int.from_bytes(raw[i : i + nbytes], "little") - half
-                for i in range(0, size, nbytes)
-            ]
-            out.append(_make(shift + digits, den, var))
+            out.append(_make(shift + _unpack(s, nbytes), den, var) if s else zero)
         return out
-
-    @staticmethod
-    def running_sums(
-        coeffs: Sequence["Poly"], steps: Sequence[int], var: str,
-        weights: Sequence[int] | None = None, scale: Scalar = 1,
-    ) -> list["Poly"]:
-        """The first len(coeffs) z-coefficients of scale * sum_m weights[m]
-        coeffs[m] z^m / prod_s (1 - z^s), polynomials in var (weights 1 by
-        default): one running sum out[m] += out[m - s] per step s, on integer
-        numerators over one common denominator, normalised once per output."""
-        den = math.lcm(*(c._den for c in coeffs))
-        p, q = _ratio(scale)
-        rows = []
-        for c, w in zip(coeffs, weights or [1] * len(coeffs)):
-            f = p * w * (den // c._den)
-            rows.append(list(c._num) if f == 1 else [f * x for x in c._num])
-        for s in steps:
-            for m in range(s, len(rows)):
-                a, b = rows[m], rows[m - s]
-                if len(a) < len(b):
-                    a, b = b, a
-                rows[m] = [*map(add, a, b), *a[len(b):]]
-        return [_make(r, den * q, var) for r in rows]
 
     # -- display ---------------------------------------------------------
 

@@ -1008,7 +1008,7 @@ def pfq_terminating(
         prefix.append(prefix[-1] * p)
         suffix.append(suffix[-1] * q)
     nums = [a * b for a, b in zip(prefix, reversed(suffix))]
-    series = Poly(nums, "t") * Fraction(1, suffix[-1])
+    series = _make(nums, suffix[-1], "t")
     if not isinstance(arg, Poly):
         return series(arg)
     if arg.degree > 1:

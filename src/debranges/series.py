@@ -18,6 +18,8 @@ coefficient of the product is one dot product of those integers.  The
 inverse and the chain, where each coefficient needs the ones before it, are
 sequential instead: the inverse sums plain ``Poly`` products, and the chain
 folds its symmetric square on integer numerators with ``_convolve_into``.
+The powers of the chain that :mod:`debranges.dbw` reads take no series
+product here: they stay packed from the chain to their last running sum.
 """
 
 from __future__ import annotations

@@ -179,6 +179,14 @@ class TestEval:
         assert excinfo.value.code == 2
         assert f"--n {n} is over the limit of 500" in capsys.readouterr().err
 
+    def test_n_below_one_names_the_option_for_a_only(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "A", "--n", "0", "--y", "1/2"])
+        assert excinfo.value.code == 2
+        assert "debranges eval: error: --n must be at least 1" in capsys.readouterr().err
+        # T(0, 1) = 0 by design
+        assert run(capsys, "eval", "tau", "--n", "0", "--k", "1", "--y", "1/2")[:2] == (0, "0\n")
+
     def test_n_at_the_limit_is_taken(self, capsys):
         n = cli.EVAL_N_LIMIT
         code, out, _ = run(capsys, "eval", "lambda", "--n", str(n), "--k", str(n), "--y", "1")
@@ -731,7 +739,7 @@ DISPATCH = [
     (["table", "lowner", "--fl"], 2, _usage_error(TOP_USAGE, "unrecognized arguments: --fl")),
     # values that start with -
     (["eval", "A", "--n", "-3", "--y", "1/2"], 2,
-     _usage_error(EVAL_USAGE, "n must be at least 1")),
+     _usage_error(EVAL_USAGE, "--n must be at least 1")),
     (["eval", "A", "--n", "3", "--y", "-x"], 2,
      _usage_error(EVAL_USAGE, "argument --y: not a rational: '-x'")),
     (["eval", "A", "--n", "3", "--y", "--5"], 2,

@@ -19,7 +19,7 @@ from debranges.dbw import (
     weinstein_poly,
     weinstein_series,
 )
-from debranges.exact import binomial
+from debranges.exact import _unpack, binomial
 from debranges.series import ZSeries, koebe_chain, time_derivative
 
 
@@ -146,15 +146,19 @@ class TestWeinsteinSeries:
 
     @pytest.mark.parametrize("k", [2, 5, 11])
     def test_lone_cold_series_takes_k_minus_one_products(self, monkeypatch, k):
+        # w/y, then (w/y)^2 .. (w/y)^k as one packed product each, and no
+        # ZSeries product or inverse
         order = 12
         koebe_chain(order)
         _clear_power_memos()
         products = _count_products(monkeypatch)
         weinstein_series(k, order)
-        assert len(products) == k - 1
+        assert dbw._chain_power.cache_info().misses == k
+        assert products == []
 
 
 def _clear_power_memos():
+    dbw._packed_chain.cache_clear()
     dbw._chain_power.cache_clear()
     dbw.weinstein_series.cache_clear()
 
@@ -177,6 +181,20 @@ def _count_products(monkeypatch) -> list:
     monkeypatch.setattr(ZSeries, "__rmul__", counted)
     monkeypatch.setattr(ZSeries, "inverse", counted_inverse)
     return products
+
+
+def _chain_power_closed_form(m: int, n: int) -> list[int]:
+    """Numerators of the z^n coefficient of (w/y)^m, n >= m, from y^0 up:
+    the y^(j-m) one is the y^j one of w^m, read off the expansion
+    K(z) w^m = sum_j (-1)^(j+m) (2m/(j+m)) C(2j-1, j-m) K(z)^(j+1) y^j
+    with (1 - z)^2 K(z)^(j+1) / z = z^j / (1 - z)^(2j)."""
+    coeffs = [
+        Fraction((-1) ** (j + m) * 2 * m * binomial(2 * j - 1, j - m) * binomial(n + j - 1, n - j),
+                 j + m)
+        for j in range(m, n + 1)
+    ]
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
 
 
 def _drop_y(p):
@@ -206,7 +224,8 @@ class TestSeriesFromChainPowers:
                 )
 
     def test_cold_sweep_takes_only_the_chain_powers(self, monkeypatch):
-        # W_k and B_k for every k at order 12: w^2 .. w^11 and no inverse
+        # W_k and B_k for every k at order 12: w/y, the packed products
+        # (w/y)^2 .. (w/y)^11, and no ZSeries product or inverse
         order = 12
         koebe_chain(order)
         _clear_power_memos()
@@ -214,8 +233,54 @@ class TestSeriesFromChainPowers:
         for k in range(1, order):
             weinstein_series(k, order)
             debranges_generating_series(k, order)
-        assert len(products) == 10
-        assert "inverse" not in products
+        assert dbw._chain_power.cache_info().misses == 11
+        assert products == []
+
+    @pytest.mark.parametrize("k", [1, 2, 30, 59])
+    def test_widest_digits_equal_the_closed_forms(self, k):
+        # order 60, the largest --order of `eval W|B`, packs at the widest base
+        order = 60
+        w, b = weinstein_series(k, order), debranges_generating_series(k, order)
+        for m in range(k + 1):
+            assert w.coefficient(m).is_zero() and b.coefficient(m).is_zero(), m
+        for n in range(k, order):
+            assert w.coefficient(n + 1) == weinstein_poly(n, k), n
+            assert b.coefficient(n + 1) == debranges_poly(n, k), n
+
+    def test_majorant_bounds_every_digit(self):
+        # the digits are the numerators of the z^n coefficients of (w/y)^m,
+        # m < order, n <= order, and of the rows k L(n, k) of W_k and T(n, k)
+        # of B_k, n < order; at every order the majorant (order + 1)^2 G
+        # bounds them all, and the packing base holds the majorant
+        top = 60
+        nbytes = dbw._packed_chain(top)[0]
+        powers = {}
+        for m in range(1, top):
+            got = dbw._chain_power(top, m)
+            for n in range(m, top + 1):
+                want = _chain_power_closed_form(m, n)
+                assert _unpack(got[n], nbytes) == want, (m, n)
+                powers[m, n] = max(map(abs, want))
+        rows = [0] + [
+            max(
+                max(k * max(map(abs, weinstein_poly(n, k).coeffs)),
+                    max(map(abs, debranges_poly(n, k).coeffs)))
+                for k in range(1, n + 1)
+            )
+            for n in range(1, top)
+        ]
+        norms = [sum(map(abs, c.coeffs)) for c in koebe_chain(top).coeffs]
+        g = [1]  # [z^n] 1 / (1 - sum_n norms[n] z^n)
+        for n in range(1, top + 1):
+            g.append(sum(norms[i] * g[n - i] for i in range(1, n + 1)))
+        for order in range(2, top + 1):
+            majorant = (order + 1) ** 2 * max(g[: order + 1])
+            widest = max(
+                max(powers[m, n] for m in range(1, order) for n in range(m, order + 1)),
+                max(rows[:order]),
+            )
+            assert widest <= majorant, order
+            assert majorant < 2 ** (8 * dbw._packed_chain(order)[0] - 1), order
 
 
 class TestDeBrangesPoly:

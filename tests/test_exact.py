@@ -11,6 +11,8 @@ from debranges.exact import (
     EvalGrid,
     Poly,
     RationalFunction,
+    _pack,
+    _unpack,
     binomial,
     first_mismatch,
     format_rational,
@@ -308,32 +310,17 @@ class TestKernelAgainstReference:
         value = p(v)
         assert type(value) is Fraction and value == ref_eval(a, v)
 
-    @given(
-        cs=st.lists(coeff_lists, max_size=6),
-        steps=st.lists(st.integers(1, 3), max_size=3),
-        ws=st.lists(st.integers(-5, 5), min_size=6, max_size=6),
-        c=rationals,
-    )
+    @given(nbytes=st.integers(1, 4), data=st.data())
     @settings(max_examples=40, deadline=None)
-    @example(cs=[[1], [], [Fraction(1, 2), 3]], steps=[1, 1], ws=[1] * 6, c=Fraction(1))
-    @example(cs=[[0, 1], [1], [Fraction(-1, 3)]], steps=[2], ws=[0, 1, 2, 3, 4, 5], c=Fraction(1, 3))
-    def test_running_sums(self, cs, steps, ws, c):
-        # scale * sum_m w_m c_m z^m / prod_s (1 - z^s), one step at a time
-        def ref(weights, scale):
-            rows = [ref_mul(ref_trim(a), [scale * w]) for a, w in zip(cs, weights)]
-            for s in steps:
-                for m in range(s, len(rows)):
-                    rows[m] = ref_add(rows[m], rows[m - s])
-            return rows
-
-        polys = [Poly(a, "y") for a in cs]
-        for got, want in (
-            (Poly.running_sums(polys, steps, "y", ws[: len(cs)], c), ref(ws, c)),
-            (Poly.running_sums(polys, steps, "y"), ref([1] * len(cs), Fraction(1))),
-        ):
-            assert len(got) == len(cs)
-            for p, row in zip(got, want):
-                self.check(p, row)
+    def test_unpack_reads_back_packed_digits(self, nbytes, data):
+        # digits of either sign up to 2^(B-1) - 1 in size, the last nonzero
+        top = 2 ** (8 * nbytes - 1) - 1
+        digit = st.integers(-top, top)
+        drawn = data.draw(st.lists(digit, max_size=8)) + [data.draw(digit.filter(bool))]
+        widest = [[top] * 5, [-top] * 5, [top, -top] * 3, [-top, top] * 3, [0, 0, -top], [-1]]
+        for d in [drawn, *widest]:
+            assert _unpack(_pack(d, 8 * nbytes), nbytes) == d
+        assert _unpack(0, nbytes) == []
 
     def test_equal_values_store_equally(self):
         half = Poly([Fraction(2, 4)], "y")
