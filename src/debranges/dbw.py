@@ -28,8 +28,9 @@ K(z) w^k = z/(1-z)^2 w^k two running sums with step 1, of the coefficients
 of w^k.  The powers and their running sums stay packed: each z-coefficient
 of w/y is one integer by Kronecker substitution in y, at one base per order
 wide enough for every digit of every power and every sum, so each power is
-one integer dot product per z^n, and each output coefficient is unpacked
-and normalised once.
+one integer dot product per z^n; each row of W_k is divided by k while it
+is packed, and each output coefficient is unpacked once, with integer
+coefficients that need no normalising.
 
 Convention: W_k(z, 0) = z^(k+1)/(1 - z^2), so L(n, k) at y = 1 is 1 when
 n - k is even and 0 when it is odd, matching the slope initial values
@@ -46,8 +47,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    EvalGrid, Poly, Record, Scalar, _make, _pack, _set_field, _unpack, binomial, first_mismatch,
-    format_rational,
+    EvalGrid, Poly, Record, Scalar, _make, _pack, _raw, _set_field, _unpack, binomial,
+    first_mismatch, format_rational,
 )
 from .series import ZSeries, koebe_chain, time_derivative
 from . import orthopoly
@@ -101,12 +102,13 @@ def _chain_power(order: int, m: int) -> tuple[int, ...]:
     )
 
 
-def _series_from_rows(rows: Iterable[int], nbytes: int, k: int, den: int) -> ZSeries:
-    """The series sum_m y^k rows[m] z^(m+1) / den, with each packed row
-    unpacked and normalised once."""
+def _series_from_rows(rows: Iterable[int], nbytes: int, k: int) -> ZSeries:
+    """The series sum_m y^k rows[m] z^(m+1), with each packed row unpacked
+    once: its digits are integers whose last one is nonzero, so each
+    coefficient is canonical over 1 as it stands."""
     zero, shift = Poly.zero("y"), [0] * k
     return ZSeries(
-        [zero, *(_make(shift + _unpack(r, nbytes), den, "y") if r else zero for r in rows)]
+        [zero, *(_raw(tuple(shift + _unpack(r, nbytes)), 1, "y") if r else zero for r in rows)]
     )
 
 
@@ -118,9 +120,10 @@ def weinstein_series(k: int, order: int) -> ZSeries:
     The Koebe log-derivative (1 + w)(1 - z) z w_z = (1 + z)(1 - w) w and the
     chain's quadratic y z (1 - w)^2 = (1 - z)^2 w give 1/(1 - w^2) =
     y z^2 w_z / (w^2 (1 - z^2)), hence W_k = z^2 w^(k-1) w_z / (1 - z^2) =
-    z^2 (w^k)' / (k (1 - z^2)).  Its z^(m+1) numerator m c_m / k, for the z^m
-    coefficient c_m of w^k, is an integer polynomial (a coefficient of
-    z w^(k-1) w_z), and the division by 1 - z^2 is a running sum with step 2.
+    z^2 (w^k)' / (k (1 - z^2)).  Its z^(m+1) numerator m c_m, for the z^m
+    coefficient c_m of w^k, is k times a coefficient of z w^(k-1) w_z, so
+    after the division by 1 - z^2, a running sum with step 2, each packed
+    row is a multiple of k: one exact integer division divides every digit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -129,7 +132,7 @@ def weinstein_series(k: int, order: int) -> ZSeries:
     rows = [m * c for m, c in enumerate(_chain_power(order, k)[:order])]
     rows[0::2] = accumulate(rows[0::2])
     rows[1::2] = accumulate(rows[1::2])
-    return _series_from_rows(rows, _packed_chain(order)[0], k, k)
+    return _series_from_rows([r // k for r in rows], _packed_chain(order)[0], k)
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +188,7 @@ def debranges_generating_series(k: int, order: int) -> ZSeries:
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
     rows = accumulate(accumulate(_chain_power(order, k)[:order]))
-    return _series_from_rows(rows, _packed_chain(order)[0], k, 1)
+    return _series_from_rows(rows, _packed_chain(order)[0], k)
 
 
 def explicit_generating_check(k: int, order: int, j_max: int) -> bool:

@@ -14,14 +14,14 @@ Calling a polynomial evaluates it at an exact scalar; the only substitutions
 are the linear ones, ``shift`` and ``subs_linear``.
 
 A product of two polynomials is the schoolbook convolution of their integer
-numerators, ``_convolve_into``; the Koebe chain in :mod:`debranges.series`
-folds its symmetric square with it too.  A product of two series in z whose
+numerators, ``_convolve_into``.  A product of two series in z whose
 coefficients are such polynomials is one packed kernel,
 ``Poly.series_product``: each coefficient polynomial becomes one integer by
 Kronecker substitution, so that each z-coefficient of the product is one dot
 product of integers, computed by CPython's big-integer multiply, and is
 unpacked once.  ``_pack`` and ``_unpack`` are the two halves of that
-substitution, shared with the chain powers of :mod:`debranges.dbw`, which
+substitution, shared with the square of the Koebe chain in
+:mod:`debranges.series` and the chain powers of :mod:`debranges.dbw`, which
 stay packed from one power to the next.
 
 ``Record`` is the base of the package's immutable records and values: their
@@ -192,17 +192,11 @@ def _make(nums: list[int], den: int, var: str) -> "Poly":
     return _raw(*_canonical(nums, den), var)
 
 
-def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int], scale: int) -> None:
-    """out[i+j] += scale * a[i] * b[j] for every i, j; b must not be all zero."""
-    lo = 0
-    while not b[lo]:  # the chain coefficients w_n are divisible by y
-        lo += 1
-    b = b[lo:]
+def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """out[i+j] += a[i] * b[j] for every i, j."""
     for i, x in enumerate(a):
         if x:
-            if scale != 1:
-                x *= scale
-            for j, y in enumerate(b, i + lo):
+            for j, y in enumerate(b, i):
                 out[j] += x * y
 
 
@@ -281,15 +275,16 @@ def _unpack(s: int, nbytes: int) -> list[int]:
     size under 2^(B-1) whose last one is nonzero; [] for s = 0.
 
     A sum with L such digits has a bit length from B(L-1) to BL-1, and one
-    offset of 2^(B-1) per digit turns its digits into bytes that read back
-    exactly."""
+    offset of 2^(B-1) per digit, the repunit 2^(B-1) (2^(BL) - 1)/(2^B - 1),
+    turns its digits into words of B bits, each read back by a shift and a
+    mask."""
     if not s:
         return []
-    bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
-    size = nbytes * (s.bit_length() // bits + 1)
-    offsets = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (size // nbytes), "little")
-    raw = (s + offsets).to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, size, nbytes)]
+    bits = 8 * nbytes
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    top = bits * (s.bit_length() // bits + 1)
+    s += half * (((1 << top) - 1) // mask)
+    return [(s >> i & mask) - half for i in range(0, top, bits)]
 
 
 class Poly(Record):
@@ -428,7 +423,7 @@ class Poly(Record):
         if not a or not b:
             return Poly.zero(self.var)
         out = [0] * (len(a) + len(b) - 1)
-        _convolve_into(out, a, b, 1)
+        _convolve_into(out, a, b)
         return _make(out, self._den * other._den, self.var)
 
     __rmul__ = __mul__

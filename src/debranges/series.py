@@ -17,18 +17,20 @@ coefficient polynomial is packed once into one integer, and each z^m
 coefficient of the product is one dot product of those integers.  The
 inverse and the chain, where each coefficient needs the ones before it, are
 sequential instead: the inverse sums plain ``Poly`` products, and the chain
-folds its symmetric square on integer numerators with ``_convolve_into``.
-The powers of the chain that :mod:`debranges.dbw` reads take no series
-product here: they stay packed from the chain to their last running sum.
+packs each coefficient once, when it is made, so that its symmetric square
+is one folded dot product of packed integers, unpacked once.  The powers of
+the chain that :mod:`debranges.dbw` reads take no series product here: they
+stay packed from the chain to their last running sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
-from .exact import Poly, Record, Scalar, _convolve_into, _make, _set_field
+from .exact import Poly, Record, Scalar, _make, _pack, _set_field, _unpack
 
 PolyOrScalar = Union[Poly, int, Fraction]
 
@@ -180,6 +182,21 @@ class ZSeries(Record):
         return f"ZSeries({self})"
 
 
+def _square_nbytes(order: int) -> int:
+    """The byte width of the base 2^B at which ``koebe_chain(order)`` folds
+    its squares.
+
+    B is fixed by the 1-norm majorant of the recurrence: with w^_0 = 0,
+    w^_1 = 1 and w^_n = 4 w^_(n-1) + w^_(n-2) + sum_i w^_i w^_(n-1-i), the
+    norm of 2 - 2y being 4, ||w_n||_1 <= w^_n, so every y-coefficient of
+    every square sum_i w_i w_(n-1-i) is at most w^_n <= w^_order in size,
+    and B >= bitlen(w^_order) + 1 lets ``_unpack`` read each one back."""
+    hat = [0, 1]
+    for n in range(2, order + 1):
+        hat.append(4 * hat[n - 1] + hat[n - 2] + sum(map(mul, hat[1 : n - 1], hat[n - 2 : 0 : -1])))
+    return -(-(hat[order].bit_length() + 1) // 8)
+
+
 @lru_cache(maxsize=None)
 def koebe_chain(order: int) -> ZSeries:
     """The bounded chain w with K(w) = y K(z), read off its quadratic.
@@ -189,22 +206,28 @@ def koebe_chain(order: int) -> ZSeries:
 
         w_n = (2 - 2y) w_(n-1) - w_(n-2) + y sum_{i=1..n-2} w_i w_(n-1-i).
 
-    Every w_n is a polynomial in y with integer coefficients, and the square
-    is symmetric in i and n-1-i: it is folded on the integer numerators,
-    each pair once, i <= n-1-i, with scale 2 off the middle and 1 on it, and
-    normalised once.
+    Every w_n is a polynomial in y with integer coefficients, divisible by
+    y.  Each w_n / y is packed once, when it is made, into one integer at the
+    base of ``_square_nbytes``, so the square, symmetric in i and n-1-i, is
+    one folded dot product of those integers, each pair once, and is
+    unpacked once; the linear terms are ``Poly`` arithmetic.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    y = Poly.variable("y")
+    nbytes = _square_nbytes(order)
+    bits = 8 * nbytes
     two_minus_2y = Poly([2, -2], "y")
-    w = [Poly.zero("y"), y]
+    w = [Poly.zero("y"), Poly.variable("y")]
+    packed = [0, 1]  # w_n / y at y = 2^B
     for n in range(2, order + 1):
-        square = [0] * n
-        for i in range(1, (n + 1) // 2):
-            j = n - 1 - i
-            _convolve_into(square, w[j]._num, w[i]._num, 2 if i < j else 1)
-        w.append(two_minus_2y * w[n - 1] - w[n - 2] + y * _make(square, 1, "y"))
+        # the square over y^2 at y = 2^B: sum_i packed[i] packed[m - i], m = n - 1
+        m = n - 1
+        square = sum(map(mul, packed[1 : (m + 1) // 2], packed[m - 1 : m // 2 : -1])) << 1
+        if m % 2 == 0:
+            square += packed[m // 2] ** 2
+        y_square = _make([0, 0, 0] + _unpack(square, nbytes), 1, "y")
+        w.append(two_minus_2y * w[n - 1] - w[n - 2] + y_square)
+        packed.append(_pack(w[n]._num[1:], bits))
     return ZSeries(w)
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -246,6 +247,17 @@ class TestSeriesFromChainPowers:
         for n in range(k, order):
             assert w.coefficient(n + 1) == weinstein_poly(n, k), n
             assert b.coefficient(n + 1) == debranges_poly(n, k), n
+
+    def test_every_packed_weinstein_row_is_a_multiple_of_k(self):
+        # the rows m c_m of z^2 (w^k)' / (1 - z^2), summed with step 2 on the
+        # packed powers, before W_k divides them by k
+        for order in range(2, 41):
+            for k in range(1, order):
+                rows = [m * c for m, c in enumerate(dbw._chain_power(order, k)[:order])]
+                rows[0::2] = accumulate(rows[0::2])
+                rows[1::2] = accumulate(rows[1::2])
+                assert all(r % k == 0 for r in rows), (order, k)
+            _clear_power_memos()
 
     def test_majorant_bounds_every_digit(self):
         # the digits are the numerators of the z^n coefficients of (w/y)^m,

@@ -310,14 +310,19 @@ class TestKernelAgainstReference:
         value = p(v)
         assert type(value) is Fraction and value == ref_eval(a, v)
 
-    @given(nbytes=st.integers(1, 4), data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @given(nbytes=st.integers(1, 32), data=st.data())
+    @settings(max_examples=60, deadline=None)
     def test_unpack_reads_back_packed_digits(self, nbytes, data):
-        # digits of either sign up to 2^(B-1) - 1 in size, the last nonzero
+        # up to 130 digits of either sign up to 2^(B-1) - 1 in size, the
+        # last nonzero, and rows of 130 digits at the widest of either sign
         top = 2 ** (8 * nbytes - 1) - 1
         digit = st.integers(-top, top)
-        drawn = data.draw(st.lists(digit, max_size=8)) + [data.draw(digit.filter(bool))]
-        widest = [[top] * 5, [-top] * 5, [top, -top] * 3, [-top, top] * 3, [0, 0, -top], [-1]]
+        drawn = data.draw(st.lists(digit, max_size=129)) + [data.draw(digit.filter(bool))]
+        widest = [
+            [top] * 5, [-top] * 5, [top, -top] * 3, [-top, top] * 3, [0, 0, -top], [-1],
+            [top] * 130, [-top] * 130, [top, -top] * 65, [-top, top] * 65, [0] * 129 + [-top],
+            [top] * 129 + [-1], [-top] * 129 + [1], [0] * 129 + [-1],
+        ]
         for d in [drawn, *widest]:
             assert _unpack(_pack(d, 8 * nbytes), nbytes) == d
         assert _unpack(0, nbytes) == []

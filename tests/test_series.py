@@ -10,6 +10,7 @@ from debranges import lowner
 from debranges.exact import Poly
 from debranges.series import (
     ZSeries,
+    _square_nbytes,
     chain_pde_residual,
     koebe_chain,
     log_over_z,
@@ -224,7 +225,60 @@ def _log_derivative_residual(w):
     return (one + w) * (one - z) * w.dz().shift_up(1) - (one + z) * (one - w) * w
 
 
+def _fold_into(out, a, b, scale):
+    """out[i+j] += scale * a[i] * b[j], the schoolbook kernel the chain once
+    folded its square with."""
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += scale * x * y
+
+
+def _folded_square(w, n):
+    """The numerators of sum_{i=1..n-2} w_i w_(n-1-i), each pair once, with
+    scale 2 off the middle and 1 on it."""
+    square = [0] * n
+    for i in range(1, (n + 1) // 2):
+        j = n - 1 - i
+        _fold_into(square, w[j]._num, w[i]._num, 2 if i < j else 1)
+    return square
+
+
+def _folded_chain(order):
+    """The chain's coefficients through z^order by the former schoolbook fold
+    of the square on the integer numerators."""
+    y = Poly.variable("y")
+    w = [Poly.zero("y"), y]
+    for n in range(2, order + 1):
+        w.append(Poly([2, -2], "y") * w[n - 1] - w[n - 2] + y * Poly(_folded_square(w, n), "y"))
+    return w
+
+
 class TestKoebeChain:
+    def test_packed_square_equals_the_schoolbook_fold(self):
+        folded = _folded_chain(60)
+        for order in range(1, 61):
+            assert list(koebe_chain(order).coeffs) == folded[: order + 1], order
+
+    def test_majorant_bounds_every_digit_of_every_square(self):
+        # the digits are the numerators of sum_i w_i w_(n-1-i) over y^2; the
+        # majorant w^_n of the recurrence bounds those of every n, and the
+        # packing base of every order holds the majorant at that order
+        top = 100
+        w = koebe_chain(top).coeffs
+        widest = [0, 0] + [
+            max(map(abs, _folded_square(w, n)), default=0) for n in range(2, top + 1)
+        ]
+        hat = [0, 1]
+        for n in range(2, top + 1):
+            square = sum(hat[i] * hat[n - 1 - i] for i in range(1, n - 1))
+            hat.append(4 * hat[n - 1] + hat[n - 2] + square)
+        for n in range(top + 1):
+            assert sum(map(abs, w[n]._num)) <= hat[n], n
+            assert widest[n] <= hat[n], n
+        for order in range(2, top + 1):
+            base = 2 ** (8 * _square_nbytes(order) - 1)
+            assert max(widest[: order + 1]) <= hat[order] < base, order
+
     def test_first_coefficient(self):
         assert koebe_chain(4).coefficient(1) == Poly.variable("y")
 
