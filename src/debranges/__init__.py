@@ -9,7 +9,7 @@ verification sweeps.
 """
 
 from .exact import EvalGrid, Poly, RationalFunction, binomial, format_rational, pochhammer
-from .series import ZSeries, chain_pde_residual, koebe_chain, log_over_z, time_derivative
+from .series import ZSeries, koebe_chain, time_derivative
 from .lowner import CoeffTable, chain_poly, coeff_closed, coeff_table, ode_residual, system_residual
 from .dbw import (
     PositivityViolation,
@@ -75,7 +75,6 @@ __all__ = [
     "certificate_witness",
     "chain_gegenbauer_check",
     "chain_gegenbauer_witness",
-    "chain_pde_residual",
     "chain_poly",
     "coeff_closed",
     "coeff_table",
@@ -97,7 +96,6 @@ __all__ = [
     "jacobi_partial_sum_poly",
     "jacobi_poly",
     "koebe_chain",
-    "log_over_z",
     "milin_functional",
     "ode_residual",
     "parse_term",

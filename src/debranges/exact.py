@@ -1,7 +1,6 @@
 """Exact arithmetic kernel: rationals, dense univariate polynomials over Q,
-products of truncated series with polynomial coefficients, exact sign tests
-of polynomials on a fixed grid of points, reduced rational functions, and
-combinatorial primitives.
+exact sign tests of polynomials on a fixed grid of points, reduced rational
+functions, and combinatorial primitives.
 
 Every scalar in this package is an arbitrary-precision ``fractions.Fraction``;
 floats never enter the core.  A polynomial is stored as a dense tuple of
@@ -14,15 +13,12 @@ Calling a polynomial evaluates it at an exact scalar; the only substitutions
 are the linear ones, ``shift`` and ``subs_linear``.
 
 A product of two polynomials is the schoolbook convolution of their integer
-numerators, ``_convolve_into``.  A product of two series in z whose
-coefficients are such polynomials is one packed kernel,
-``Poly.series_product``: each coefficient polynomial becomes one integer by
-Kronecker substitution, so that each z-coefficient of the product is one dot
-product of integers, computed by CPython's big-integer multiply, and is
-unpacked once.  ``_pack`` and ``_unpack`` are the two halves of that
-substitution, shared with the square of the Koebe chain in
-:mod:`debranges.series` and the chain powers of :mod:`debranges.dbw`, which
-stay packed from one power to the next.
+numerators, ``_convolve_into``.  ``_pack`` and ``_unpack`` are the two halves
+of a Kronecker substitution, which writes integer numerators as the digits of
+one integer at base 2^B and reads them back.  The square of the Koebe chain
+in :mod:`debranges.series` and the chain powers of :mod:`debranges.dbw` use
+them, so that their products are CPython's big-integer multiply; each caller
+fixes its own base from a bound on its digits.
 
 ``Record`` is the base of the package's immutable records and values: their
 fields are slots, set once by each class's own ``__init__``, and a record
@@ -236,30 +232,6 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], 
         for i, y in enumerate(b, k):
             rem[i] -= m * y
     return s, quot, rem[:db]
-
-
-def _z_valuation(coeffs: Sequence["Poly"]) -> int:
-    """Index of the first nonzero coefficient; len(coeffs) if there is none."""
-    return next((i for i, c in enumerate(coeffs) if c._num), len(coeffs))
-
-
-def _digit_rows(coeffs: Sequence["Poly"]) -> tuple[int, int, list[Sequence[int]]]:
-    """(s, den, rows) for coefficients that are not all zero: var^s divides
-    every coefficient, and rows[i] holds the numerators over den of
-    coeffs[i] / var^s."""
-    # the first nonzero numerator of num sits at num.index(that value)
-    s = min(c._num.index(next(filter(None, c._num))) for c in coeffs if c._num)
-    den = math.lcm(*(c._den for c in coeffs))
-    rows = [
-        c._num[s:] if c._den == den else [x * (den // c._den) for x in c._num[s:]]
-        for c in coeffs
-    ]
-    return s, den, rows
-
-
-def _max_bits(rows: Iterable[Sequence[int]]) -> int:
-    """Bit length of the largest absolute value in rows, not all empty."""
-    return max(max(map(abs, r)) for r in rows if r).bit_length()
 
 
 def _pack(digits: Sequence[int], bits: int) -> int:
@@ -539,43 +511,6 @@ class Poly(Record):
         # g is now a nonzero constant
         return sign * acc * g.const_value() ** f.degree
 
-    @staticmethod
-    def series_product(a: Sequence["Poly"], b: Sequence["Poly"], var: str) -> list["Poly"]:
-        """The first min(len(a), len(b)) z-coefficients of the product of
-        the series with z^i coefficients a[i] and b[i], all polynomials in var.
-
-        Kronecker substitution in var: each coefficient polynomial is packed
-        once into one integer, its numerators as the digits at base 2^B, so
-        that each z^m coefficient is one dot product of integers.  Before
-        packing, each factor drops its leading zero z-coefficients, is
-        brought to one common denominator and is divided by the largest
-        power of var that divides all its coefficients.  A digit of a dot
-        product is a sum of at most pairs * length products of numerators,
-        so with B >= bits(a) + bits(b) + bitlen(pairs) + bitlen(length) + 1
-        every digit is under 2^(B-1) in size, and ``_unpack`` reads it back."""
-        n = min(len(a), len(b))
-        zero = Poly.zero(var)
-        va, vb = _z_valuation(a[:n]), _z_valuation(b[:n])
-        pairs = n - va - vb  # the z^m coefficients that can be nonzero
-        if pairs <= 0:
-            return [zero] * n
-        sa, da, rows_a = _digit_rows(a[va : va + pairs])
-        sb, db, rows_b = _digit_rows(b[vb : vb + pairs])
-        len_a, len_b = max(map(len, rows_a)), max(map(len, rows_b))
-        bound = (
-            _max_bits(rows_a) + _max_bits(rows_b) + pairs.bit_length()
-            + min(len_a, len_b).bit_length() + 1
-        )
-        nbytes = -(-bound // 8)  # B is the least multiple of 8 that is at least the bound
-        pa = [_pack(r, 8 * nbytes) for r in rows_a]
-        pb = [_pack(r, 8 * nbytes) for r in rows_b]
-        den, shift = da * db, [0] * (sa + sb)
-        out = [zero] * (va + vb)
-        for m in range(pairs):
-            s = sum(map(mul, pa[: m + 1], reversed(pb[: m + 1])))
-            out.append(_make(shift + _unpack(s, nbytes), den, var) if s else zero)
-        return out
-
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -698,7 +633,9 @@ class RationalFunction(Record):
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction, Poly)):
-            return self.den.degree == 0 and self.num == other * self.den
+            # den is monic, so of degree 0 it is 1; a Poly in another
+            # variable compares unequal, as in Poly.__eq__
+            return self.den.degree == 0 and self.num == other
         return NotImplemented
 
     def __hash__(self) -> int:

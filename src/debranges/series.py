@@ -12,15 +12,13 @@ Truncation semantics: a series of order N is known exactly through z^N, and
 binary operations return the minimum order of their operands; nothing is
 ever extrapolated.
 
-A product of two series is the packed kernel ``Poly.series_product``: each
-coefficient polynomial is packed once into one integer, and each z^m
-coefficient of the product is one dot product of those integers.  The
-inverse and the chain, where each coefficient needs the ones before it, are
-sequential instead: the inverse sums plain ``Poly`` products, and the chain
-packs each coefficient once, when it is made, so that its symmetric square
-is one folded dot product of packed integers, unpacked once.  The powers of
-the chain that :mod:`debranges.dbw` reads take no series product here: they
-stay packed from the chain to their last running sum.
+``ZSeries`` is a container with schoolbook arithmetic: the z^m coefficient
+of a product, and of an inverse, is a sum of plain ``Poly`` products.  The
+chain's own products do not go through it.  ``koebe_chain`` packs each
+coefficient once, when it is made, so that its symmetric square is one
+folded dot product of packed integers, unpacked once; the powers of the
+chain that :mod:`debranges.dbw` reads stay packed from the chain to their
+last running sum.
 """
 
 from __future__ import annotations
@@ -73,10 +71,6 @@ class ZSeries(Record):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, var: str = "y") -> "ZSeries":
-        return cls((Poly.zero(var),) * (order + 1), var)
-
-    @classmethod
     def one(cls, order: int, var: str = "y") -> "ZSeries":
         return cls((Poly.const(1, var),) + (Poly.zero(var),) * order, var)
 
@@ -116,9 +110,19 @@ class ZSeries(Record):
 
     def __mul__(self, other: "ZSeries | PolyOrScalar") -> "ZSeries":
         if not isinstance(other, ZSeries):
+            if not isinstance(other, (Poly, int, Fraction)):
+                return NotImplemented
             return ZSeries([c * other for c in self.coeffs], self.var)
         self._check(other)
-        return ZSeries(Poly.series_product(self.coeffs, other.coeffs, self.var), self.var)
+        a, b, zero = self.coeffs, other.coeffs, Poly.zero(self.var)
+        # c_m = a_0 b_m + ... + a_m b_0, through the lower of the two orders
+        return ZSeries(
+            [
+                sum((x * y for x, y in zip(a[: m + 1], reversed(b[: m + 1]))), zero)
+                for m in range(min(len(a), len(b)))
+            ],
+            self.var,
+        )
 
     __rmul__ = __mul__
 
@@ -229,38 +233,3 @@ def koebe_chain(order: int) -> ZSeries:
         w.append(two_minus_2y * w[n - 1] - w[n - 2] + y_square)
         packed.append(_pack(w[n]._num[1:], bits))
     return ZSeries(w)
-
-
-def log_over_z(f: ZSeries) -> ZSeries:
-    """log(f(z)/z) as a series, for f = z + a_2 z^2 + ...
-
-    Requires the z^0 coefficient to vanish and the z^1 coefficient to be
-    exactly 1, so that the logarithm has no constant term and stays inside
-    Q[y][[z]].  The result is one order shorter than the input, since the
-    z^n log coefficient depends on f through z^(n+1).
-    """
-    if f.order < 1:
-        raise ValueError("need at least order 1")
-    if not f.coeffs[0].is_zero():
-        raise ValueError("z^0 coefficient must vanish")
-    if f.coeffs[1] != Poly.const(1, f.var):
-        raise ValueError("z^1 coefficient must be exactly 1")
-    g = ZSeries(f.coeffs[1:], f.var)  # f / z, order f.order - 1
-    if g.order == 0:
-        return ZSeries.zero(0, f.var)
-    h = g.dz() * g.inverse()  # (f/z)' / (f/z), order f.order - 2
-    phi = [Poly.zero(f.var)]
-    for n in range(1, g.order + 1):
-        phi.append(h.coeffs[n - 1] * Fraction(1, n))
-    return ZSeries(phi, f.var)
-
-
-def chain_pde_residual(w: ZSeries) -> ZSeries:
-    """Residual of the linear PDE (z-1) z w' = (z+1) dw/dt.
-
-    Zero (through the input's order) exactly when w is the Koebe chain; the
-    time derivative is realized coefficientwise as -y d/dy.
-    """
-    wp = w.dz()
-    wd = w.tdot()
-    return wp.shift_up(2) - wp.shift_up(1) - wd.shift_up(1) - wd

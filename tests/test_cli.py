@@ -449,6 +449,40 @@ class TestVerify:
             ("jacobi-decomposition", (3,)): "z^4: 2*y^3 != y^3",
         }
 
+    def test_series_product_fault_is_named_by_jacobi_decomposition(self, capsys, monkeypatch):
+        # the Jacobi-by-Gegenbauer product is the only series product in
+        # verify; 1 added to its z^4 coefficient is y^k more in the right side
+        # z^(k+1) y^k * product at z^(k+5), and each k must name that term
+        real = ZSeries.__mul__
+
+        def broken(self, other):
+            product = real(self, other)
+            if not isinstance(other, ZSeries) or product.order < 4:
+                return product
+            return ZSeries([c + 1 if m == 4 else c for m, c in enumerate(product.coeffs)])
+
+        monkeypatch.setattr(ZSeries, "__mul__", broken)
+        code, out, _ = run(capsys, "verify", "askey-gasper", "--n", "3")
+        assert code == 1
+        failed = {
+            (c["id"], tuple(c["indices"])): c["witness"]
+            for c in json.loads(out)["checks"] if not c["pass"]
+        }
+        assert failed == {
+            ("jacobi-decomposition", (1,)): (
+                "z^6: 42*y^5 - 140*y^4 + 180*y^3 - 112*y^2 + 35*y"
+                " != 42*y^5 - 140*y^4 + 180*y^3 - 112*y^2 + 36*y"
+            ),
+            ("jacobi-decomposition", (2,)): (
+                "z^7: 165*y^6 - 576*y^5 + 770*y^4 - 480*y^3 + 126*y^2"
+                " != 165*y^6 - 576*y^5 + 770*y^4 - 480*y^3 + 127*y^2"
+            ),
+            ("jacobi-decomposition", (3,)): (
+                "z^8: 429*y^7 - 1540*y^6 + 2106*y^5 - 1320*y^4 + 330*y^3"
+                " != 429*y^7 - 1540*y^6 + 2106*y^5 - 1320*y^4 + 331*y^3"
+            ),
+        }
+
     def test_hypergeometric_witnesses_name_first_failure(self, capsys, monkeypatch):
         real = hypsum.pfq_terminating
 

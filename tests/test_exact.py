@@ -369,6 +369,20 @@ class TestRationalFunction:
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Poly([1], "l"), Poly.zero("l"))
 
+    def test_equality_with_scalars_and_polynomials(self):
+        rf = RationalFunction(Poly([2, 4], "l"), Poly([2], "l"))
+        assert rf == Poly([1, 2], "l") and Poly([1, 2], "l") == rf
+        assert rf != Poly([1, 3], "l")
+        assert RationalFunction(Poly([3], "l")) == 3
+        assert RationalFunction(Poly([1, 2], "l"), Poly([0, 1], "l")) != Poly([1, 2], "l")
+
+    def test_equality_with_a_poly_in_another_variable_is_false(self):
+        # as Poly([1], "y") == Poly([1], "l") is: equality never raises
+        rf = RationalFunction(Poly([1], "l"))
+        assert (rf == Poly([1], "y")) is False
+        assert (Poly([1], "y") == rf) is False
+        assert rf != Poly([1], "y")
+
     @given(
         num=coeff_lists,
         den=coeff_lists.filter(lambda cs: any(cs)),

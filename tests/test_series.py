@@ -1,6 +1,5 @@
 """Truncated series ring and the Koebe chain."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,25 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from debranges import lowner
 from debranges.exact import Poly
-from debranges.series import (
-    ZSeries,
-    _square_nbytes,
-    chain_pde_residual,
-    koebe_chain,
-    log_over_z,
-    time_derivative,
-)
-
-
-def series_exp(phi: ZSeries) -> ZSeries:
-    """Independent termwise exponential: sum phi^k / k! (phi(0) = 0)."""
-    assert phi.coeffs[0].is_zero()
-    total = ZSeries.one(phi.order, phi.var)
-    power = ZSeries.one(phi.order, phi.var)
-    for k in range(1, phi.order + 1):
-        power = power * phi
-        total = total + power * Fraction(1, math.factorial(k))
-    return total
+from debranges.series import ZSeries, _square_nbytes, koebe_chain, time_derivative
 
 
 class TestRingOperations:
@@ -61,6 +42,13 @@ class TestRingOperations:
         s = ZSeries([1, 2]) * y
         assert s == ZSeries([y, 2 * y])
         assert ZSeries([1, 2]) * 3 == ZSeries([3, 6])
+
+    @pytest.mark.parametrize("other", [1.5, "a", [1], None])
+    def test_foreign_operands_are_refused(self, other):
+        # as Poly.__mul__ does: NotImplemented, so the TypeError names ZSeries
+        for product in (lambda: ZSeries([1, 2]) * other, lambda: other * ZSeries([1, 2])):
+            with pytest.raises(TypeError, match="'ZSeries'"):
+                product()
 
 
 # Naive reference: a series is a list of coefficient lists of Fractions.
@@ -171,8 +159,12 @@ def all_equal_series(order, degree, value):
 
 
 class TestPackedProduct:
-    """The Kronecker-packed series product against the Fraction oracle, at
-    the edges of its base bound, and against the fused sum of products."""
+    """The series product on wide numerators against the Fraction oracle,
+    at the widest digits of its coefficients, and on the chain's powers.
+
+    The class keeps the name of the packed kernel whose base bound these
+    cases were chosen at; the product is now a sum of ``Poly`` products,
+    and the cases gate it unchanged."""
 
     @given(s=wide_series(), t=wide_series())
     @example(s=[[0, 0, Fraction(1, 3)], [], [0, 0, 5]], t=[[]])
@@ -187,10 +179,10 @@ class TestPackedProduct:
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
     def test_digits_at_the_bound(self, order, degree, k, signs):
         # Every numerator is +-(2^k - 1) with one sign per factor, so the
-        # middle digit of the z^order coefficient is (order + 1) (degree + 1)
-        # (2^k - 1)^2 in size, the largest that factors of these sizes and
-        # bit lengths can give.  At (2, 6) and k = 5 the bound is 16 bits
-        # with no rounding, and the digit 20181 is over 2^14.
+        # middle y-coefficient of the z^order coefficient is (order + 1)
+        # (degree + 1) (2^k - 1)^2 in size, the largest that factors of these
+        # sizes and bit lengths can give.  At (2, 6) and k = 5 it is 20181,
+        # over 2^14, the edge of the former packed kernel's 16-bit base.
         ca, cb = signs[0] * (2**k - 1), signs[1] * (2**k - 1)
         product = all_equal_series(order, degree, ca) * all_equal_series(order, degree, cb)
         for m, c in enumerate(product.coeffs):
@@ -325,20 +317,6 @@ class TestKoebeChain:
         coeffs[5] += Poly.monomial(1, 2, "y")
         assert not _log_derivative_residual(ZSeries(coeffs)).is_zero()
 
-    def test_pde_residual_zero_for_chain(self):
-        assert chain_pde_residual(koebe_chain(10)).is_zero()
-
-    def test_pde_residual_detects_non_solution(self):
-        # w = z has zero time derivative, leaving (z-1) z on the left
-        w = ZSeries([0, 1, 0, 0])
-        residual = chain_pde_residual(w)
-        assert residual.coefficient(1) == Poly([-1], "y")
-        assert residual.coefficient(2) == Poly([1], "y")
-        assert not residual.is_zero()
-
-    def test_pde_residual_lowest_order(self):
-        assert chain_pde_residual(ZSeries([0, Poly.variable("y")])).is_zero()
-
 
 class TestTimeDerivative:
     def test_monomials(self):
@@ -362,41 +340,3 @@ class TestTimeDerivative:
         p = Poly(coeffs, var)
         assert time_derivative(p) == -(Poly.variable(var) * p.derivative())
 
-
-class TestLogOverZ:
-    def test_koebe_log_coefficients(self):
-        # log(K(z)/z) = -2 log(1-z): coefficients 2/n
-        phi = log_over_z(ZSeries(range(6)))
-        assert phi.order == 4
-        for n in range(1, 5):
-            assert phi.coefficient(n) == Poly.const(Fraction(2, n), "y")
-
-    def test_identity_map(self):
-        assert log_over_z(ZSeries([0, 1, 0, 0])).is_zero()
-
-    def test_half_plane_map(self):
-        # z/(1-z) has log coefficients 1/n
-        f = ZSeries([0, 1, 1, 1, 1])
-        phi = log_over_z(f)
-        for n in range(1, 4):
-            assert phi.coefficient(n) == Poly.const(Fraction(1, n), "y")
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            log_over_z(ZSeries([1, 1]))
-        with pytest.raises(ValueError):
-            log_over_z(ZSeries([0, 2, 1]))
-
-    def test_exp_round_trip(self):
-        f = ZSeries(range(9))
-        phi = log_over_z(f)
-        rebuilt = series_exp(phi).shift_up(1)
-        assert rebuilt.coeffs == f.coeffs[: rebuilt.order + 1]
-
-    def test_exp_round_trip_chain_log(self):
-        # also exercise nonconstant y coefficients: f = z + y z^2 + y^2 z^3
-        f = ZSeries([Poly.zero("y"), Poly.const(1, "y"),
-                     Poly.variable("y"), Poly([0, 0, 1], "y")])
-        phi = log_over_z(f)
-        rebuilt = series_exp(phi).shift_up(1)
-        assert rebuilt.coeffs == f.coeffs[: rebuilt.order + 1]
