@@ -286,23 +286,23 @@ def positivity_scan(
     n_max: int, y_grid: Sequence[Scalar]
 ) -> list[PositivityViolation]:
     """Scan L(n, k) >= 0, T(n, k) >= 0 and Tdot(n, k) <= 0 on exact grid
-    points in (0, 1); returns all violations (expected: none)."""
+    points in (0, 1), on one EvalGrid of degree n_max; returns all
+    violations (expected: none)."""
     grid = [Fraction(v) for v in y_grid]
     for v in grid:
         if not 0 < v < 1:
             raise ValueError(f"grid value {v} outside (0, 1)")
     violations: list[PositivityViolation] = []
+    points = EvalGrid(grid, max(n_max, 0))  # exact for every n <= n_max
     for n in range(1, n_max + 1):
-        points = EvalGrid(grid, n)
         for k in range(1, n + 1):
             tau = debranges_poly(n, k)
+            # -Tdot: the numerators i n_i of tau over its denominator
+            minus_slope = _make([i * c for i, c in enumerate(tau._num)], tau._den, "y")
             found = (
                 [(i, 0, "weinstein", v) for i, v in points.negatives(weinstein_poly(n, k))]
                 + [(i, 1, "debranges", v) for i, v in points.negatives(tau)]
-                + [
-                    (i, 2, "debranges_slope", -v)
-                    for i, v in points.negatives(-time_derivative(tau))
-                ]
+                + [(i, 2, "debranges_slope", -v) for i, v in points.negatives(minus_slope)]
             )
             found.sort(key=lambda f: f[:2])  # by point, then by quantity
             violations += [PositivityViolation(q, n, k, grid[i], v) for i, _, q, v in found]

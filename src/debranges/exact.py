@@ -17,8 +17,10 @@ numerators, ``_convolve_into``.  ``_pack`` and ``_unpack`` are the two halves
 of a Kronecker substitution, which writes integer numerators as the digits of
 one integer at base 2^B and reads them back.  The square of the Koebe chain
 in :mod:`debranges.series` and the chain powers of :mod:`debranges.dbw` use
-them, so that their products are CPython's big-integer multiply; each caller
-fixes its own base from a bound on its digits.
+them, so that their products are CPython's big-integer multiply, and
+``EvalGrid`` packs its columns with ``_pack``, so that the values of a
+polynomial at all its points are one dot product; each caller fixes its own
+base from a bound on its digits.
 
 ``Record`` is the base of the package's immutable records and values: their
 fields are slots, set once by each class's own ``__init__``, and a record
@@ -550,21 +552,40 @@ class EvalGrid:
     """Fixed points p/q (q > 0) at which to test the sign of polynomials of
     degree at most D.
 
-    Each point holds the integer row p^i q^(D-i) for i <= D, built once, so
-    that q^D den P(p/q) = sum_i n_i p^i q^(D-i) for every P with numerators
-    n_i over den.  The sign of P at a point is the sign of that integer dot
-    product, and a Fraction is built only for a point where it is negative.
+    For every P of degree at most D with numerators n_i over den, the
+    integer v = q^D den P(p/q) = sum_i n_i p^i q^(D-i) has the sign of P
+    at the point p/q.  Column i holds the entries p^i q^(D-i) of every
+    point and is packed, once per word count W, as the digits of one
+    integer at base 2^B, B = 64 W, so that the values v at all points are
+    the digits of one dot product s of the numerators with the packed
+    columns.  W is fixed per call by a digit bound, |v| <= ||n||_1 M for
+    the largest entry size M.  One offset of 2^(B-1) per point, the
+    repunit, turns s into words whose top bit is clear exactly where v is
+    negative, and a Fraction is built only there.
     """
 
-    __slots__ = ("degree", "_rows", "_scales")
+    __slots__ = ("degree", "_columns", "_entry_max", "_scales", "_packed")
 
     def __init__(self, points: Iterable[Scalar], degree: int):
         if degree < 0:
             raise ValueError("the grid degree must be nonnegative")
         pairs = [_ratio(v) for v in points]
         self.degree = degree
-        self._rows = [[p**i * q ** (degree - i) for i in range(degree + 1)] for p, q in pairs]
+        self._columns = [[p**i * q ** (degree - i) for p, q in pairs] for i in range(degree + 1)]
+        self._entry_max = max((abs(c) for column in self._columns for c in column), default=0)
         self._scales = [q**degree for _, q in pairs]
+        self._packed: dict[int, tuple[list[int], int]] = {}
+
+    def _packed_columns(self, words: int) -> tuple[list[int], int]:
+        """The columns packed at B = 64 * words, and the repunit offset
+        2^(B-1) (2^(BP) - 1)/(2^B - 1) for P points; built once per words."""
+        packed = self._packed.get(words)
+        if packed is None:
+            bits = 64 * words
+            ones = ((1 << bits * len(self._scales)) - 1) // ((1 << bits) - 1)
+            packed = [_pack(column, bits) for column in self._columns], ones << bits - 1
+            self._packed[words] = packed
+        return packed
 
     def negatives(self, poly: Poly) -> list[tuple[int, Fraction]]:
         """(i, value) for every i-th point where poly is negative, with the
@@ -572,10 +593,22 @@ class EvalGrid:
         num = poly._num
         if len(num) > self.degree + 1:
             raise ValueError(f"degree {poly.degree} is over the grid degree {self.degree}")
-        sums = [sum(map(mul, num, row)) for row in self._rows]
-        return [
-            (i, Fraction(s, poly._den * self._scales[i])) for i, s in enumerate(sums) if s < 0
-        ]
+        # every |v| <= ||n||_1 M < 2^(B-1)
+        words = ((sum(map(abs, num)) * self._entry_max).bit_length() + 64) // 64
+        columns, offset = self._packed_columns(words)
+        s = sum(map(mul, num, columns)) + offset
+        low = offset & ~s  # the top bits left clear: one per negative value
+        if not low:
+            return []
+        bits = 64 * words
+        mask = (1 << bits) - 1
+        found = []
+        while low:
+            i = ((low & -low).bit_length() - 1) // bits
+            value = (s >> bits * i & mask) - (1 << bits - 1)
+            found.append((i, Fraction(value, poly._den * self._scales[i])))
+            low &= low - 1
+        return found
 
 
 class RationalFunction(Record):

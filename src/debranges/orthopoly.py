@@ -5,10 +5,10 @@ C_n^(-1/2) defined as the z-coefficients of sqrt(1 - 2xz + z^2), Jacobi
 polynomials P_n^(alpha, 0) from the classical three-term recurrence, the
 Askey-Gasper partial sums, and exact sign scans.  Every value comes from a
 cached exact polynomial: a single value is its Horner evaluation, and a
-scan takes the sign of each point's integer dot product on one
-``EvalGrid`` of the points and builds a Fraction only for a negative
-value.  The x and y pictures are linked by x = 1 - 2y, i.e. y = e^(-t) and
-x = 1 - 2e^(-t).
+scan reads the signs at all the points from one packed integer dot
+product per polynomial on one ``EvalGrid`` of the points, and builds a
+Fraction only for a negative value.  The x and y pictures are linked by
+x = 1 - 2y, i.e. y = e^(-t) and x = 1 - 2e^(-t).
 
 The lambda = -1/2 Gegenbauer normalization is the generating-function one;
 the square root series is expanded binomially, which collapses to monomials

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from debranges import cli, dbw, hypsum, lowner, orthopoly
-from debranges.exact import Poly, RationalFunction
+from debranges.exact import Poly, RationalFunction, format_rational
 from debranges.series import ZSeries
 
 
@@ -275,6 +275,30 @@ class TestVerify:
         for check in payload["checks"]:
             assert set(check) == {"id", "indices", "pass", "witness"}
             assert check["pass"] is True and check["witness"] is None
+
+    def test_positivity_witness_names_the_value_on_the_one_grid(self, capsys, monkeypatch):
+        real = dbw.weinstein_poly
+        bump = Poly([0, 0, 0, 0, 0, 0, -2], "y")  # degree 6, over n = 5
+
+        def broken(n, k):
+            # L(5, 2) - 2y^6 is negative at y = 9/10 alone on the grid
+            return real(n, k) + bump if (n, k) == (5, 2) else real(n, k)
+
+        want = broken(5, 2)(Fraction(9, 10))
+        assert want < 0 and broken(5, 2).degree <= 8
+        # T(5, 2) is read off L(5, 2): empty the memos, so that both are the
+        # broken ones here and the true ones after
+        dbw.weinstein_poly.cache_clear()
+        dbw.debranges_poly.cache_clear()
+        monkeypatch.setattr(dbw, "weinstein_poly", broken)
+        try:
+            code, out, _ = run(capsys, "verify", "positivity", "--n", "8")
+        finally:
+            dbw.debranges_poly.cache_clear()
+        assert code == 1
+        [check] = json.loads(out)["checks"]
+        assert check["id"] == "positivity-scan" and not check["pass"]
+        assert f"weinstein(n=5, k=2) at y=9/10 -> {format_rational(want)}" in check["witness"]
 
     def test_askey_gasper_witness_names_first_failure(self, capsys, monkeypatch):
         real = orthopoly.jacobi_partial_sum_poly

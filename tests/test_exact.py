@@ -485,6 +485,73 @@ class TestEvalGrid:
         with pytest.raises(ValueError, match="over the grid degree 2"):
             grid.negatives(Poly([0, 0, 0, 1], "y"))
 
+    @given(
+        nums=st.lists(st.integers(-(2**300), 2**300), min_size=0, max_size=8),
+        den=st.integers(1, 2**40),
+        points=st.lists(
+            st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+            min_size=0,
+            max_size=40,
+        ),
+        extra=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(nums=[-(2**300), 1], den=1, points=[0, Fraction(-10**6), Fraction(1, 10**6)], extra=0)
+    @example(nums=[5, -(2**300)], den=3, points=[], extra=2)  # no points at all
+    def test_wide_numerators_at_wide_points(self, nums, den, points, extra):
+        p = Poly([Fraction(n, den) for n in nums], "y")
+        grid = EvalGrid(points, max(p.degree, 0) + extra)
+        want = [(i, p(v)) for i, v in enumerate(points) if p(v) < 0]
+        assert grid.negatives(p) == want
+        assert grid.negatives(-p) == [(i, -p(v)) for i, v in enumerate(points) if p(v) > 0]
+
+    def test_zero_at_the_last_point(self):
+        # the last point's value is 0, the top word of the packed sum
+        grid = EvalGrid([0, Fraction(1, 2)], 1)
+        assert grid.negatives(Poly([-1, 2], "y")) == [(0, -1)]
+        assert grid.negatives(Poly([1, -2], "y")) == []
+
+    def test_values_at_the_edge_of_one_word(self):
+        # every entry has size at most 1, and ||n||_1 = 2^63 - 1 fixes B = 64:
+        # the values at 1, 0 and -1 reach -(2^(B-1) - 1) and 2^(B-1) - 1
+        grid = EvalGrid([1, 0, -1], 1)
+        edge = 2**63 - 1
+        assert grid.negatives(Poly([-(2**62), -(2**62 - 1)], "y")) == [
+            (0, -edge), (1, -(2**62)), (2, -1)
+        ]
+        assert grid.negatives(Poly([2**62, 2**62 - 1], "y")) == []
+        assert grid.negatives(Poly([2**62 - 1, -(2**62)], "y")) == [(0, -1)]
+        assert grid.negatives(Poly([-(2**62 - 1), 2**62], "y")) == [
+            (1, -(2**62 - 1)), (2, -edge)
+        ]
+        assert sorted(grid._packed) == [1]
+        # ||n||_1 = 2^63 needs a second word
+        assert grid.negatives(Poly([-(2**62), -(2**62)], "y")) == [
+            (0, -(2**63)), (1, -(2**62))
+        ]
+        assert sorted(grid._packed) == [1, 2]
+
+    def test_one_grid_for_several_word_counts(self):
+        points = [Fraction(i, 7) for i in range(-7, 8)]
+        grid = EvalGrid(points, 5)
+        polys = [
+            Poly([1, -3], "y"),
+            Poly([Fraction(2**200 + 1, 3), 0, -(2**201), 1], "y"),
+            Poly([0, 0, 0, 0, 0, -1], "y"),
+            Poly([2**500, -(2**501), 2**500], "y"),
+            Poly([1, -3], "y"),
+        ]
+        for p in polys:
+            assert grid.negatives(p) == [(i, p(v)) for i, v in enumerate(points) if p(v) < 0]
+        assert len(grid._packed) == 3
+
+    def test_lower_degree_than_the_grid(self):
+        points = [Fraction(1, 10), Fraction(9, 10), Fraction(-3, 2)]
+        grid = EvalGrid(points, 30)
+        p = Poly([Fraction(-1, 4), 0, 1], "y")  # negative for |y| < 1/2
+        assert grid.negatives(p) == [(0, Fraction(-6, 25))]
+        assert grid.negatives(Poly.const(-3, "y")) == [(0, -3), (1, -3), (2, -3)]
+
     def test_refuses_float_points_and_negative_degree(self):
         with pytest.raises(TypeError, match="exact scalar"):
             EvalGrid([0.5], 2)
