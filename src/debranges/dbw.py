@@ -25,11 +25,12 @@ Koebe property (1 + w)(1 - z) z w_z = (1 + z)(1 - w) w; with
 y z (1 - w)^2 = (1 - z)^2 w it gives 1/(1 - w^2) = y z^2 w_z / (w^2 (1 - z^2)),
 so W_k = z^2 (w^k)' / (k (1 - z^2)) is one running sum with step 2, and
 K(z) w^k = z/(1-z)^2 w^k two running sums with step 1, of the coefficients
-of w^k.  The powers and their running sums stay packed: each z-coefficient
-of w/y is one integer by Kronecker substitution in y, at one base per order
-wide enough for every digit of every power and every sum, so each power is
-one integer dot product per z^n; each row of W_k is divided by k while it
-is packed, and each output coefficient is unpacked once, with integer
+of w^k.  The powers and their running sums stay packed: they start from the
+chain as :mod:`debranges.series` packed it, each z-coefficient of w/y one
+integer by Kronecker substitution in y at the chain's one base, which is wide
+enough for every digit of every power and every sum, so each power is one
+integer dot product per z^n; each row of W_k is divided by k while it is
+packed, and each output coefficient is unpacked once, with integer
 coefficients that need no normalising.
 
 Convention: W_k(z, 0) = z^(k+1)/(1 - z^2), so L(n, k) at y = 1 is 1 when
@@ -47,10 +48,10 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    EvalGrid, Poly, Record, Scalar, _make, _pack, _raw, _set_field, _unpack, binomial,
+    EvalGrid, Poly, Record, Scalar, _make, _raw, _set_field, _unpack, binomial,
     first_mismatch, format_rational,
 )
-from .series import ZSeries, koebe_chain, time_derivative
+from .series import ZSeries, _packed_koebe, time_derivative
 from . import orthopoly
 
 
@@ -67,31 +68,12 @@ def weinstein_poly(n: int, k: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _packed_chain(order: int) -> tuple[int, tuple[int, ...]]:
-    """(nbytes, p): p[n] is the z^n coefficient w_n / y of w / y, n <= order,
-    packed once as its numerators at base 2^B, B = 8 * nbytes.
-
-    B is fixed by the 1-norm majorant.  For w^_n = ||w_n||_1, each
-    y-coefficient of the z^n coefficient of (w/y)^m is at most [z^n] w^^m,
-    so at most G = max_(n <= order) [z^n] 1 / (1 - w^).  A row of W_k or B_k
-    adds at most order + 1 of them, each with a weight of at most order + 1,
-    so B >= bitlen((order + 1)^2 G) + 1 puts every digit under 2^(B-1) in
-    size, and ``_unpack`` reads each one back."""
-    chain = koebe_chain(order).coeffs
-    norms = [sum(map(abs, c._num)) for c in chain]
-    g = [1]
-    for n in range(1, order + 1):
-        g.append(sum(map(mul, norms[1 : n + 1], reversed(g))))
-    nbytes = -(-(((order + 1) ** 2 * max(g)).bit_length() + 1) // 8)
-    return nbytes, tuple(_pack(c._num[1:], 8 * nbytes) for c in chain)
-
-
-@lru_cache(maxsize=None)
 def _chain_power(order: int, m: int) -> tuple[int, ...]:
-    """(w/y)^m for m >= 1, its z^n coefficients packed as in _packed_chain:
-    the only series products of W_k and B_k, each z^n coefficient one dot
-    product of the power before with the packed chain."""
-    chain = _packed_chain(order)[1]
+    """(w/y)^m for m >= 1, its z^n coefficients packed as the chain is in
+    ``series._packed_koebe``, whose very tuple is the power m = 1: the only
+    series products of W_k and B_k, each z^n coefficient one dot product of
+    the power before with the packed chain."""
+    chain = _packed_koebe(order)[1]
     if m == 1:
         return chain
     for j in range(2, m - 1):  # fill the cache upward, so the depth stays constant
@@ -102,13 +84,13 @@ def _chain_power(order: int, m: int) -> tuple[int, ...]:
     )
 
 
-def _series_from_rows(rows: Iterable[int], nbytes: int, k: int) -> ZSeries:
-    """The series sum_m y^k rows[m] z^(m+1), with each packed row unpacked
-    once: its digits are integers whose last one is nonzero, so each
-    coefficient is canonical over 1 as it stands."""
-    zero, shift = Poly.zero("y"), [0] * k
+def _series_from_rows(rows: Iterable[int], order: int, k: int) -> ZSeries:
+    """The series sum_m y^k rows[m] z^(m+1), with each row, packed at the
+    chain's base, unpacked once: its digits are integers whose last one is
+    nonzero, so each coefficient is canonical over 1 as it stands."""
+    bits, zero, shift = _packed_koebe(order)[0], Poly.zero("y"), [0] * k
     return ZSeries(
-        [zero, *(_raw(tuple(shift + _unpack(r, nbytes)), 1, "y") if r else zero for r in rows)]
+        [zero, *(_raw(tuple(shift + _unpack(r, bits)), 1, "y") if r else zero for r in rows)]
     )
 
 
@@ -132,7 +114,7 @@ def weinstein_series(k: int, order: int) -> ZSeries:
     rows = [m * c for m, c in enumerate(_chain_power(order, k)[:order])]
     rows[0::2] = accumulate(rows[0::2])
     rows[1::2] = accumulate(rows[1::2])
-    return _series_from_rows([r // k for r in rows], _packed_chain(order)[0], k)
+    return _series_from_rows([r // k for r in rows], order, k)
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +170,7 @@ def debranges_generating_series(k: int, order: int) -> ZSeries:
     if order < k + 1:
         raise ValueError(f"order must be at least k + 1 = {k + 1}")
     rows = accumulate(accumulate(_chain_power(order, k)[:order]))
-    return _series_from_rows(rows, _packed_chain(order)[0], k)
+    return _series_from_rows(rows, order, k)
 
 
 def explicit_generating_check(k: int, order: int, j_max: int) -> bool:

@@ -17,10 +17,12 @@ numerators, ``_convolve_into``.  ``_pack`` and ``_unpack`` are the two halves
 of a Kronecker substitution, which writes integer numerators as the digits of
 one integer at base 2^B and reads them back.  The square of the Koebe chain
 in :mod:`debranges.series` and the chain powers of :mod:`debranges.dbw` use
-them, so that their products are CPython's big-integer multiply, and
-``EvalGrid`` packs its columns with ``_pack``, so that the values of a
-polynomial at all its points are one dot product; each caller fixes its own
-base from a bound on its digits.
+them at the chain's one base, so that their products are CPython's
+big-integer multiply.  ``EvalGrid`` packs its columns with ``_pack``, so
+that the values of a polynomial at all its points are one dot product, and
+reads those of a polynomial with a negative value back with ``_unpack``.
+Each base is fixed from a bound on its digits, and both halves take its
+width B in bits.
 
 ``Record`` is the base of the package's immutable records and values: their
 fields are slots, set once by each class's own ``__init__``, and a record
@@ -244,9 +246,9 @@ def _pack(digits: Sequence[int], bits: int) -> int:
     return acc
 
 
-def _unpack(s: int, nbytes: int) -> list[int]:
-    """The digits of s = _pack(digits, B) at B = 8 * nbytes, for digits of
-    size under 2^(B-1) whose last one is nonzero; [] for s = 0.
+def _unpack(s: int, bits: int) -> list[int]:
+    """The digits of s = _pack(digits, B) at B = bits, for digits of size
+    under 2^(B-1) whose last one is nonzero; [] for s = 0.
 
     A sum with L such digits has a bit length from B(L-1) to BL-1, and one
     offset of 2^(B-1) per digit, the repunit 2^(B-1) (2^(BL) - 1)/(2^B - 1),
@@ -254,7 +256,6 @@ def _unpack(s: int, nbytes: int) -> list[int]:
     mask."""
     if not s:
         return []
-    bits = 8 * nbytes
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     top = bits * (s.bit_length() // bits + 1)
     s += half * (((1 << top) - 1) // mask)
@@ -414,6 +415,9 @@ class Poly(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its value, so it hashes as its value
+        if self.is_const():
+            return hash(self.coeff(0))
         return hash((self.var, self._num, self._den))
 
     def __bool__(self) -> bool:
@@ -561,7 +565,9 @@ class EvalGrid:
     columns.  W is fixed per call by a digit bound, |v| <= ||n||_1 M for
     the largest entry size M.  One offset of 2^(B-1) per point, the
     repunit, turns s into words whose top bit is clear exactly where v is
-    negative, and a Fraction is built only there.
+    negative, so one mask tells a polynomial with no negative value; the
+    values of any other are read back by ``_unpack``, and a Fraction is built
+    only where one is negative.
     """
 
     __slots__ = ("degree", "_columns", "_entry_max", "_scales", "_packed")
@@ -597,18 +603,13 @@ class EvalGrid:
         words = ((sum(map(abs, num)) * self._entry_max).bit_length() + 64) // 64
         columns, offset = self._packed_columns(words)
         s = sum(map(mul, num, columns)) + offset
-        low = offset & ~s  # the top bits left clear: one per negative value
-        if not low:
+        if not offset & ~s:  # no top bit left clear: no negative value
             return []
-        bits = 64 * words
-        mask = (1 << bits) - 1
-        found = []
-        while low:
-            i = ((low & -low).bit_length() - 1) // bits
-            value = (s >> bits * i & mask) - (1 << bits - 1)
-            found.append((i, Fraction(value, poly._den * self._scales[i])))
-            low &= low - 1
-        return found
+        return [
+            (i, Fraction(v, poly._den * self._scales[i]))
+            for i, v in enumerate(_unpack(s - offset, 64 * words))
+            if v < 0
+        ]
 
 
 class RationalFunction(Record):
@@ -672,6 +673,9 @@ class RationalFunction(Record):
         return NotImplemented
 
     def __hash__(self) -> int:
+        # over 1 it equals its numerator, so it hashes as its numerator
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __str__(self) -> str:

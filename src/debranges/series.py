@@ -14,11 +14,12 @@ ever extrapolated.
 
 ``ZSeries`` is a container with schoolbook arithmetic: the z^m coefficient
 of a product, and of an inverse, is a sum of plain ``Poly`` products.  The
-chain's own products do not go through it.  ``koebe_chain`` packs each
-coefficient once, when it is made, so that its symmetric square is one
-folded dot product of packed integers, unpacked once; the powers of the
-chain that :mod:`debranges.dbw` reads stay packed from the chain to their
-last running sum.
+chain's own products do not go through it.  One memo, ``_packed_koebe``,
+holds the chain and its packed form: each coefficient is packed once, when
+it is made, at the one width of ``_chain_bits``, so that the symmetric
+square is one folded dot product of packed integers, unpacked once, and the
+powers of the chain that :mod:`debranges.dbw` reads start from the same
+integers and stay packed to their last running sum.
 """
 
 from __future__ import annotations
@@ -186,50 +187,61 @@ class ZSeries(Record):
         return f"ZSeries({self})"
 
 
-def _square_nbytes(order: int) -> int:
-    """The byte width of the base 2^B at which ``koebe_chain(order)`` folds
-    its squares.
+def _chain_bits(order: int) -> int:
+    """The one width B of the base 2^B at which the chain through z^order
+    is packed, for its squares, its powers and their running sums.
 
-    B is fixed by the 1-norm majorant of the recurrence: with w^_0 = 0,
-    w^_1 = 1 and w^_n = 4 w^_(n-1) + w^_(n-2) + sum_i w^_i w^_(n-1-i), the
-    norm of 2 - 2y being 4, ||w_n||_1 <= w^_n, so every y-coefficient of
-    every square sum_i w_i w_(n-1-i) is at most w^_n <= w^_order in size,
-    and B >= bitlen(w^_order) + 1 lets ``_unpack`` read each one back."""
+    With w^_0 = 0, w^_1 = 1 and w^_n = 4 w^_(n-1) + w^_(n-2) + sum_i w^_i
+    w^_(n-1-i), the norm of 2 - 2y being 4, ||w_n||_1 <= w^_n, which bounds
+    every y-coefficient of the square sum_i w_i w_(n-1-i).  Each one of the
+    z^n coefficient of (w/y)^m is at most [z^n] w^^m, so at most
+    G = max_(n <= order) [z^n] 1 / (1 - w^) >= w^_order, and a row of W_k or
+    B_k in :mod:`debranges.dbw` adds at most order + 1 of those, each with a
+    weight of at most order + 1.  B = bitlen((order + 1)^2 G) + 1 puts every
+    digit under 2^(B-1) in size, so ``_unpack`` reads each one back."""
     hat = [0, 1]
     for n in range(2, order + 1):
         hat.append(4 * hat[n - 1] + hat[n - 2] + sum(map(mul, hat[1 : n - 1], hat[n - 2 : 0 : -1])))
-    return -(-(hat[order].bit_length() + 1) // 8)
+    g = [1]  # [z^n] 1 / (1 - w^)
+    for n in range(1, order + 1):
+        g.append(sum(map(mul, hat[1 : n + 1], reversed(g))))
+    return ((order + 1) ** 2 * max(g)).bit_length() + 1
 
 
 @lru_cache(maxsize=None)
-def koebe_chain(order: int) -> ZSeries:
-    """The bounded chain w with K(w) = y K(z), read off its quadratic.
+def _packed_koebe(order: int) -> tuple[int, tuple[int, ...], tuple[Poly, ...]]:
+    """(B, packed, w): the chain's coefficients w_n through z^order, and each
+    w_n / y packed once, as packed[n], at the base 2^B of ``_chain_bits``.
 
-    Cleared of denominators the equation is (1-z)^2 w = y z (1-w)^2, so with
+    Cleared of denominators, K(w) = y K(z) is (1-z)^2 w = y z (1-w)^2, so with
     w_0 = 0 and w_1 = y (at y = 1 the chain is w = z) its z^n coefficient gives
 
         w_n = (2 - 2y) w_(n-1) - w_(n-2) + y sum_{i=1..n-2} w_i w_(n-1-i).
 
-    Every w_n is a polynomial in y with integer coefficients, divisible by
-    y.  Each w_n / y is packed once, when it is made, into one integer at the
-    base of ``_square_nbytes``, so the square, symmetric in i and n-1-i, is
-    one folded dot product of those integers, each pair once, and is
-    unpacked once; the linear terms are ``Poly`` arithmetic.
+    Every w_n is a polynomial in y with integer coefficients, divisible by y.
+    The square, symmetric in i and n-1-i, is one folded dot product of the
+    packed integers, each pair once, unpacked once; the linear terms are
+    ``Poly`` arithmetic.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    nbytes = _square_nbytes(order)
-    bits = 8 * nbytes
+    bits = _chain_bits(order)
     two_minus_2y = Poly([2, -2], "y")
     w = [Poly.zero("y"), Poly.variable("y")]
-    packed = [0, 1]  # w_n / y at y = 2^B
+    packed = [0, 1]
     for n in range(2, order + 1):
         # the square over y^2 at y = 2^B: sum_i packed[i] packed[m - i], m = n - 1
         m = n - 1
         square = sum(map(mul, packed[1 : (m + 1) // 2], packed[m - 1 : m // 2 : -1])) << 1
         if m % 2 == 0:
             square += packed[m // 2] ** 2
-        y_square = _make([0, 0, 0] + _unpack(square, nbytes), 1, "y")
+        y_square = _make([0, 0, 0] + _unpack(square, bits), 1, "y")
         w.append(two_minus_2y * w[n - 1] - w[n - 2] + y_square)
         packed.append(_pack(w[n]._num[1:], bits))
-    return ZSeries(w)
+    return bits, tuple(packed), tuple(w)
+
+
+def koebe_chain(order: int) -> ZSeries:
+    """The bounded chain w with K(w) = y K(z) through z^order, read off its
+    quadratic by ``_packed_koebe``."""
+    return ZSeries(_packed_koebe(order)[2])

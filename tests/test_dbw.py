@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from debranges import dbw, lowner
+from debranges import dbw, lowner, series
 from debranges.exact import Poly
 from debranges.dbw import (
     debranges_generating_series,
@@ -157,9 +157,21 @@ class TestWeinsteinSeries:
         assert dbw._chain_power.cache_info().misses == k
         assert products == []
 
+    @pytest.mark.parametrize("order", [2, 12, 30])
+    def test_the_chain_is_packed_once(self, order):
+        # after koebe_chain, cold W_k and B_k add no miss to the chain's memo:
+        # the powers start from the very integers the chain was packed into
+        koebe_chain(order)
+        _clear_power_memos()
+        misses = series._packed_koebe.cache_info().misses
+        for k in range(1, order):
+            weinstein_series(k, order)
+            debranges_generating_series(k, order)
+        assert series._packed_koebe.cache_info().misses == misses
+        assert dbw._chain_power(order, 1) is series._packed_koebe(order)[1]
+
 
 def _clear_power_memos():
-    dbw._packed_chain.cache_clear()
     dbw._chain_power.cache_clear()
     dbw.weinstein_series.cache_clear()
 
@@ -263,15 +275,16 @@ class TestSeriesFromChainPowers:
         # the digits are the numerators of the z^n coefficients of (w/y)^m,
         # m < order, n <= order, and of the rows k L(n, k) of W_k and T(n, k)
         # of B_k, n < order; at every order the majorant (order + 1)^2 G
-        # bounds them all, and the packing base holds the majorant
+        # bounds them all, G from the norms is at most G from the majorant
+        # w^ of the chain's recurrence, and the packing base holds the latter
         top = 60
-        nbytes = dbw._packed_chain(top)[0]
+        bits = series._chain_bits(top)
         powers = {}
         for m in range(1, top):
             got = dbw._chain_power(top, m)
             for n in range(m, top + 1):
                 want = _chain_power_closed_form(m, n)
-                assert _unpack(got[n], nbytes) == want, (m, n)
+                assert _unpack(got[n], bits) == want, (m, n)
                 powers[m, n] = max(map(abs, want))
         rows = [0] + [
             max(
@@ -285,14 +298,21 @@ class TestSeriesFromChainPowers:
         g = [1]  # [z^n] 1 / (1 - sum_n norms[n] z^n)
         for n in range(1, top + 1):
             g.append(sum(norms[i] * g[n - i] for i in range(1, n + 1)))
+        hat = [0, 1]  # w^_n >= norms[n]
+        for n in range(2, top + 1):
+            hat.append(4 * hat[n - 1] + hat[n - 2] + sum(hat[i] * hat[n - 1 - i] for i in range(1, n - 1)))
+        g_hat = [1]  # [z^n] 1 / (1 - sum_n w^_n z^n)
+        for n in range(1, top + 1):
+            g_hat.append(sum(hat[i] * g_hat[n - i] for i in range(1, n + 1)))
         for order in range(2, top + 1):
             majorant = (order + 1) ** 2 * max(g[: order + 1])
+            assert max(g[: order + 1]) <= max(g_hat[: order + 1]), order
             widest = max(
                 max(powers[m, n] for m in range(1, order) for n in range(m, order + 1)),
                 max(rows[:order]),
             )
             assert widest <= majorant, order
-            assert majorant < 2 ** (8 * dbw._packed_chain(order)[0] - 1), order
+            assert majorant < 2 ** (series._chain_bits(order) - 1), order
 
 
 class TestDeBrangesPoly:

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from debranges import exact
 from debranges.exact import (
     EvalGrid,
     Poly,
@@ -22,6 +23,8 @@ from debranges.exact import (
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
+constants = rationals | st.integers(-(2**70), 2**70)
+variables = st.text(min_size=1, max_size=3)
 
 
 def poly_strategy(var="y", max_degree=6):
@@ -76,6 +79,15 @@ class TestFirstMismatch:
 
 
 class TestPoly:
+    @given(value=constants, var=variables)
+    @settings(max_examples=60, deadline=None)
+    @example(value=0, var="y")
+    @example(value=Fraction(6, 3), var="l")
+    def test_a_constant_hashes_as_the_value_it_equals(self, value, var):
+        c = Poly.const(value, var)
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value}) == 1 and {c: 1}[value] == 1
+
     def test_derivative(self):
         assert Poly([0, 0, 1], "y").derivative() == Poly([0, 2], "y")
 
@@ -310,12 +322,12 @@ class TestKernelAgainstReference:
         value = p(v)
         assert type(value) is Fraction and value == ref_eval(a, v)
 
-    @given(nbytes=st.integers(1, 32), data=st.data())
+    @given(bits=st.integers(2, 300), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_unpack_reads_back_packed_digits(self, nbytes, data):
+    def test_unpack_reads_back_packed_digits(self, bits, data):
         # up to 130 digits of either sign up to 2^(B-1) - 1 in size, the
         # last nonzero, and rows of 130 digits at the widest of either sign
-        top = 2 ** (8 * nbytes - 1) - 1
+        top = 2 ** (bits - 1) - 1
         digit = st.integers(-top, top)
         drawn = data.draw(st.lists(digit, max_size=129)) + [data.draw(digit.filter(bool))]
         widest = [
@@ -324,8 +336,21 @@ class TestKernelAgainstReference:
             [top] * 129 + [-1], [-top] * 129 + [1], [0] * 129 + [-1],
         ]
         for d in [drawn, *widest]:
-            assert _unpack(_pack(d, 8 * nbytes), nbytes) == d
-        assert _unpack(0, nbytes) == []
+            assert _unpack(_pack(d, bits), bits) == d
+        assert _unpack(0, bits) == []
+
+    def test_unpack_at_every_width(self):
+        # every B from 2 to 300, not only whole bytes: zero, negative and
+        # edge digits +-(2^(B-1) - 1), the last one nonzero
+        for bits in range(2, 301):
+            top = 2 ** (bits - 1) - 1
+            rows = [
+                [top], [-top], [1], [-1], [0, 0, top], [0, -top], [top, -top, 0, -1],
+                [-top, 0, top, 1], [-1, -1, -1], [top] * 9, [-top] * 9, [0] * 8 + [-top],
+            ]
+            for d in rows:
+                assert _unpack(_pack(d, bits), bits) == d, (bits, d)
+            assert _unpack(0, bits) == []
 
     def test_equal_values_store_equally(self):
         half = Poly([Fraction(2, 4)], "y")
@@ -382,6 +407,21 @@ class TestRationalFunction:
         assert (rf == Poly([1], "y")) is False
         assert (Poly([1], "y") == rf) is False
         assert rf != Poly([1], "y")
+
+    @given(
+        value=constants,
+        var=variables,
+        num=coeff_lists,
+        factor=coeff_lists.filter(lambda cs: any(cs)),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(value=3, var="x", num=[1, 2], factor=[0, 1])
+    def test_over_one_hashes_as_the_numerator_it_equals(self, value, var, num, factor):
+        c = RationalFunction(Poly.const(value, var))
+        assert c == value and hash(c) == hash(value) and len({c, value}) == 1
+        p, q = Poly(num, var), Poly(factor, var)
+        rf = RationalFunction(p * q, q)  # reduced to p over 1
+        assert rf == p and hash(rf) == hash(p) and len({rf, p}) == 1
 
     @given(
         num=coeff_lists,
@@ -544,6 +584,27 @@ class TestEvalGrid:
         for p in polys:
             assert grid.negatives(p) == [(i, p(v)) for i, v in enumerate(points) if p(v) < 0]
         assert len(grid._packed) == 3
+
+    def test_a_lone_negative_value_in_a_multi_word_column(self, monkeypatch):
+        # 2^140 (y - 1/2)^2 - 1 is negative at 1/2 alone; ||n||_1 M needs
+        # three words, and the one negative value is read back through
+        # _unpack at B = 192, which a scan with no negative value never reaches
+        calls = []
+        real = exact._unpack
+
+        def spy(s, bits):
+            calls.append(bits)
+            return real(s, bits)
+
+        monkeypatch.setattr(exact, "_unpack", spy)
+        points = [0, Fraction(1, 2), 1]
+        grid = EvalGrid(points, 2)
+        p = Poly([2**138 - 1, -(2**140), 2**140], "y")
+        assert grid.negatives(p) == [(1, Fraction(-1))]
+        assert calls == [192]
+        assert grid.negatives(p + 1) == []
+        assert calls == [192]
+        assert sorted(grid._packed) == [3]
 
     def test_lower_degree_than_the_grid(self):
         points = [Fraction(1, 10), Fraction(9, 10), Fraction(-3, 2)]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from debranges import lowner
 from debranges.exact import Poly
-from debranges.series import ZSeries, _square_nbytes, koebe_chain, time_derivative
+from debranges.series import ZSeries, _chain_bits, koebe_chain, time_derivative
 
 
 class TestRingOperations:
@@ -268,7 +268,7 @@ class TestKoebeChain:
             assert sum(map(abs, w[n]._num)) <= hat[n], n
             assert widest[n] <= hat[n], n
         for order in range(2, top + 1):
-            base = 2 ** (8 * _square_nbytes(order) - 1)
+            base = 2 ** (_chain_bits(order) - 1)
             assert max(widest[: order + 1]) <= hat[order] < base, order
 
     def test_first_coefficient(self):
