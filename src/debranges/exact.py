@@ -21,8 +21,11 @@ them at the chain's one base, so that their products are CPython's
 big-integer multiply.  ``EvalGrid`` packs its columns with ``_pack``, so
 that the values of a polynomial at all its points are one dot product, and
 reads those of a polynomial with a negative value back with ``_unpack``.
-Each base is fixed from a bound on its digits, and both halves take its
-width B in bits.
+``hypsum.GosperCertificate.verify_symbolic`` packs the rows of a polynomial
+identity with ``_pack`` and, for the shift l -> l - 1, with
+``_pack_shifted``, and compares its two sides as products of integers,
+which it never unpacks.  Each base is fixed from a bound on its digits, and
+the packing and unpacking helpers take its width B in bits.
 
 ``Record`` is the base of the package's immutable records and values: their
 fields are slots, set once by each class's own ``__init__``, and a record
@@ -243,6 +246,16 @@ def _pack(digits: Sequence[int], bits: int) -> int:
     acc = 0
     for x in reversed(digits):
         acc = (acc << bits) + x
+    return acc
+
+
+def _pack_shifted(digits: Sequence[int], bits: int) -> int:
+    """sum_i digits[i] * (2^bits - 1)^i, the value at 2^B of the polynomial
+    p(l - 1) when _pack(digits, B) is that of p(l): Horner at 2^B - 1, each
+    step one shift and one subtraction, with no big-integer multiply."""
+    acc = 0
+    for x in reversed(digits):
+        acc = (acc << bits) - acc + x
     return acc
 
 

@@ -14,10 +14,14 @@ Gosper's algorithm then decides whether b_l has a hypergeometric
 antidifference s_l with s_l - s_{l-1} = b_l, and returns a certificate
 multiplier R with s_l = R(l) b_l that can be checked both symbolically and
 numerically on a range.  Its polynomial equation is solved on integer
-numerators over one denominator, fraction-free.  The symbolic check
-R(l) - R(l-1)/r(l-1) = 1 is made with the denominators cleared: for R = n/d,
-r = a/b and a subscript 1 marking l -> l-1, it is the polynomial identity
-n a1 d1 - n1 b1 d = d d1 a1, which takes no gcd.
+numerators over one denominator, fraction-free.  Both checks run on
+integers.  The symbolic check R(l) - R(l-1)/r(l-1) = 1 is, with the
+denominators cleared, for R = n/d, r = a/b and a subscript 1 marking
+l -> l-1, the integer polynomial identity (n - d) a1 d1 = n1 b1 d; it is
+compared at the one point 2^B past a bound on its coefficients, as products
+of the integers that ``exact._pack`` and ``exact._pack_shifted`` make.  On a
+range, each step s_l - s_(l-1) = b_l is one cross-multiplication of
+unreduced integer pairs.
 
 The terminating pFq evaluator computes sum_j (prod upper Pochhammers) /
 (prod lower Pochhammers j!) arg^j exactly, for series cut off by a
@@ -35,11 +39,12 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .exact import (
-    Poly, RationalFunction, Record, Scalar, _make, _ratio, _set_field, binomial,
-    first_mismatch, pochhammer,
+    Poly, RationalFunction, Record, Scalar, _horner, _make, _pack, _pack_shifted, _ratio,
+    _set_field, binomial, pochhammer,
 )
 
 
@@ -549,17 +554,22 @@ def parse_term(src: str, var: str) -> HypTerm:
 
 def term_value(term: HypTerm, l: int) -> Fraction:
     """Evaluate the term at an integer point, with the combinatorial
-    convention binom(u, v) = 0 outside 0 <= v <= u.  Each factor's value
-    p/q is multiplied into one integer numerator and denominator, and one
-    Fraction is built at the end."""
+    convention binom(u, v) = 0 outside 0 <= v <= u: the one Fraction of the
+    integers _term_parts multiplies out."""
+    return Fraction(*_term_parts(term, l))
+
+
+def _term_parts(term: HypTerm, l: int) -> tuple[int, int]:
+    """(num, den), den nonzero, with num / den the term's value at the integer
+    l: each factor's value p/q is multiplied into them, unreduced.  Raises
+    ZeroDivisionError at a pole, and ValueError where a factorial argument is
+    negative or not an integer or a binomial argument is not an integer."""
     num, den = term.const.numerator, term.const.denominator
     for f in term.factors:
         if isinstance(f, LinearFactor):
             # a l + b = (a.num b.den l + b.num a.den) / (a.den b.den)
             p = f.a.numerator * f.b.denominator * l + f.b.numerator * f.a.denominator
             q, e = f.a.denominator * f.b.denominator, f.exponent
-            if not p and e < 0:
-                raise ZeroDivisionError(f"pole of {f} at {term.var} = {l}")
         elif isinstance(f, FactorialFactor):
             # a l is an integer, so a l + b is one when b is
             arg = f.a * l + f.b.numerator
@@ -571,17 +581,17 @@ def term_value(term: HypTerm, l: int) -> Fraction:
                 raise ValueError(f"non-integer binomial arguments at {term.var} = {l}")
             p = binomial(f.a1 * l + f.b1.numerator, f.a2 * l + f.b2.numerator)
             q, e = 1, f.exponent
-            if not p and e < 0:
-                raise ZeroDivisionError(f"pole of {f} at {term.var} = {l}")
         else:
             p, q, e = f.base.numerator, f.base.denominator, f.a * l + f.b
         if e >= 0:
             num *= p**e
             den *= q**e
-        else:
+        elif p:
             num *= q**-e
             den *= p**-e
-    return Fraction(num, den)
+        else:
+            raise ZeroDivisionError(f"pole of {f} at {term.var} = {l}")
+    return num, den
 
 
 class ShiftQuotient(RationalFunction):
@@ -706,15 +716,42 @@ class GosperCertificate(Record):
         _set_field(self, "multiplier", multiplier)
 
     def verify_symbolic(self) -> bool:
-        """Check R(l) - R(l-1) / r(l-1) = 1 as one polynomial identity.
+        """Check R(l) - R(l-1)/r(l-1) = 1 as an integer polynomial identity,
+        at one integer point past a bound on its coefficients.
 
         With R = n/d, r = a/b and a subscript 1 for the shift l -> l-1, the
-        identity times d d1 a1 is n a1 d1 - n1 b1 d = d d1 a1, checked here
-        as (n - d) a1 d1 = n1 b1 d.  The two are equivalent because d, d1
-        and a1 are nonzero (r is), and the product form takes no gcd."""
+        identity times d d1 a1 is n a1 d1 - n1 b1 d = d d1 a1, that is
+        (n - d) a1 d1 = n1 b1 d; the two are equivalent because d, d1 and a1
+        are nonzero (r is).  With the integer rows n = N/dn, d = D/dd,
+        a = A/da, b = B/db and E = dd N - dn D the row of n - d, it is P = 0
+        for the integer polynomial
+            P = db E A1 D1 - da dd N1 B1 D.
+        With |p|_1 = sum |p_i| and |p|(2) = sum |p_i| 2^i >= |p1|_1, every
+        coefficient of P is at most
+            H = db |E|_1 |A|(2) |D|(2) + da dd |N|(2) |B|(2) |D|_1
+        in size.  Lemma: a nonzero integer polynomial P with coefficients of
+        size at most H has |P(x)| >= 1 at every integer x >= H + 1, because
+        its top term c x^k has size at least x^k and the others sum to at
+        most H (x^k - 1)/(x - 1) <= x^k - 1.  So P = 0 exactly when
+        P(2^B) = 0 for 2^B > H, and the two sides are compared there as
+        products of integers: exact._pack gives the values at 2^B and
+        exact._pack_shifted those of the shifted rows."""
         n, d = self.multiplier.num, self.multiplier.den
         a, b = self.ratio.num, self.ratio.den
-        return (n - d) * a.shift(-1) * d.shift(-1) == n.shift(-1) * b.shift(-1) * d
+        N, D, A, B = n._num, d._num, a._num, b._num
+        E = [d._den * x - n._den * y for x, y in zip_longest(N, D, fillvalue=0)]
+        left, right = b._den, a._den * d._den
+        height = (left * sum(map(abs, E)) * _shift_norm(A) * _shift_norm(D)
+                  + right * _shift_norm(N) * _shift_norm(B) * sum(map(abs, D)))
+        bits = height.bit_length()
+        return (left * _pack(E, bits) * _pack_shifted(A, bits) * _pack_shifted(D, bits)
+                == right * _pack_shifted(N, bits) * _pack_shifted(B, bits) * _pack(D, bits))
+
+
+def _shift_norm(row: Sequence[int]) -> int:
+    """sum_i |row[i]| 2^i, a bound on the 1-norm of p(l - 1) for the
+    polynomial p with coefficients row, since that of (l - 1)^i is 2^i."""
+    return sum(abs(x) << i for i, x in enumerate(row))
 
 
 def _degree_bound(a: Poly, b_shifted: Poly, c: Poly) -> Optional[int]:
@@ -931,21 +968,34 @@ def certificate_witness(
     term: HypTerm, certificate: Optional[GosperCertificate], lo: int, hi: int
 ) -> str | None:
     """None when the certificate telescopes the term on [lo, hi], else why
-    not: "not summable" when certificate is None, the first pole of R(l) in
-    [lo-1, hi], or the first l where s_l - s_(l-1) != b_l (s_l = R(l) b_l,
-    exact rationals) with both values, or else the symbolic identity
-    R(l) - R(l-1)/r(l-1) = 1."""
+    not: "not summable" when certificate is None; the first l in [lo-1, hi]
+    where R(l) has a pole or the term is undefined; else the first l where
+    s_l - s_(l-1) != b_l (s_l = R(l) b_l) with both exact values; else the
+    symbolic identity R(l) - R(l-1)/r(l-1) = 1.
+
+    Each step runs on integers.  R(l) = u/w for the integer Horner values
+    u = dd N(l) and w = dn D(l) of R = (N/dn)/(D/dd), the term b_l = p/q
+    is multiplied out unreduced, and s_l is kept as the pair (u p, w q).
+    Since s_l - b_l = (u - w) p/(w q), the step holds exactly when
+    s_(l-1) w q = (u - w) p cross-multiplied; Fractions are built only for
+    the witness of a failing step."""
     if certificate is None:
         return "not summable"
-    v, values, s = term.var, {}, {}
+    v, witness, prev = term.var, None, None
+    n, d = certificate.multiplier.num, certificate.multiplier.den
     for l in range(lo - 1, hi + 1):
-        try:
-            r = certificate.multiplier(l)
-        except ZeroDivisionError:
+        w = n._den * _horner(d._num, l, 1)[0]
+        if not w:
             return f"pole of R({v}) at {v}={l}"
-        values[l] = term_value(term, l)
-        s[l] = r * values[l]
-    witness = first_mismatch((f"{v}={l}", s[l] - s[l - 1], values[l]) for l in range(lo, hi + 1))
+        try:
+            p, q = _term_parts(term, l)
+        except (ValueError, ZeroDivisionError):
+            return f"term undefined at {v}={l}"
+        u = d._den * _horner(n._num, l, 1)[0]
+        if prev is not None and witness is None and prev[0] * w * q != (u - w) * p * prev[1]:
+            step = Fraction(u * p, w * q) - Fraction(*prev)
+            witness = f"{v}={l}: {step} != {Fraction(p, q)}"
+        prev = u * p, w * q
     if witness is None and not certificate.verify_symbolic():
         return f"R({v}) - R({v}-1)/r({v}-1) != 1"
     return witness

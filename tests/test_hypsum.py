@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from debranges import dbw, hypsum, lowner, orthopoly
-from debranges.exact import Poly, RationalFunction, binomial
+from debranges.exact import Poly, RationalFunction, _rebuild, binomial
 from debranges.hypsum import (
     BinomialFactor,
     FactorialFactor,
@@ -97,6 +97,39 @@ def rational_function_route(cert):
         defined += 1
         if defined > degree:
             return True
+
+
+def product_form(cert):
+    """GosperCertificate.verify_symbolic as Poly products: with R = n/d,
+    r = a/b and a subscript 1 for l -> l-1, the identity
+    R(l) - R(l-1)/r(l-1) = 1 times d d1 a1 is (n - d) a1 d1 = n1 b1 d."""
+    n, d = cert.multiplier.num, cert.multiplier.den
+    a, b = cert.ratio.num, cert.ratio.den
+    return (n - d) * a.shift(-1) * d.shift(-1) == n.shift(-1) * b.shift(-1) * d
+
+
+def fraction_witness(term, cert, lo, hi):
+    """certificate_witness in Fraction arithmetic, with the symbolic identity
+    as Poly products: the first pole of R or undefined term in [lo-1, hi],
+    else the first failing step s_l - s_(l-1) = b_l, s_l = R(l) b_l, else
+    the identity."""
+    if cert is None:
+        return "not summable"
+    values, s = {}, {}
+    for l in range(lo - 1, hi + 1):
+        try:
+            r = cert.multiplier(l)
+        except ZeroDivisionError:
+            return f"pole of R(l) at l={l}"
+        try:
+            values[l] = term_value(term, l)
+        except (ValueError, ZeroDivisionError):
+            return f"term undefined at l={l}"
+        s[l] = r * values[l]
+    for l in range(lo, hi + 1):
+        if s[l] - s[l - 1] != values[l]:
+            return f"l={l}: {s[l] - s[l - 1]} != {values[l]}"
+    return None if product_form(cert) else "R(l) - R(l-1)/r(l-1) != 1"
 
 
 def dense_gosper_solution(a, b_shifted, c, bound):
@@ -626,6 +659,7 @@ class TestGosper:
             ):
                 candidate = GosperCertificate(cert.ratio, multiplier)
                 assert candidate.verify_symbolic() is holds, (src, str(multiplier))
+                assert product_form(candidate) is holds, (src, str(multiplier))
                 assert rational_function_route(candidate) is holds, (src, str(multiplier))
 
     def test_zero_ratio_rejected(self):
@@ -732,6 +766,139 @@ class TestTelescopedSum:
         if want is None:  # a term of the range is undefined
             return
         assert telescoped_sum(term, gosper(term_ratio(term)), lo, lo + width) == want
+
+
+def _family_sources():
+    """The term families of the gosper benchmark: the paper's weighted
+    binomials, rational terms of dispersion h <= 60, and the geometric and
+    factorial classics."""
+    return (
+        st.builds(lambda n, j: f"({n}+1-l) * binom(l+{j}-1, l-{j})",
+                  st.integers(1, 14), st.integers(1, 14))
+        | st.builds(lambda a, h: f"1/((l+{a})*(l+{a + h}))", st.integers(1, 6), st.integers(1, 60))
+        | st.builds(lambda b, c: f"(l+{b})*{c}^l", st.integers(0, 5),
+                    st.sampled_from(["2", "3", "5", "(1/2)", "(2/3)"]))
+        | st.builds(lambda b: f"fact(l+{b})*(l+{b})", st.integers(0, 5))
+    )
+
+
+def _unreduced(num, den):
+    """num/den as a RationalFunction without the gcd that its constructor
+    takes, which costs up to 0.6 s on the perturbed multipliers of dispersion
+    60; the identity is the same in lower terms or not."""
+    return _rebuild(RationalFunction, (num, den))
+
+
+def _perturbed(cert, how):
+    """The certificate with its multiplier R = n/d or its ratio r changed:
+    2R, R + 1/(l+5), the top or bottom coefficient of n moved by +-1, or r
+    times (l+2)/(l+3)."""
+    l = Poly.variable("l")
+    n, d = cert.multiplier.num, cert.multiplier.den
+    if how == "ratio":
+        r = cert.ratio
+        return GosperCertificate(_unreduced(r.num * (l + 2), r.den * (l + 3)), cert.multiplier)
+    top = Poly.monomial(1, n.degree, "l")
+    num, den = {
+        "none": (n, d),
+        "double": (2 * n, d),
+        "plus 1/(l+5)": (n * (l + 5) + d, d * (l + 5)),
+        "top +1": (n + top, d),
+        "top -1": (n - top, d),
+        "bottom +1": (n + 1, d),
+        "bottom -1": (n - 1, d),
+    }[how]
+    return GosperCertificate(cert.ratio, _unreduced(num, den))
+
+
+PERTURBATIONS = [
+    "none", "double", "plus 1/(l+5)", "top +1", "top -1", "bottom +1", "bottom -1", "ratio",
+]
+
+
+class TestCertificateCheck:
+    """The symbolic identity at one integer point and the telescoping steps
+    on integers, against the product form, exact evaluation and the
+    Fraction loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_family_sources(), st.sampled_from(PERTURBATIONS))
+    @example("1/((l+1)*(l+61))", "none")
+    @example("1/((l+1)*(l+61))", "top +1")
+    @example("(30+1-l) * binom(l+20-1, l-20)", "bottom -1")
+    def test_one_point_check_matches_both_oracles(self, src, how):
+        cert = gosper(term_ratio(parse_term(src, "l")))
+        assert cert is not None, src
+        candidate = _perturbed(cert, how)
+        holds = candidate.verify_symbolic()
+        assert holds is product_form(candidate), (src, how)
+        assert holds is rational_function_route(candidate), (src, how)
+        if how == "none":
+            assert holds, src
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _family_sources() | st.sampled_from(
+            ["binom(l+6,l+4)", "binom(-l-4,-l-4)", "binom(l,3)", "(9-l)*binom(l,l-1)",
+             "l*fact(l)", "1/(l*(l+1))", "1/((l-3)*(l-2))", "binom(2*l,l)/4^l"]
+        ),
+        st.sampled_from(PERTURBATIONS),
+        st.integers(-8, 8),
+        st.integers(0, 12),
+    )
+    @example("binom(l+6,l+4)", "none", -7, 11)
+    @example("binom(-l-4,-l-4)", "none", -6, 4)
+    def test_witness_strings_match_the_fraction_loop(self, src, how, lo, width):
+        term = parse_term(src, "l")
+        cert = gosper(term_ratio(term))
+        assert cert is not None, src
+        candidate = _perturbed(cert, how)
+        assert certificate_witness(term, candidate, lo, lo + width) == fraction_witness(
+            term, candidate, lo, lo + width
+        ), (src, how, lo, width)
+
+    def test_identity_that_vanishes_at_powers_of_two_is_refused(self):
+        # R = 2 and r = a with a(l-1) = 2 + prod_k (l - 2^k): the identity
+        # 2 - 2/a(l-1) = 1 holds at l = 2, 4, ..., 2^30 and nowhere else, so a
+        # check at any of those points alone would pass it
+        l = Poly.variable("l")
+        planted = Poly.const(1, "l")
+        for k in range(1, 31):
+            planted = planted * (l + 1 - 2**k)
+        cert = GosperCertificate(RationalFunction(planted + 2), RationalFunction(Poly.const(2, "l")))
+        assert all(cert.multiplier(x) - cert.multiplier(x - 1) / cert.ratio(x - 1) == 1
+                   for x in (2**k for k in range(1, 31)))
+        assert not cert.verify_symbolic()
+        assert not product_form(cert) and not rational_function_route(cert)
+
+    def test_witnesses_across_poles_and_binomial_supports(self):
+        for src, lo, hi, want in (
+            ("binom(l+6,l+4)", -7, 4, "pole of R(l) at l=-6"),
+            ("binom(-l-4,-l-4)", -6, -2, "l=-3: 3 != 0"),
+            ("binom(l,3)", -5, 15, None),
+            ("(9-l)*binom(l,l-1)", 2, 12, "pole of R(l) at l=9"),
+        ):
+            term = parse_term(src, "l")
+            cert = gosper(term_ratio(term))
+            assert certificate_witness(term, cert, lo, hi) == want, src
+            assert fraction_witness(term, cert, lo, hi) == want, src
+
+    def test_undefined_term_is_a_witness_not_an_exception(self):
+        # 1/((l-3)(l-2)) has poles at l = 2 and 3 inside [0, 6]
+        term = parse_term("1/((l-3)*(l-2))", "l")
+        cert = gosper(term_ratio(term))
+        assert certificate_witness(term, cert, 1, 6) == "term undefined at l=2"
+        assert not verify_certificate(term, cert, 1, 6)
+        assert certificate_witness(term, cert, 4, 9) == "term undefined at l=3"
+        assert verify_certificate(term, cert, 5, 9)
+
+    def test_negative_factorial_is_a_witness_not_an_exception(self):
+        # fact(l) l telescopes with s_l = (l+1)!, but fact(-1) is undefined
+        term = parse_term("fact(l)*l", "l")
+        cert = gosper(term_ratio(term))
+        assert certificate_witness(term, cert, 0, 5) == "term undefined at l=-1"
+        assert not verify_certificate(term, cert, 0, 5)
+        assert certificate_witness(term, cert, 1, 5) == "pole of R(l) at l=0"
 
 
 # small integers, and small rationals to exercise the common denominator
