@@ -12,6 +12,12 @@ variables (``y``, ``x``, a summation variable) cannot be mixed by accident.
 Calling a polynomial evaluates it at an exact scalar; the only substitutions
 are the linear ones, ``shift`` and ``subs_linear``.
 
+Division is fraction-free.  ``_eliminate`` is the one elimination step: a
+row cancels the top entry of an integer remainder, after both are scaled by
+lead/gcd(t, lead) for that entry t and the row's top lead.  The
+pseudo-division behind ``divmod`` and ``gcd`` takes one step per quotient
+coefficient, and ``hypsum`` solves Gosper's equation with it.
+
 A product of two polynomials is the schoolbook convolution of their integer
 numerators, ``_convolve_into``.  ``_pack`` and ``_unpack`` are the two halves
 of a Kronecker substitution, which writes integer numerators as the digits of
@@ -214,31 +220,37 @@ def _horner(num: Sequence[int], p: int, q: int) -> tuple[int, int]:
     return acc, q_power
 
 
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
-    """Integer division s*a = q*b + r with s > 0 and deg r < deg b.
+def _eliminate(rem: list[int], quot: list[int], i: int, row: Sequence[int], start: int) -> int:
+    """One fraction-free step, in place: quot[i] is set so that row, placed at
+    rem[start], cancels the entry t of rem above row's top, after rem and quot
+    are scaled by lead / gcd(t, lead) > 0 for that top lead.  Returns the
+    scale; 1 when t is already 0."""
+    top = start + len(row) - 1
+    t = rem[top]
+    if not t:
+        return 1
+    lead = row[-1]
+    g = math.gcd(t, lead) if lead > 0 else -math.gcd(t, lead)
+    f, m = lead // g, t // g
+    if f != 1:
+        rem[:] = [f * x for x in rem]
+        quot[:] = [f * x for x in quot]
+    quot[i] = m
+    for k, y in enumerate(row, start):
+        rem[k] -= m * y
+    return f
 
-    Each step scales by lb/gcd(t, lb) only, for the top remainder
-    coefficient t and the leading coefficient lb of b, so a divisor with
-    leading coefficient +-1 never scales at all."""
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Integer division s*a = q*b + r with s > 0 and deg r < deg b, one
+    _eliminate step per quotient coefficient: s is the product of their
+    scales, so a divisor with leading coefficient +-1 never scales at all."""
     rem = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    quot = [0] * max(len(rem) - db, 0)
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
     s = 1
     for k in range(len(quot) - 1, -1, -1):
-        t = rem[k + db]
-        if not t:
-            continue
-        g = math.gcd(t, lb) if lb > 0 else -math.gcd(t, lb)
-        f, m = lb // g, t // g
-        if f != 1:
-            s *= f
-            rem = [f * x for x in rem]
-            quot = [f * x for x in quot]
-        quot[k] = m
-        for i, y in enumerate(b, k):
-            rem[i] -= m * y
-    return s, quot, rem[:db]
+        s *= _eliminate(rem, quot, k, b, k)
+    return s, quot, rem[: len(b) - 1]
 
 
 def _pack(digits: Sequence[int], bits: int) -> int:

@@ -13,15 +13,17 @@ normalised once over the common denominator prod q^m.
 Gosper's algorithm then decides whether b_l has a hypergeometric
 antidifference s_l with s_l - s_{l-1} = b_l, and returns a certificate
 multiplier R with s_l = R(l) b_l that can be checked both symbolically and
-numerically on a range.  Its polynomial equation is solved on integer
-numerators over one denominator, fraction-free.  Both checks run on
-integers.  The symbolic check R(l) - R(l-1)/r(l-1) = 1 is, with the
-denominators cleared, for R = n/d, r = a/b and a subscript 1 marking
-l -> l-1, the integer polynomial identity (n - d) a1 d1 = n1 b1 d; it is
-compared at the one point 2^B past a bound on its coefficients, as products
-of the integers that ``exact._pack`` and ``exact._pack_shifted`` make.  On a
-range, each step s_l - s_(l-1) = b_l is one cross-multiplication of
-unreduced integer pairs.
+numerically on a range.  Its polynomial equation is solved on the integer
+rows of its polynomials over one denominator, fraction-free, each step one
+``exact._eliminate``.  Both checks run on integers.  The symbolic check
+R(l) - R(l-1)/r(l-1) = 1 is, with the denominators cleared, for R = n/d,
+r = a/b and a subscript 1 marking l -> l-1, the integer polynomial identity
+(n - d) a1 d1 = n1 b1 d; it is compared at the one point 2^B past a bound
+on its coefficients, as products of the integers that ``exact._pack`` and
+``exact._pack_shifted`` make.  On a range, each step s_l - s_(l-1) = b_l is
+one cross-multiplication of unreduced integer pairs.  A range sum
+telescoped by the certificate fails where the sum term by term does, at
+its first undefined term.
 
 The terminating pFq evaluator computes sum_j (prod upper Pochhammers) /
 (prod lower Pochhammers j!) arg^j exactly, for series cut off by a
@@ -43,8 +45,8 @@ from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .exact import (
-    Poly, RationalFunction, Record, Scalar, _horner, _make, _pack, _pack_shifted, _ratio,
-    _set_field, binomial, pochhammer,
+    Poly, RationalFunction, Record, Scalar, _eliminate, _horner, _make, _pack, _pack_shifted,
+    _ratio, _set_field, binomial, pochhammer,
 )
 
 
@@ -756,36 +758,21 @@ def _shift_norm(row: Sequence[int]) -> int:
 
 def _degree_bound(a: Poly, b_shifted: Poly, c: Poly) -> Optional[int]:
     """Classical degree bound for the unknown polynomial in
-    a(l) x(l+1) - b(l-1) x(l) = c(l); None when no nonnegative bound exists."""
-    n, m, k = a.degree, b_shifted.degree, c.degree
-    candidates: set[Fraction] = set()
-    if n != m or a.leading != b_shifted.leading:
-        candidates.add(Fraction(k - max(n, m)))
-    elif n == 0:
-        candidates.add(Fraction(k - n + 1))
-        candidates.add(Fraction(0))
-    else:
-        candidates.add(Fraction(k - n + 1))
-        candidates.add((b_shifted.coeff(n - 1) - a.coeff(n - 1)) / a.leading)
-    bounds = [int(d) for d in candidates if d.denominator == 1 and d >= 0]
-    return max(bounds) if bounds else None
+    a(l) x(l+1) - b(l-1) x(l) = c(l); None when no nonnegative bound exists.
 
-
-def _eliminate(rem: list[int], x: list[int], j: int, column: list[int], k: int, lead: int) -> int:
-    """Set x[j] so that row k of rem - x[j] * column vanishes, on integers:
-    rem and x are first scaled by lead / gcd(rem[k], lead) (positive), as
-    in exact._pseudo_divmod.  Returns that scale; 1 when rem[k] is 0."""
-    t = rem[k]
-    if not t:
-        return 1
-    g = math.gcd(t, lead) if lead > 0 else -math.gcd(t, lead)
-    f, m = lead // g, t // g
-    if f != 1:
-        rem[:] = [f * r for r in rem]
-        x[:] = [f * y for y in x]
-    x[j] = m
-    rem[: len(column)] = [r - m * y for r, y in zip(rem, column)]
-    return f
+    With s = max(deg a, deg b(l-1)) it is deg c - s, unless a and b(l-1)
+    have equal degrees and leading coefficients; then it is the larger of
+    deg c - s + 1 and j0 = (b(l-1)_(s-1) - a_(s-1)) / lc(a) when j0 is an
+    integer.  A coefficient below degree 0 is 0, so balanced constants
+    have j0 = 0."""
+    s = max(a.degree, b_shifted.degree)
+    bound = c.degree - s
+    if a.degree == b_shifted.degree and a.leading == b_shifted.leading:
+        j0 = (b_shifted.coeff(s - 1) - a.coeff(s - 1)) / a.leading
+        bound += 1
+        if j0.denominator == 1:
+            bound = max(bound, int(j0))
+    return bound if bound >= 0 else None
 
 
 def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Optional[Poly]:
@@ -799,17 +786,17 @@ def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Opt
     from each column's top row leaves x = u + t v and the residual
     c - L(u) - t L(v), which fixes t, or leaves it free, or has no zero.
 
-    Everything runs on integers: the equation is multiplied by the common
-    denominator of a, b(l-1) and c, u and v are carried as integer
-    numerators U / du and V / dv, and each residual is kept times the same
-    denominator; dv cancels from the answer and is not kept."""
+    Everything runs on integers: the rows of a, b(l-1) and c are scaled to
+    their common denominator, u and v are carried as integer numerators
+    U / du and V / dv, each step is one exact._eliminate, and each residual
+    is kept times the same denominator; dv cancels from the answer and is
+    not kept."""
     var = a.var
     top = max(a.degree, b_shifted.degree)
     if a.degree == b_shifted.degree and a.leading == b_shifted.leading:
         top -= 1
-    polys = (a.coeffs, b_shifted.coeffs, c.coeffs)
-    den = math.lcm(*(q.denominator for p in polys for q in p))
-    A, B, C = ([q.numerator * (den // q.denominator) for q in p] for p in polys)
+    den = math.lcm(a._den, b_shifted._den, c._den)
+    A, B, C = ([x * (den // p._den) for x in p._num] for p in (a, b_shifted, c))
     # A (l+1)^j for j = 0..bound, each from the one before
     raised = [A]
     for _ in range(bound):
@@ -823,22 +810,21 @@ def _solve_gosper_equation(a: Poly, b_shifted: Poly, c: Poly, bound: int) -> Opt
         column = raised[j] + [0] * (j + len(B) - len(raised[j]))
         for i, y in enumerate(B, j):
             column[i] -= y
-        k = j + top
-        lead = column[k]
-        if lead:
-            du *= _eliminate(rem_u, U, j, column, k, lead)
-            _eliminate(rem_v, V, j, column, k, lead)
+        row = column[: j + top + 1]
+        if row and row[-1]:
+            du *= _eliminate(rem_u, U, j, row, 0)
+            _eliminate(rem_v, V, j, row, 0)
         else:  # j = j0, reached with v = 0: x_j0 = t, so v = l^j0 so far
             V[j] = 1
-            rem_v[: len(column)] = [-y for y in column]
+            rem_v[: len(row)] = [-y for y in row]
     # x = U/du + t V/dv with the residual rem_u/du + t rem_v/dv
     if not any(rem_v):
-        return None if any(rem_u) else Poly(U, var) * Fraction(1, du)
+        return None if any(rem_u) else _make(U, du, var)
     k = max(i for i, r in enumerate(rem_v) if r)
     p, q = rem_u[k], rem_v[k]  # t = -(p/du) / (q/dv)
     if any(r * q != p * s for r, s in zip(rem_u, rem_v)):
         return None
-    return Poly([q * x - p * y for x, y in zip(U, V)], var) * Fraction(1, du * q)
+    return _make([q * x - p * y for x, y in zip(U, V)], du * q, var)
 
 
 def _root_classes(
@@ -922,7 +908,7 @@ def gosper(ratio: ShiftQuotient) -> Optional[GosperCertificate]:
     if bound > GOSPER_WORK_LIMIT:
         raise GosperLimitError(f"Gosper work limit: degree bound {bound} > {GOSPER_WORK_LIMIT}")
     x = _solve_gosper_equation(a, b_shifted, c, bound)
-    if x is None or x.is_zero():
+    if x is None:
         return None
     return GosperCertificate(ratio, RationalFunction(a * x.shift(1), c))
 
@@ -936,10 +922,18 @@ def telescoped_sum(
     every term is summed one by one when certificate is None, when there is
     no such m or when s_hi is undefined.  Raises ValueError for an empty
     range or for more than GOSPER_TERMS_LIMIT terms one by one, and
-    ValueError or ZeroDivisionError for a term summed one by one that is
-    undefined."""
+    ValueError or ZeroDivisionError, as the sum term by term would, when a
+    term of the range is undefined.
+
+    A telescoped sum never computes most of its terms, so with a
+    certificate the term is first evaluated at the points that
+    _undefined_candidates names, in increasing order, and the error of the
+    first undefined one is raised."""
     if hi < lo:
         raise ValueError("empty summation range")
+    if certificate:
+        for l in _undefined_candidates(term, lo, hi):
+            _term_parts(term, l)
     low = certificate and _antidifference(term, certificate, range(lo - 1, hi + 1))
     high = low and _antidifference(term, certificate, [hi])
     singles = range(lo, hi + 1 if high is None else low[0] + 1)
@@ -949,6 +943,35 @@ def telescoped_sum(
         )
     total = sum((term_value(term, l) for l in singles), Fraction(0))
     return total if high is None else total + high[1] - low[1]
+
+
+def _undefined_candidates(term: HypTerm, lo: int, hi: int) -> list[int]:
+    """The points of [lo, hi], in increasing order, among which the first
+    l where the term is undefined lies, if there is one: none when no
+    factor can be undefined, else lo and floor(rho), floor(rho) + 1 for
+    each root rho of a linear argument of such a factor.
+
+    Those factors are a factorial, undefined where its argument is negative
+    or not an integer; a linear factor under a negative exponent, where it
+    is 0; and a binomial binom(u, v) = u! / (v! (u - v)!) under a negative
+    exponent, where v < 0 or 0 <= u < v, or with a fractional offset,
+    everywhere.  Each of these sets is a union of integer intervals whose
+    left ends are -infinity, an integer root, or ceil(rho) or
+    floor(rho) + 1 for a root rho of u, v, u - v or the argument.  So the
+    first undefined l of [lo, hi] is lo or the left end of one interval."""
+    roots = []
+    for f in term.factors:
+        if isinstance(f, FactorialFactor) or (isinstance(f, LinearFactor) and f.exponent < 0):
+            roots.append(-f.b / f.a)
+        elif isinstance(f, BinomialFactor) and (
+            f.exponent < 0 or f.b1.denominator != 1 or f.b2.denominator != 1
+        ):
+            args = ((f.a1, f.b1), (f.a2, f.b2), (f.a1 - f.a2, f.b1 - f.b2))
+            roots.extend(-b / a for a, b in args if a)
+    if not roots:
+        return []
+    points = {lo}.union(*((math.floor(r), math.floor(r) + 1) for r in roots))
+    return sorted(p for p in points if lo <= p <= hi)
 
 
 def _antidifference(

@@ -981,6 +981,16 @@ class TestGosper:
         code, out, err = run(capsys, "gosper", "l", "--var", var)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_range_telescoped_across_a_pole_exits_2(self, capsys):
+        # R(l) = -l telescopes the term, whose poles at l = -1 and l = 0 lie
+        # between the ends of the range; the sum term by term fails at -1
+        code, out, err = run(capsys, "gosper", "1/(l*(l+1))", "--var", "l", "--range=-3..4")
+        assert (code, out) == (2, "R(l) = (-l) / (1)\n")
+        assert err == (
+            "error: pole of LinearFactor(a=Fraction(1, 1), b=Fraction(1, 1), exponent=-1)"
+            " at l = -1\n"
+        )
+
     def test_undefined_term_in_range_exits_2(self, capsys):
         code, out, err = run(capsys, "gosper", "1/(l-3)", "--var", "l", "--range", "1..5")
         assert code == 2

@@ -293,6 +293,30 @@ class TestKernelAgainstReference:
         if a or b:
             self.check(p.gcd(q), ref_gcd(a, b))
 
+    @given(
+        a=st.lists(st.integers(-50, 50), max_size=8),
+        b=st.lists(st.integers(-50, 50), max_size=5),
+        lead=st.integers(-12, 12).filter(bool),
+    )
+    @example(a=[3, 0, 5, 7], b=[2], lead=-1)
+    @example(a=[1, 2], b=[4, 5, 6], lead=6)
+    @settings(max_examples=60, deadline=None)
+    def test_pseudo_divmod_on_integer_rows(self, a, b, lead):
+        # s a = q b + r with s > 0 and deg r < deg b, where each step of
+        # exact._eliminate scales by lead / gcd(t, lead) only: by 1 for a
+        # divisor with leading coefficient +-1
+        b = b + [lead]
+        s, quot, rem = exact._pseudo_divmod(a, b)
+        assert s > 0 and len(rem) < len(b)
+        width = max(len(a), len(b))
+        right = rem + [0] * (width - len(rem))
+        for i, x in enumerate(quot):
+            for j, y in enumerate(b, i):
+                right[j] += x * y
+        assert [s * x for x in a] + [0] * (width - len(a)) == right
+        if abs(lead) == 1:
+            assert s == 1
+
     @given(a=coeff_lists, c=rationals | st.integers(-30, 30))
     @settings(max_examples=25, deadline=None)
     def test_shift(self, a, c):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from debranges.hypsum import (
     term_value,
     verify_certificate,
     weighted_binomial_sum,
+    _degree_bound,
     _dispersion,
     _from_roots,
     _solve_gosper_equation,
@@ -717,6 +719,16 @@ class TestGosper:
 # (9-l)*binom(l,l-1) vanishes; fact(l) is not summable
 RANGE_TERMS = ["l*fact(l)", "binom(l,3)", "1/(l*(l+1))", "(9-l)*binom(l,l-1)", "fact(l)"]
 
+# terms with poles, factorials of negative arguments and binomial supports
+# inside -9..9, most of them Gosper-summable
+RANGE_FAMILIES = RANGE_TERMS + [
+    "1/((l+2)*(l+5))", "1/((2*l+1)*(2*l+3))", "l/fact(l+1)", "(l+1)*fact(l+3)",
+    "binom(l+6,l+4)", "binom(-l-4,-l-4)", "(4*l+1)*fact(l)/fact(2*l+1)", "l^3", "l*2^l",
+    "(l+1)/((l+3)*fact(l+4))", "1/binom(l+3,2)", "binom(2*l,l)/4^l*(l+1/2)",
+    "1/((l-2)*(l+1))", "(l-3)/fact(4-l)", "1/binom(6-l,2)",
+    "1/((l-4)*(l-3)*(l-2))",
+]
+
 
 def _direct_sum(term, lo, hi):
     """sum_{l=lo..hi} b_l term by term, or None when a term is undefined."""
@@ -766,6 +778,25 @@ class TestTelescopedSum:
         if want is None:  # a term of the range is undefined
             return
         assert telescoped_sum(term, gosper(term_ratio(term)), lo, lo + width) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(RANGE_FAMILIES), st.integers(-9, 9), st.integers(-9, 9))
+    @example("1/(l*(l+1))", -3, 4)
+    @example("l/fact(l+1)", -5, 3)
+    @example("1/binom(l+3,2)", -9, 9)
+    def test_raises_exactly_where_the_direct_sum_does(self, src, lo, hi):
+        # a telescoped sum computes few of its terms, yet it is undefined,
+        # with the same error, where one of them is
+        lo, hi = min(lo, hi), max(lo, hi)
+        term = parse_term(src, "l")
+        cert = gosper(term_ratio(term))
+        try:
+            sum(term_value(term, l) for l in range(lo, hi + 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                telescoped_sum(term, cert, lo, hi)
+        else:
+            telescoped_sum(term, cert, lo, hi)
 
 
 def _family_sources():
@@ -935,10 +966,77 @@ def gosper_equations(draw):
     return a, b_shifted, c, bound
 
 
+def three_branch_degree_bound(a, b_shifted, c):
+    """The degree bound with the balanced constants as a case of their own:
+    the reference for _degree_bound."""
+    n, m, k = a.degree, b_shifted.degree, c.degree
+    candidates = set()
+    if n != m or a.leading != b_shifted.leading:
+        candidates.add(Fraction(k - max(n, m)))
+    elif n == 0:
+        candidates.add(Fraction(k - n + 1))
+        candidates.add(Fraction(0))
+    else:
+        candidates.add(Fraction(k - n + 1))
+        candidates.add((b_shifted.coeff(n - 1) - a.coeff(n - 1)) / a.leading)
+    bounds = [int(d) for d in candidates if d.denominator == 1 and d >= 0]
+    return max(bounds) if bounds else None
+
+
+DEGREE_BOUND_CASES = ["unbalanced", "balanced constants", "j0 >= 0", "j0 < 0", "fractional j0"]
+
+
+@st.composite
+def degree_bound_inputs(draw):
+    """(a, b(l-1), c) in one of DEGREE_BOUND_CASES: a and b(l-1) of unequal
+    degrees or leading coefficients, equal constants, or balanced of degree
+    s > 0 with j0 = (b(l-1)_(s-1) - a_(s-1)) / lc(a) an integer >= 0, an
+    integer < 0 or not an integer."""
+    case = draw(st.sampled_from(DEGREE_BOUND_CASES))
+    if case == "balanced constants":
+        s = 0
+    else:
+        s = draw(st.integers(0 if case == "unbalanced" else 1, 3))
+    lc = draw(small.filter(bool))
+    a = Poly(draw(st.lists(small, min_size=s, max_size=s)) + [lc], "l")
+    lower = draw(st.lists(small, min_size=s, max_size=s))
+    if case == "unbalanced":
+        # another leading coefficient, or another degree
+        top = draw(st.sampled_from([[lc + 1], [2 * lc], [0, lc], []]))
+        b_shifted = Poly(lower + top or [2 * lc], "l")
+    else:
+        if s:
+            j0 = {
+                "j0 >= 0": st.integers(0, 8),
+                "j0 < 0": st.integers(-8, -1),
+                "fractional j0": st.fractions(-8, 8, max_denominator=6).filter(
+                    lambda q: q.denominator != 1
+                ),
+            }[case]
+            lower[-1] = a.coeff(s - 1) + lc * draw(j0)
+        b_shifted = Poly(lower + [lc], "l")
+    c = Poly(draw(st.lists(small, max_size=6)) + [draw(small.filter(bool))], "l")
+    return a, b_shifted, c
+
+
 class TestGosperEquation:
     """The back-substitution solver against the dense Gauss-Jordan oracle."""
 
+    @given(eq=degree_bound_inputs())
+    # balanced constants, then a = l with j0 = 3 and -3, a = 2l with
+    # j0 = 1/2, and an unbalanced pair
+    @example(eq=(Poly.const(2, "l"), Poly.const(2, "l"), Poly([1, 1], "l")))
+    @example(eq=(Poly([0, 1], "l"), Poly([3, 1], "l"), Poly.const(1, "l")))
+    @example(eq=(Poly([0, 1], "l"), Poly([-3, 1], "l"), Poly.const(1, "l")))
+    @example(eq=(Poly([0, 2], "l"), Poly([1, 2], "l"), Poly.const(1, "l")))
+    @example(eq=(Poly([0, 1], "l"), Poly.const(1, "l"), Poly.const(1, "l")))
+    @settings(max_examples=200, deadline=None)
+    def test_degree_bound_matches_three_branch_rule(self, eq):
+        assert _degree_bound(*eq) == three_branch_degree_bound(*eq)
+
     @given(eq=gosper_equations())
+    # a = b(l-1) = 2: L(1) = 0, so the row of x_0 is empty and x_0 is free
+    @example(eq=(Poly.const(2, "l"), Poly.const(2, "l"), Poly([1, 1], "l"), 2))
     # balanced with j0 = 0, and L(1) = l + 1 fixes x_0 twice over: 1 and 2
     @example(eq=(Poly([1, 1, 0, 1], "l"), Poly.monomial(1, 3, "l"), Poly([1, 2], "l"), 0))
     @settings(max_examples=100, deadline=None)
