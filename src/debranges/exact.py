@@ -30,7 +30,10 @@ reads those of a polynomial with a negative value back with ``_unpack``.
 ``hypsum.GosperCertificate.verify_symbolic`` packs the rows of a polynomial
 identity with ``_pack`` and, for the shift l -> l - 1, with
 ``_pack_shifted``, and compares its two sides as products of integers,
-which it never unpacks.  Each base is fixed from a bound on its digits, and
+which it never unpacks.  ``Poly.gcd`` packs two rows at one base past a
+bound on their roots and on their common fixed divisor, so that one integer
+``math.gcd`` under that base proves them coprime without Euclid (the lemma
+is in its docstring).  Each base is fixed from a bound on its digits, and
 the packing and unpacking helpers take its width B in bits.
 
 ``Record`` is the base of the package's immutable records and values: their
@@ -287,6 +290,26 @@ def _unpack(s: int, bits: int) -> list[int]:
     return [(s >> i & mask) - half for i in range(0, top, bits)]
 
 
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """True when the packed certificate of ``Poly.gcd`` proves the integer
+    rows a and b, both of degree >= 1, coprime; False when it cannot tell.
+    The root bound is that of the shorter row, and each row is packed
+    after its content is divided out."""
+    if len(b) < len(a):
+        a, b = b, a
+    a, b = (_canonical(list(row), math.gcd(*row))[0] for row in (a, b))
+    n, lead = len(a) - 1, a[-1].bit_length()
+    # each root is at most 2 max_k |a_k / a_n|^(1/(n-k)) (Fujiwara), and
+    # |a_k / a_n| < 2^(bitlen a_k - lead + 1), so each root is below 2^r for
+    # r = 1 + max ceil((bitlen a_k - lead + 1) / (n - k)) over a_k != 0
+    r = 1 + max(
+        ((x.bit_length() - lead + i) // i for i, x in zip(range(n, 0, -1), a) if x),
+        default=0,
+    )
+    bits = max(r, 1) + math.factorial(n).bit_length() + 32
+    return math.gcd(_pack(a, bits), _pack(b, bits)).bit_length() < bits
+
+
 class Poly(Record):
     """Dense univariate polynomial over Q with a variable tag.
 
@@ -514,10 +537,31 @@ class Poly(Record):
         return _make(list(self._num), self._num[-1], self.var)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor: Euclid on the numerators, with
-        each remainder reduced to its primitive part."""
+        """Monic greatest common divisor: 1 when ``_coprime`` certifies the
+        numerators coprime, else Euclid on them, with each remainder
+        reduced to its primitive part.
+
+        The certificate: let A and B be primitive integer rows of degree
+        >= 1, and let every root of one of them, say A, lie below
+        rho < 2^r.  Fujiwara's bound |root| <= 2 max_i |a_(n-i) / a_n|^(1/i)
+        gives r from bit lengths alone, clamped at r >= 1.  Take xi = 2^bits
+        with bits > r.  If D is a primitive common factor of degree >= 1,
+        then D divides A and B over the integers by Gauss's lemma, so D(xi)
+        divides gamma = gcd(A(xi), B(xi)), which is nonzero as xi is no
+        root of A; and the roots of D are roots of A, so
+        |D(xi)| >= (xi - rho)^deg D >= xi - rho > 2^(bits-1).  So a bit
+        length of gamma under bits, gamma < 2^(bits-1), proves the gcd is
+        1.  A(xi) is ``_pack(A, bits)``, so the test is two packs and one
+        ``math.gcd``.
+
+        gamma always carries the common fixed divisor of A and B, which
+        divides m! for m = min(deg A, deg B), so the width is
+        bits = r + bitlen(m!) + 32.  This only sizes the test: when it
+        fails, Euclid runs."""
         self._check_var(other)
         a, b = self._num, other._num
+        if len(a) > 1 and len(b) > 1 and _coprime(a, b):
+            return _raw((1,), 1, self.var)
         while b:
             rem = _pseudo_divmod(a, b)[2]
             a, b = b, _canonical(rem, math.gcd(*rem) or 1)[0]

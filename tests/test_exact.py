@@ -399,6 +399,95 @@ class TestKernelAgainstReference:
             Poly([1], "y")(0.5)
 
 
+def product_of_rows(rows, content):
+    """content times the product of the integer rows, as a Poly in l."""
+    p = Poly.const(content, "l")
+    for row in rows:
+        p = p * Poly(row, "l")
+    return p
+
+
+factor_rows = st.lists(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=2).filter(lambda row: row[-1])
+    | st.lists(st.integers(-30, 30), min_size=3, max_size=3).filter(lambda row: row[-1]),
+    max_size=4,
+)
+contents = st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 1000))
+BIG = 2**200
+
+
+class TestGcdCertificate:
+    """Poly.gcd against sympy's monic gcd and the Fraction reference, and
+    the packed certificate that settles a coprime pair without Euclid."""
+
+    @given(shared=factor_rows, only_a=factor_rows, only_b=factor_rows, ca=contents, cb=contents)
+    @settings(max_examples=150, deadline=None)
+    @example(shared=[[1, 1]], only_a=[[2, 0, -1]], only_b=[[-7, 3]], ca=Fraction(-6), cb=Fraction(4, 9))
+    def test_matches_the_sympy_monic_gcd(self, shared, only_a, only_b, ca, cb):
+        # products of linear and quadratic integer factors, with a shared
+        # part, random contents and leading coefficients of either sign
+        sympy = pytest.importorskip("sympy")
+        l = sympy.Symbol("l")
+        a, b = product_of_rows(shared + only_a, ca), product_of_rows(shared + only_b, cb)
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], l, domain="QQ")
+
+        want = to_sympy(a).gcd(to_sympy(b)).monic()
+        got = a.gcd(b)
+        assert canonical(got)
+        assert list(got.coeffs) == [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a leading coefficient far above the rest: every root is near
+            # 0, and on the shorter row the root bound is clamped at 2^1
+            ([1, BIG], [-3, 0, 1]),
+            ([1, 1, BIG], [-3, 1]),
+            ([2, 1 + 2 * BIG, BIG], [-5, 1 - 5 * BIG, BIG]),
+            ([1, 0, 0, BIG], [0, 1]),
+            # zero middle coefficients
+            ([-1, 0, 0, 0, 0, 1], [-1, 0, 0, 1]),
+            ([1, 0, 0, 0, 1], [1, 0, 1]),
+            ([0, 0, 0, 0, 0, 0, 1], [0, 1, 1]),
+            # constant and zero operands
+            ([], [-1, 0, 1]),
+            ([-1, 0, 2], []),
+            ([3], [-1, 0, 1]),
+            ([Fraction(7, 2)], [5]),
+            ([], [5]),
+        ],
+    )
+    def test_pinned_pairs_match_the_reference(self, a, b):
+        p, q = Poly(a, "l"), Poly(b, "l")
+        want = ref_gcd(ref_trim(a), ref_trim(b))
+        assert list(p.gcd(q).coeffs) == want
+        assert list(q.gcd(p).coeffs) == ref_gcd(ref_trim(b), ref_trim(a))
+        if p.degree > 0 and q.degree > 0:
+            # the certificate settles every coprime pair here, and no other
+            assert exact._coprime(p._num, q._num) is (want == [1])
+
+    def test_zero_with_zero_is_zero(self):
+        assert Poly.zero("l").gcd(Poly.zero("l")).is_zero()
+
+    def test_coprime_multiplier_is_settled_without_euclid(self, monkeypatch):
+        from debranges import hypsum
+
+        cert = hypsum.gosper(hypsum.term_ratio(hypsum.parse_term("1/((l+1)*(l+41))", "l")))
+        num, den = cert.multiplier.num, cert.multiplier.den
+        # gamma carries about 131 bits of the common fixed divisor, a divisor
+        # of 39!, whatever the width: at 64 bits it fills more than the width
+        assert math.gcd(_pack(num._num, 64), _pack(den._num, 64)).bit_length() > 64
+        calls = []
+        pseudo_divmod = exact._pseudo_divmod
+        monkeypatch.setattr(
+            exact, "_pseudo_divmod", lambda a, b: calls.append((a, b)) or pseudo_divmod(a, b)
+        )
+        assert num.gcd(den) == 1 and den.gcd(num) == 1
+        assert calls == []
+
+
 class TestRationalFunction:
     def test_normalization(self):
         rf = RationalFunction(Poly([0, 2], "l"), Poly([0, 0, 2], "l"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from debranges import dbw, hypsum, lowner, orthopoly
-from debranges.exact import Poly, RationalFunction, _rebuild, binomial
+from debranges.exact import Poly, RationalFunction, binomial
 from debranges.hypsum import (
     BinomialFactor,
     FactorialFactor,
@@ -813,13 +813,6 @@ def _family_sources():
     )
 
 
-def _unreduced(num, den):
-    """num/den as a RationalFunction without the gcd that its constructor
-    takes, which costs up to 0.6 s on the perturbed multipliers of dispersion
-    60; the identity is the same in lower terms or not."""
-    return _rebuild(RationalFunction, (num, den))
-
-
 def _perturbed(cert, how):
     """The certificate with its multiplier R = n/d or its ratio r changed:
     2R, R + 1/(l+5), the top or bottom coefficient of n moved by +-1, or r
@@ -828,7 +821,7 @@ def _perturbed(cert, how):
     n, d = cert.multiplier.num, cert.multiplier.den
     if how == "ratio":
         r = cert.ratio
-        return GosperCertificate(_unreduced(r.num * (l + 2), r.den * (l + 3)), cert.multiplier)
+        return GosperCertificate(RationalFunction(r.num * (l + 2), r.den * (l + 3)), cert.multiplier)
     top = Poly.monomial(1, n.degree, "l")
     num, den = {
         "none": (n, d),
@@ -839,7 +832,7 @@ def _perturbed(cert, how):
         "bottom +1": (n + 1, d),
         "bottom -1": (n - 1, d),
     }[how]
-    return GosperCertificate(cert.ratio, _unreduced(num, den))
+    return GosperCertificate(cert.ratio, RationalFunction(num, den))
 
 
 PERTURBATIONS = [
