@@ -48,7 +48,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    EvalGrid, Poly, Record, Scalar, _make, _raw, _set_field, _unpack, binomial,
+    EvalGrid, Poly, Record, Scalar, _make, _raw, _unpack, binomial,
     first_mismatch, format_rational,
 )
 from .series import ZSeries, _packed_koebe, time_derivative
@@ -249,13 +249,6 @@ class PositivityViolation(Record):
     k: int
     y: Fraction
     value: Fraction
-
-    def __init__(self, quantity: str, n: int, k: int, y: Fraction, value: Fraction):
-        _set_field(self, "quantity", quantity)
-        _set_field(self, "n", n)
-        _set_field(self, "k", k)
-        _set_field(self, "y", y)
-        _set_field(self, "value", value)
 
     def __str__(self) -> str:
         return (

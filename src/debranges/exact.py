@@ -37,7 +37,7 @@ is in its docstring).  Each base is fixed from a bound on its digits, and
 the packing and unpacking helpers take its width B in bits.
 
 ``Record`` is the base of the package's immutable records and values: their
-fields are slots, set once by each class's own ``__init__``, and a record
+fields are slots, set once by one positional constructor, and a record
 compares, hashes, prints, pickles and copies by its fields.
 """
 
@@ -145,12 +145,14 @@ class Record:
     """Base of the immutable records.
 
     A record's fields are its ``__slots__``, after those of its bases, and
-    each subclass sets them in its own positional ``__init__`` through
-    ``_set_field``.  Setting or deleting a field afterwards raises
-    AttributeError.  Two records are equal when they have the same type and
-    equal fields, the hash is that of the tuple of fields, and the repr is
-    ``Name(field=value, ...)``.  Pickle and copy rebuild a record from its
-    fields without calling ``__init__``.
+    ``Record(*values)`` sets one value per field, in that order; any other
+    number of values raises TypeError.  A subclass writes its own
+    ``__init__`` only to validate its input or to supply a default, and sets
+    its fields there through ``_set_field``.  Setting or deleting a field
+    afterwards raises AttributeError.  Two records are equal when they have
+    the same type and equal fields, the hash is that of the tuple of fields,
+    and the repr is ``Name(field=value, ...)``.  Pickle and copy rebuild a
+    record from its fields without calling ``__init__``.
     A value type that overrides ``__eq__``, ``__hash__`` and ``__repr__``
     keeps only the refusals and the rebuilding.
     """
@@ -164,6 +166,16 @@ class Record:
         cls._fields = tuple(
             name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ())
         )
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__}({', '.join(fields)}) takes {len(fields)} "
+                f"values, got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            _set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -106,11 +106,6 @@ class LinearFactor(Record):
     b: Fraction
     exponent: int
 
-    def __init__(self, a: Fraction, b: Fraction, exponent: int):
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "exponent", exponent)
-
 
 class FactorialFactor(Record):
     """fact(a*l + b) ** exponent; a is an integer so the shift telescopes."""
@@ -120,11 +115,6 @@ class FactorialFactor(Record):
     a: int
     b: Fraction
     exponent: int
-
-    def __init__(self, a: int, b: Fraction, exponent: int):
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "exponent", exponent)
 
 
 class BinomialFactor(Record):
@@ -138,13 +128,6 @@ class BinomialFactor(Record):
     b2: Fraction
     exponent: int
 
-    def __init__(self, a1: int, b1: Fraction, a2: int, b2: Fraction, exponent: int):
-        _set_field(self, "a1", a1)
-        _set_field(self, "b1", b1)
-        _set_field(self, "a2", a2)
-        _set_field(self, "b2", b2)
-        _set_field(self, "exponent", exponent)
-
 
 class GeometricFactor(Record):
     """base ** (a*l + b) with integer a, b and a nonzero rational base."""
@@ -154,11 +137,6 @@ class GeometricFactor(Record):
     base: Fraction
     a: int
     b: int
-
-    def __init__(self, base: Fraction, a: int, b: int):
-        _set_field(self, "base", base)
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
 
 
 Factor = Union[LinearFactor, FactorialFactor, BinomialFactor, GeometricFactor]
@@ -172,11 +150,6 @@ class HypTerm(Record):
     var: str
     const: Fraction
     factors: tuple[Factor, ...]
-
-    def __init__(self, var: str, const: Fraction, factors: tuple[Factor, ...]):
-        _set_field(self, "var", var)
-        _set_field(self, "const", const)
-        _set_field(self, "factors", factors)
 
     def is_zero(self) -> bool:
         return self.const == 0
@@ -197,11 +170,6 @@ class _Token(Record):
     kind: str  # "num", "ident", "end", or the operator character itself
     text: str
     pos: int  # 1-based column
-
-    def __init__(self, kind: str, text: str, pos: int):
-        _set_field(self, "kind", kind)
-        _set_field(self, "text", text)
-        _set_field(self, "pos", pos)
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -466,15 +434,10 @@ class _Parser:
         )
 
     def _raise_factor(self, factor: Factor, e: int, pos: int) -> Factor:
-        if isinstance(factor, LinearFactor):
-            return LinearFactor(factor.a, factor.b, factor.exponent * e)
-        if isinstance(factor, FactorialFactor):
-            return FactorialFactor(factor.a, factor.b, factor.exponent * e)
-        if isinstance(factor, BinomialFactor):
-            return BinomialFactor(
-                factor.a1, factor.b1, factor.a2, factor.b2, factor.exponent * e
-            )
-        return GeometricFactor(_const_power(factor.base, e, pos), factor.a, factor.b)
+        if isinstance(factor, GeometricFactor):
+            return GeometricFactor(_const_power(factor.base, e, pos), factor.a, factor.b)
+        # the exponent is the last field of every other factor
+        return type(factor)(*factor._values()[:-1], factor.exponent * e)
 
     def _pow(self, base: _Value, exponent: _Value, op: _Token) -> _Value:
         if isinstance(exponent, _Product):
@@ -712,10 +675,6 @@ class GosperCertificate(Record):
 
     ratio: RationalFunction
     multiplier: RationalFunction
-
-    def __init__(self, ratio: RationalFunction, multiplier: RationalFunction):
-        _set_field(self, "ratio", ratio)
-        _set_field(self, "multiplier", multiplier)
 
     def verify_symbolic(self) -> bool:
         """Check R(l) - R(l-1)/r(l-1) = 1 as an integer polynomial identity,

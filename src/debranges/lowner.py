@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Poly, Record, _set_field, binomial
+from .exact import Poly, Record, _raw, binomial
 
 
 class CoeffTable(Record):
@@ -30,10 +30,6 @@ class CoeffTable(Record):
 
     n_max: int
     entries: dict[tuple[int, int], Fraction]
-
-    def __init__(self, n_max: int, entries: dict[tuple[int, int], Fraction]):
-        _set_field(self, "n_max", n_max)
-        _set_field(self, "entries", entries)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         n, j = key
@@ -73,7 +69,10 @@ def chain_poly(n: int) -> Poly:
     """B_n(y): the z^n coefficient of the chain as a polynomial in y, by one
     step of the row rule and the diagonal seed from the cached B_(n-1).
 
-    B_1 = y, and B_n(1) = 0 for n >= 2 since the chain at t = 0 is z itself.
+    Every a(n, j) is an integer, since the recurrence of the chain has
+    integer coefficients, so each step is an exact integer division of the
+    numerators of B_(n-1).  B_1 = y, and B_n(1) = 0 for n >= 2 since the
+    chain at t = 0 is z itself.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -81,10 +80,10 @@ def chain_poly(n: int) -> Poly:
         return Poly.variable("y")
     for m in range(2, n - 1):  # fill the cache upward, so the depth stays constant
         chain_poly(m)
-    prev = chain_poly(n - 1).coeffs  # prev[j] = a(n-1, j)
-    row = [Fraction(n - 1 + j, n - j) * prev[j] for j in range(1, n)]
-    diagonal = Fraction(-2 * (2 * n - 1), n + 1) * prev[n - 1]
-    return Poly([0, *row, diagonal], "y")
+    prev = chain_poly(n - 1)._num  # prev[j] = a(n-1, j), over the denominator 1
+    row = [(n - 1 + j) * prev[j] // (n - j) for j in range(1, n)]
+    diagonal = -2 * (2 * n - 1) * prev[n - 1] // (n + 1)
+    return _raw((0, *row, diagonal), 1, "y")
 
 
 def ode_residual(n: int) -> Poly:

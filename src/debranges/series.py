@@ -168,15 +168,7 @@ class ZSeries(Record):
         """Evaluate every coefficient at an exact value of the inner variable."""
         return tuple(c(value) for c in self.coeffs)
 
-    # -- comparison and display ---------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZSeries):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
+    # -- display ----------------------------------------------------------
 
     def __str__(self) -> str:
         parts = [f"({c})*z^{n}" for n, c in enumerate(self.coeffs) if not c.is_zero()]

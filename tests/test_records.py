@@ -130,6 +130,53 @@ class TestRecord:
             table[(1, 1)]
 
 
+# the records built by Record's own constructor, one value per field
+PLAIN_RECORDS = records()[:9]
+
+
+class TestOneConstructor:
+    @pytest.mark.parametrize("record", PLAIN_RECORDS, ids=lambda r: type(r).__name__)
+    def test_a_record_is_built_from_its_values_in_field_order(self, record):
+        cls = type(record)
+        assert "__init__" not in vars(cls)
+        assert cls(*record._values()) == record
+
+    @pytest.mark.parametrize("record", PLAIN_RECORDS, ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("change", [-1, 1], ids=["too-few", "too-many"])
+    def test_a_wrong_number_of_values_raises(self, record, change):
+        cls, values = type(record), record._values()
+        values = values[:-1] if change < 0 else values + (None,)
+        fields = ", ".join(cls._fields)
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\({fields}\) takes "):
+            cls(*values)
+
+    def test_raising_a_product_rebuilds_each_factor(self):
+        src = "(2*l+1)^2*fact(l+1)*binom(2*l,l)*3^l/(l+2)"
+        term = hypsum.parse_term(src, "l")
+        inverse = hypsum.parse_term(f"1/({src})", "l")
+        assert {type(f) for f in term.factors} == {
+            LinearFactor, FactorialFactor, BinomialFactor, GeometricFactor,
+        }
+        assert inverse.factors == (
+            LinearFactor(F(2), F(1), -2),
+            FactorialFactor(1, F(1), -1),
+            BinomialFactor(2, F(0), 1, F(0), -1),
+            GeometricFactor(F(1, 3), 1, 0),
+            LinearFactor(F(1), F(2), 1),
+        )
+        assert hypsum.parse_term(f"1/(1/({src}))", "l") == term
+
+    def test_series_compare_and_hash_by_their_coefficients_and_variable(self):
+        chain = koebe_chain(6)
+        rows = ZSeries([0] + [lowner.chain_poly(n) for n in range(1, 7)])
+        assert chain is not rows
+        assert chain == rows
+        assert hash(chain) == hash(rows)
+        assert chain != chain.coeffs
+        assert chain != ZSeries(list(chain.coeffs[:-1]))
+        assert ZSeries([1], "x") != ZSeries([1], "y")
+
+
 @pytest.mark.parametrize("obj", records() + values(), ids=lambda obj: type(obj).__name__)
 class TestImmutableAndCopyable:
     def test_setting_a_field_raises(self, obj):
