@@ -15,8 +15,9 @@ are the linear ones, ``shift`` and ``subs_linear``.
 Division is fraction-free.  ``_eliminate`` is the one elimination step: a
 row cancels the top entry of an integer remainder, after both are scaled by
 lead/gcd(t, lead) for that entry t and the row's top lead.  The
-pseudo-division behind ``divmod`` and ``gcd`` takes one step per quotient
-coefficient, and ``hypsum`` solves Gosper's equation with it.
+pseudo-division behind ``divmod`` and the trial division of ``gcd`` takes
+one step per quotient coefficient, and ``hypsum`` solves Gosper's equation
+with it.
 
 A product of two polynomials is the schoolbook convolution of their integer
 numerators, ``_convolve_into``.  ``_pack`` and ``_unpack`` are the two halves
@@ -30,11 +31,13 @@ reads those of a polynomial with a negative value back with ``_unpack``.
 ``hypsum.GosperCertificate.verify_symbolic`` packs the rows of a polynomial
 identity with ``_pack`` and, for the shift l -> l - 1, with
 ``_pack_shifted``, and compares its two sides as products of integers,
-which it never unpacks.  ``Poly.gcd`` packs two rows at one base past a
-bound on their roots and on their common fixed divisor, so that one integer
-``math.gcd`` under that base proves them coprime without Euclid (the lemma
-is in its docstring).  Each base is fixed from a bound on its digits, and
-the packing and unpacking helpers take its width B in bits.
+which it never unpacks.  ``Poly.gcd`` is the heuristic gcd: it packs two
+rows at one base past a bound on their roots, takes one integer
+``math.gcd``, and reads it back with ``_unpack``: a constant proves the
+rows coprime, and any other read-back is the gcd once trial division
+proves it (the lemmas are in its docstring).  Each base is fixed from a
+bound on its digits, and the packing and unpacking helpers take its width
+B in bits.
 
 ``Record`` is the base of the package's immutable records and values: their
 fields are slots, set once by one positional constructor, and a record
@@ -288,38 +291,22 @@ def _pack_shifted(digits: Sequence[int], bits: int) -> int:
 
 def _unpack(s: int, bits: int) -> list[int]:
     """The digits of s = _pack(digits, B) at B = bits, for digits of size
-    under 2^(B-1) whose last one is nonzero; [] for s = 0.
+    under 2^(B-1) whose last one is nonzero, and the signed digits in
+    [-2^(B-1), 2^(B-1)) of any s > 0; [] for s = 0.
 
     A sum with L such digits has a bit length from B(L-1) to BL-1, and one
     offset of 2^(B-1) per digit, the repunit 2^(B-1) (2^(BL) - 1)/(2^B - 1),
     turns its digits into words of B bits, each read back by a shift and a
-    mask."""
+    mask.  A carry past the top word takes one more digit."""
     if not s:
         return []
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     top = bits * (s.bit_length() // bits + 1)
     s += half * (((1 << top) - 1) // mask)
+    if s.bit_length() > top:
+        s += half << top
+        top += bits
     return [(s >> i & mask) - half for i in range(0, top, bits)]
-
-
-def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True when the packed certificate of ``Poly.gcd`` proves the integer
-    rows a and b, both of degree >= 1, coprime; False when it cannot tell.
-    The root bound is that of the shorter row, and each row is packed
-    after its content is divided out."""
-    if len(b) < len(a):
-        a, b = b, a
-    a, b = (_canonical(list(row), math.gcd(*row))[0] for row in (a, b))
-    n, lead = len(a) - 1, a[-1].bit_length()
-    # each root is at most 2 max_k |a_k / a_n|^(1/(n-k)) (Fujiwara), and
-    # |a_k / a_n| < 2^(bitlen a_k - lead + 1), so each root is below 2^r for
-    # r = 1 + max ceil((bitlen a_k - lead + 1) / (n - k)) over a_k != 0
-    r = 1 + max(
-        ((x.bit_length() - lead + i) // i for i, x in zip(range(n, 0, -1), a) if x),
-        default=0,
-    )
-    bits = max(r, 1) + math.factorial(n).bit_length() + 32
-    return math.gcd(_pack(a, bits), _pack(b, bits)).bit_length() < bits
 
 
 class Poly(Record):
@@ -549,35 +536,43 @@ class Poly(Record):
         return _make(list(self._num), self._num[-1], self.var)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor: 1 when ``_coprime`` certifies the
-        numerators coprime, else Euclid on them, with each remainder
-        reduced to its primitive part.
+        """Monic greatest common divisor, by the heuristic gcd (GCDHEU: Char,
+        Geddes & Gonnet, J. Symb. Comput. 7 (1989)) of the primitive integer
+        rows A and B: gamma = gcd(A(xi), B(xi)) at xi = 2^bits, two packs
+        and one ``math.gcd``, is read back by ``_unpack`` as C, with
+        C(xi) = gamma and coefficients of size at most xi/2.
 
-        The certificate: let A and B be primitive integer rows of degree
-        >= 1, and let every root of one of them, say A, lie below
-        rho < 2^r.  Fujiwara's bound |root| <= 2 max_i |a_(n-i) / a_n|^(1/i)
-        gives r from bit lengths alone, clamped at r >= 1.  Take xi = 2^bits
-        with bits > r.  If D is a primitive common factor of degree >= 1,
-        then D divides A and B over the integers by Gauss's lemma, so D(xi)
-        divides gamma = gcd(A(xi), B(xi)), which is nonzero as xi is no
-        root of A; and the roots of D are roots of A, so
-        |D(xi)| >= (xi - rho)^deg D >= xi - rho > 2^(bits-1).  So a bit
-        length of gamma under bits, gamma < 2^(bits-1), proves the gcd is
-        1.  A(xi) is ``_pack(A, bits)``, so the test is two packs and one
-        ``math.gcd``.
+        Let xi > 2 + 4 min(|A|, |B|), for |.| the largest coefficient size.
+        By Cauchy's bound the roots of a primitive common factor H of degree
+        >= 1 are below 1 + min(|A|, |B|) in size, so |H(xi)| > xi/2, and by
+        Gauss's lemma H(xi) divides gamma, which is not 0, as xi is no root
+        of the row of smaller size.  So a constant C, 0 < gamma < xi/2,
+        proves the gcd is 1.  And when the primitive part G of C divides A
+        and B, G is their gcd D: D = G H, and D(xi) divides
+        gamma = cont(C) G(xi), so H(xi) divides cont(C), of size at most
+        xi/2, and H is a constant.  When G does not, bits doubles; that
+        ends, as gamma / D(xi) divides the resultant of the cofactors.
 
-        gamma always carries the common fixed divisor of A and B, which
-        divides m! for m = min(deg A, deg B), so the width is
-        bits = r + bitlen(m!) + 32.  This only sizes the test: when it
-        fails, Euclid runs."""
+        gamma also carries the common fixed divisor of A and B, a divisor of
+        m! for m = min(deg A, deg B), so bitlen(m!) sizes the first width
+        too: bits = max(bitlen min(|A|, |B|) + 3, bitlen(m!) + 32)."""
         self._check_var(other)
         a, b = self._num, other._num
-        if len(a) > 1 and len(b) > 1 and _coprime(a, b):
-            return _raw((1,), 1, self.var)
-        while b:
-            rem = _pseudo_divmod(a, b)[2]
-            a, b = b, _canonical(rem, math.gcd(*rem) or 1)[0]
-        return _raw(a, 1, self.var).monic()
+        if not a or not b:
+            return _raw(a or b, 1, self.var).monic()
+        a, b = (_canonical(list(row), math.gcd(*row))[0] for row in (a, b))
+        bits = max(
+            min(max(map(abs, a)), max(map(abs, b))).bit_length() + 3,
+            math.factorial(min(len(a), len(b)) - 1).bit_length() + 32,
+        )
+        while True:
+            c = _unpack(math.gcd(_pack(a, bits), _pack(b, bits)), bits)
+            if len(c) == 1:
+                return _raw((1,), 1, self.var)
+            g = _canonical(c, math.gcd(*c))[0]
+            if not any(_pseudo_divmod(a, g)[2]) and not any(_pseudo_divmod(b, g)[2]):
+                return _make(list(g), g[-1], self.var)
+            bits *= 2
 
     def resultant(self, other: "Poly") -> Fraction:
         """Resultant of self and other with respect to the shared variable."""

@@ -376,6 +376,20 @@ class TestKernelAgainstReference:
                 assert _unpack(_pack(d, bits), bits) == d, (bits, d)
             assert _unpack(0, bits) == []
 
+    @given(bits=st.integers(2, 300), s=st.integers(1, 2**2000), k=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    @example(bits=2, s=7, k=1)
+    def test_unpack_reads_back_any_positive_integer(self, bits, s, k):
+        # as Poly.gcd reads gamma: digits in [-2^(B-1), 2^(B-1)), the last
+        # nonzero; 2^(kB-1), of bit length kB, carries into a digit k + 1,
+        # and so does 2^(kB-1) - 1 for k > 1
+        half = 2 ** (bits - 1)
+        for n in (s, 2 ** (k * bits - 1) - 1, 2 ** (k * bits - 1), half * (2**bits + 1) ** k):
+            d = _unpack(n, bits)
+            assert _pack(d, bits) == n and d[-1] and all(-half <= x < half for x in d), (n, d)
+        assert len(_unpack(2 ** (k * bits - 1), bits)) == k + 1
+        assert len(_unpack(2 ** (k * bits + bits - 1) - 1, bits)) == k + 2
+
     def test_equal_values_store_equally(self):
         half = Poly([Fraction(2, 4)], "y")
         assert half == Poly([Fraction(1, 2)], "y")
@@ -414,18 +428,36 @@ factor_rows = st.lists(
 )
 contents = st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 1000))
 BIG = 2**200
+# (l+c)(l+c+1)... with up to 12 factors: a fixed divisor up to 12!
+consecutive_rows = st.builds(
+    lambda c, k: [[c + i, 1] for i in range(k)], st.integers(-20, 20), st.integers(0, 12)
+)
+shared_rows = st.builds(list.__add__, factor_rows, consecutive_rows)
+# beside small rows, rows with a 2^200 leading coefficient: unbalanced norms
+cofactor_rows = st.lists(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda row: row[-1])
+    | st.lists(st.integers(-30, 30), min_size=1, max_size=2).map(lambda row: row + [BIG]),
+    max_size=4,
+)
 
 
 class TestGcdCertificate:
     """Poly.gcd against sympy's monic gcd and the Fraction reference, and
-    the packed certificate that settles a coprime pair without Euclid."""
+    the packed integer gcd that settles a coprime pair without a trial
+    division."""
 
-    @given(shared=factor_rows, only_a=factor_rows, only_b=factor_rows, ca=contents, cb=contents)
+    @given(shared=shared_rows, only_a=cofactor_rows, only_b=cofactor_rows, ca=contents, cb=contents)
     @settings(max_examples=150, deadline=None)
     @example(shared=[[1, 1]], only_a=[[2, 0, -1]], only_b=[[-7, 3]], ca=Fraction(-6), cb=Fraction(4, 9))
+    @example(
+        shared=[[c, 1] for c in range(-5, 7)], only_a=[[3, BIG]], only_b=[[1, 1], [-2, 1]],
+        ca=Fraction(1), cb=Fraction(-1),
+    )
     def test_matches_the_sympy_monic_gcd(self, shared, only_a, only_b, ca, cb):
         # products of linear and quadratic integer factors, with a shared
-        # part, random contents and leading coefficients of either sign
+        # part of up to 12 consecutive linear factors, cofactors with small
+        # or 2^200 leading coefficients, random contents and leading
+        # coefficients of either sign
         sympy = pytest.importorskip("sympy")
         l = sympy.Symbol("l")
         a, b = product_of_rows(shared + only_a, ca), product_of_rows(shared + only_b, cb)
@@ -441,8 +473,7 @@ class TestGcdCertificate:
     @pytest.mark.parametrize(
         "a, b",
         [
-            # a leading coefficient far above the rest: every root is near
-            # 0, and on the shorter row the root bound is clamped at 2^1
+            # a leading coefficient far above the rest: every root is near 0
             ([1, BIG], [-3, 0, 1]),
             ([1, 1, BIG], [-3, 1]),
             ([2, 1 + 2 * BIG, BIG], [-5, 1 - 5 * BIG, BIG]),
@@ -464,12 +495,31 @@ class TestGcdCertificate:
         want = ref_gcd(ref_trim(a), ref_trim(b))
         assert list(p.gcd(q).coeffs) == want
         assert list(q.gcd(p).coeffs) == ref_gcd(ref_trim(b), ref_trim(a))
-        if p.degree > 0 and q.degree > 0:
-            # the certificate settles every coprime pair here, and no other
-            assert exact._coprime(p._num, q._num) is (want == [1])
 
     def test_zero_with_zero_is_zero(self):
         assert Poly.zero("l").gcd(Poly.zero("l")).is_zero()
+
+    @pytest.mark.parametrize(
+        "a, b, bits",
+        [
+            # the first width of l - 1 is max(bitlen 1 + 3, bitlen 1! + 32) =
+            # 33 bits; the second row vanishes at 2^33, so gamma reads back
+            # l - 1, which does not divide it
+            ([-1, 1], [-(2**33), 1], 33),
+            # (l - 1)(l - 3) at max(bitlen 4 + 3, bitlen 2! + 32) = 34 bits:
+            # gamma reads back the first row, which does not divide the
+            # second, and at 68 bits the common factor l - 1
+            ([3, -4, 1], [2**34, -(2**34) - 1, 1], 34),
+        ],
+    )
+    def test_a_failed_trial_division_doubles_the_width(self, a, b, bits, monkeypatch):
+        widths = []
+        pack = exact._pack
+        monkeypatch.setattr(exact, "_pack", lambda row, width: widths.append(width) or pack(row, width))
+        got = Poly(a, "l").gcd(Poly(b, "l"))
+        assert list(got.coeffs) == ref_gcd(ref_trim(a), ref_trim(b))
+        # both rows packed at exactly two widths
+        assert widths == [bits, bits, 2 * bits, 2 * bits]
 
     def test_coprime_multiplier_is_settled_without_euclid(self, monkeypatch):
         from debranges import hypsum

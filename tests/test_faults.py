@@ -244,6 +244,12 @@ FAULTS = {
         {"gosper/inverse-factorial-not-summable"},
         ("gosper/inverse-factorial-not-summable", [], "unexpected R(l) = (1) / (1)"),
     ),
+    # R stays unreduced, so it has a pole where the reduced R has none
+    "Poly.gcd returns 1": (
+        lambda: [(Poly, "gcd", lambda self, other: Poly.const(1, self.var))],
+        {"gosper/telescoping-certificate", "gosper/arithmetic-series"},
+        ("gosper/telescoping-certificate", [1, 1], "pole of R(l) at l=0"),
+    ),
     # a known gap: no check fails
     "positivity_scan returns []": (
         lambda: [(dbw, "positivity_scan", lambda n_max, grid: [])],
