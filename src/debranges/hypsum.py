@@ -41,7 +41,8 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .exact import (
@@ -1018,28 +1019,31 @@ def pfq_terminating(
     ValueError.  Parameters and argument must be exact: a float raises
     TypeError.
     """
-    ups = [Fraction(*_ratio(u)) for u in upper]
-    lows = [Fraction(*_ratio(b)) for b in lower]
-    stops = [-u for u in ups if u.denominator == 1 and u <= 0]
+    ups = [_ratio(u) for u in upper]
+    lows = [_ratio(b) for b in lower]
+    stops = [-p for p, q in ups if q == 1 and p <= 0]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive integer "
                          "upper parameter")
-    m = int(min(stops))
-    for b in lows:
-        if b.denominator == 1 and 0 >= b > -m:
-            raise ValueError(f"lower parameter {b} hits a pole before termination")
-    # the term ratio prod(u+j) / ((j+1) prod(b+j)) as integers p_j / q_j;
-    # coefficient j is p_0..p_(j-1) q_j..q_(m-1) over q_0..q_(m-1)
-    u_den = math.prod(u.denominator for u in ups)
-    b_den = math.prod(b.denominator for b in lows)
-    ps = [b_den * math.prod(u.numerator + j * u.denominator for u in ups) for j in range(m)]
-    qs = [(j + 1) * u_den * math.prod(b.numerator + j * b.denominator for b in lows)
-          for j in range(m)]
-    prefix, suffix = [1], [1]
-    for p, q in zip(ps, reversed(qs)):
-        prefix.append(prefix[-1] * p)
-        suffix.append(suffix[-1] * q)
-    nums = [a * b for a, b in zip(prefix, reversed(suffix))]
+    m = min(stops)
+    for p, q in lows:
+        if q == 1 and 0 >= p > -m:
+            raise ValueError(f"lower parameter {p} hits a pole before termination")
+    # the term ratio prod(u+j) / ((j+1) prod(b+j)) as integers p_j / q_j: a
+    # parameter p/q gives (p + jq)/q, entry j of range(p, p + mq, q), so p_j
+    # and q_j are column-wise products of such rows, each scaled by the other
+    # side's denominators; coefficient j is p_0..p_(j-1) q_j..q_(m-1) over
+    # q_0..q_(m-1)
+    ps = [math.prod(q for _, q in lows)] * m
+    for p, q in ups:
+        ps = list(map(mul, ps, range(p, p + m * q, q)))
+    u_den = math.prod(q for _, q in ups)
+    qs = range(u_den, (m + 1) * u_den, u_den)
+    for p, q in lows:
+        qs = list(map(mul, qs, range(p, p + m * q, q)))
+    prefix = accumulate(ps, mul, initial=1)
+    suffix = list(accumulate(reversed(qs), mul, initial=1))
+    nums = list(map(mul, prefix, reversed(suffix)))
     series = _make(nums, suffix[-1], "t")
     if not isinstance(arg, Poly):
         return series(arg)

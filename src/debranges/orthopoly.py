@@ -6,16 +6,19 @@ polynomials P_n^(alpha, 0) from the classical three-term recurrence, the
 Askey-Gasper partial sums, and exact sign scans.  Every value comes from a
 cached exact polynomial: a single value is its Horner evaluation, and a
 scan reads the signs at all the points from one packed integer dot
-product per polynomial on one ``EvalGrid`` of the points, and builds a
-Fraction only for a negative value.  The x and y pictures are linked by
-x = 1 - 2y, i.e. y = e^(-t) and x = 1 - 2e^(-t).
+product per polynomial, and builds a Fraction only for a negative value.
+The ``EvalGrid`` it reads them on is memoised per point set and degree, so
+the scans of one suite share one grid and its packed columns.  The x and
+y pictures are linked by x = 1 - 2y, i.e. y = e^(-t) and x = 1 - 2e^(-t).
 
 The lambda = -1/2 Gegenbauer normalization is the generating-function one;
 the square root series is expanded binomially, which collapses to monomials
 because 1 - 2xz + z^2 = 1 + z(z - 2x).  The hypergeometric-style expansion
 of C_n^(-1/2) at x = 1 is treated as a verified identity for n >= 2 (it is
 genuinely false at n = 1, where it yields 1 - x instead of -x; see
-gegenbauer_expansion_witness).
+gegenbauer_expansion_witness).  That expansion is built as one integer row
+by its term ratio, apart from ``hypsum.pfq_terminating``, so that a fault in
+one of the two does not hide in the other.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import EvalGrid, Poly, Scalar, _make, binomial, first_mismatch, pochhammer
+from .exact import EvalGrid, Poly, Scalar, _make, binomial, first_mismatch
 from . import lowner
 
 
@@ -78,11 +81,14 @@ def gegenbauer_expansion_witness(n: int) -> str | None:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    coeffs = [0] + [
-        2 * pochhammer(1 - n, j) * pochhammer(n, j) / (math.factorial(j) * pochhammer(2, j))
-        for j in range(n)
-    ]
-    got = Poly(coeffs, "t").subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")  # t = (1 - x)/2
+    # the coefficient c_j of t^(j+1) over D = (n-1)! n! is the integer
+    # c_j D = 2 (-1)^j C(n-1, j) C(n+j-1, j) (n-1)! n!/(j+1), built from
+    # c_0 D = 2D by the term ratio (j+1-n)(n+j) / ((j+1)(j+2)), exact division
+    d = math.factorial(n - 1) * math.factorial(n)
+    row = [0, 2 * d]
+    for j in range(n - 1):
+        row.append(row[-1] * (j + 1 - n) * (n + j) // ((j + 1) * (j + 2)))
+    got = _make(row, d, "t").subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")  # t = (1 - x)/2
     return first_mismatch([(f"n={n}", got, gegenbauer_minus_half(n))])
 
 
@@ -186,6 +192,13 @@ def _in_interval(x: Scalar) -> Fraction:
     return x
 
 
+@lru_cache(maxsize=None)
+def _sign_grid(points: tuple[Fraction, ...], degree: int) -> EvalGrid:
+    """The one EvalGrid of the points at the degree, so that every scan of
+    the same points and degree shares its columns and their packings."""
+    return EvalGrid(points, degree)
+
+
 def askey_gasper_sum(n: int, k: int, x: Scalar) -> Fraction:
     """Partial sum sum_{j=0..n} P_j^(2k, 0)(x); nonnegative on [-1, 1]."""
     if n < 0 or k < 0:
@@ -199,8 +212,8 @@ def gegenbauer_partial_sum_scan(
     """Scan the partial sums for negativity over an x grid in [-1, 1];
     returns (n, x, value) triples with value < 0 (expected: none), ordered
     by x, then n."""
-    xs = [_in_interval(x) for x in x_grid]
-    points = EvalGrid(xs, max(n_max, 0))
+    xs = tuple(_in_interval(x) for x in x_grid)
+    points = _sign_grid(xs, max(n_max, 0))
     found = [
         (i, n, value)
         for n in range(n_max + 1)
@@ -218,8 +231,8 @@ def askey_gasper_scan(
     with value < 0 (expected: none), ordered by n, then x."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    xs = [_in_interval(x) for x in x_grid]
-    points = EvalGrid(xs, max(n_max, 0))
+    xs = tuple(_in_interval(x) for x in x_grid)
+    points = _sign_grid(xs, max(n_max, 0))
     return [
         (n, xs[i], value)
         for n in range(n_max + 1)

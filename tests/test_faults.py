@@ -117,6 +117,17 @@ def _gosper(src, multiplier):
     return [(hypsum, "gosper", faulty)]
 
 
+def _pfq_plus_one(upper, lower):
+    """pfq_terminating with these parameters returns one more, at any argument."""
+    real = hypsum.pfq_terminating
+
+    def faulty(ups, lows, arg):
+        value = real(ups, lows, arg)
+        return value + 1 if (list(ups), list(lows)) == (upper, lower) else value
+
+    return [(hypsum, "pfq_terminating", faulty)]
+
+
 def _plus_one(r):
     return RationalFunction(r.num + r.den, r.den)
 
@@ -250,6 +261,12 @@ FAULTS = {
         {"gosper/telescoping-certificate", "gosper/arithmetic-series"},
         ("gosper/telescoping-certificate", [1, 1], "pole of R(l) at l=0"),
     ),
+    # the chain-2f1 parameters of n = 7: n y (2F1 + 1) is n y more
+    "pfq_terminating([-6, 8], [3], .) + 1": (
+        lambda: _pfq_plus_one([-6, 8], [3]),
+        {"hypergeometric/chain-2f1"},
+        ("hypergeometric/chain-2f1", [7], "n=7: 429*y^7"),
+    ),
     # a known gap: no check fails
     "positivity_scan returns []": (
         lambda: [(dbw, "positivity_scan", lambda n_max, grid: [])],
@@ -292,3 +309,10 @@ def test_every_id_fails_under_some_fault():
     caught = {c.id for name in FAULTS for c in _report(name).checks if not c.ok}
     assert ids - caught == set(EXEMPT)
     assert caught <= ids
+
+
+def test_the_pfq_fault_witness_ends_at_the_bumped_term():
+    report = _report("pfq_terminating([-6, 8], [3], .) + 1")
+    (check,) = [c for c in report.checks if not c.ok]
+    got, want = check.witness.split(" != ")
+    assert got.endswith(" + 14*y") and want.endswith(" + 7*y"), check.witness

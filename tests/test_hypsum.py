@@ -1224,6 +1224,11 @@ class TestPFQAgainstTermByTerm:
     @example(upper=[1], stop=4, lower=[-2], arg=Fraction(1, 3))  # a pole first
     @example(upper=[Fraction(1, 2)], stop=0, lower=[], arg=Poly([1, 2], "x"))
     @example(upper=[3], stop=5, lower=[-5], arg=Poly([], "t"))  # pole after the stop
+    # integral Fractions, read as the integer pairs (-3, 1) and (-2, 1)
+    @example(upper=[Fraction(-3), Fraction(5, 2)], stop=None, lower=[Fraction(7)],
+             arg=Fraction(-2, 3))  # a Fraction stop
+    @example(upper=[Fraction(-3)], stop=None, lower=[Fraction(-2)], arg=Poly([1, 2], "x"))
+    @example(upper=[Fraction(4)], stop=6, lower=[Fraction(-2), Fraction(1, 3)], arg=2)
     def test_same_value_or_same_error(self, upper, stop, lower, arg):
         if stop is not None:
             upper = upper + [-stop]
@@ -1238,6 +1243,20 @@ class TestPFQAgainstTermByTerm:
         assert type(got) is type(want) and got == want
         if isinstance(want, Poly):
             assert got.var == want.var == arg.var
+
+    def test_an_integral_fraction_pole_keeps_its_message(self):
+        with pytest.raises(ValueError) as excinfo:
+            pfq_terminating([Fraction(-3), 2], [Fraction(-2)], Poly.variable("y"))
+        assert str(excinfo.value) == "lower parameter -2 hits a pole before termination"
+
+    @pytest.mark.parametrize("upper, lower", [
+        ([Fraction(-3), 1.5], [Fraction(1, 2)]),
+        ([-3.0], [2]),  # a float stop is not a stop
+        ([Fraction(-3)], [Fraction(1, 2), 2.0]),
+    ])
+    def test_a_float_parameter_raises_type_error(self, upper, lower):
+        with pytest.raises(TypeError, match="exact scalar"):
+            pfq_terminating(upper, lower, Poly.variable("y"))
 
 
 class TestHypergeometricRepresentations:

@@ -6,6 +6,7 @@ path with the closed-form monomial sum behind gegenbauer_minus_half or with
 the three-term recurrence behind jacobi_poly.
 """
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -14,8 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from debranges import lowner, orthopoly
-from debranges.exact import Poly
+from debranges import cli, lowner, orthopoly
+from debranges.exact import Poly, pochhammer
 from debranges.orthopoly import (
     askey_gasper_scan,
     askey_gasper_sum,
@@ -135,6 +136,30 @@ class TestGegenbauer:
         formula_value = 2 * u  # the n = 1 instance of the expansion
         assert formula_value == Poly([1, -1], "x")
         assert gegenbauer_minus_half(1) == Poly([0, -1], "x")
+
+
+def _pochhammer_expansion(n: int) -> Poly:
+    """The x = 1 expansion of C_n^(-1/2) with each coefficient a product of
+    pochhammer Fractions, as it was built before its integer row."""
+    coeffs = [0] + [
+        2 * pochhammer(1 - n, j) * pochhammer(n, j) / (math.factorial(j) * pochhammer(2, j))
+        for j in range(n)
+    ]
+    return Poly(coeffs, "t").subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")
+
+
+class TestExpansionRow:
+    """The integer row of the x = 1 expansion against its pochhammer form."""
+
+    def test_the_row_is_the_pochhammer_expansion(self, monkeypatch):
+        # against the zero polynomial, the witness prints the expansion itself
+        monkeypatch.setattr(orthopoly, "gegenbauer_minus_half", lambda n: Poly.zero("x"))
+        for n in range(1, 61):
+            want = f"n={n}: {_pochhammer_expansion(n)} != 0"
+            assert orthopoly.gegenbauer_expansion_witness(n) == want
+
+    def test_the_n1_witness(self):
+        assert orthopoly.gegenbauer_expansion_witness(1) == "n=1: -x + 1 != -x"
 
 
 class TestChainDifference:
@@ -408,6 +433,27 @@ class TestGridScans:
         assert askey_gasper_scan(-1, 0, [0]) == []
         assert gegenbauer_partial_sum_scan(-1, [0]) == []
         assert askey_gasper_scan(4, 0, []) == []
+
+
+class TestSignGridMemo:
+    """The scans of one point set and degree share one memoised grid."""
+
+    GRID = [Fraction(i, 10) for i in range(-10, 11)]
+
+    def test_the_memo_is_a_module_lru_cache(self):
+        # how a benchmark that clears every lru_cache of a module finds it
+        memo = orthopoly._sign_grid
+        assert isinstance(memo, functools._lru_cache_wrapper)
+        assert memo.__module__ == "debranges.orthopoly"
+
+    def test_the_askey_gasper_suite_builds_one_grid(self):
+        memo = orthopoly._sign_grid
+        memo.cache_clear()
+        cli.run_suite("askey-gasper", 30)
+        info = memo.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+        assert askey_gasper_scan(12, 0, self.GRID) == []
+        assert memo.cache_info().misses == 2
 
 
 class TestIntegerRowBuilders:
