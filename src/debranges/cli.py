@@ -96,34 +96,32 @@ class Report(Record):
 # ---------------------------------------------------------------------------
 
 
-def _suite_lowner(n_max: int) -> Report:
-    report = Report("lowner", n_max)
+def _suite_lowner(n_max: int):
     table = lowner.coeff_table(n_max)
     for n in range(1, n_max + 1):
-        report.add("closed-vs-recurrence", [n], first_mismatch(
+        yield "closed-vs-recurrence", [n], first_mismatch(
             (f"(n,j)=({n},{j})", lowner.coeff_closed(n, j), table[(n, j)])
             for j in range(1, n + 1)
-        ))
+        )
     chain_max = min(n_max, 30)
     chain = series.koebe_chain(chain_max)
     for n in range(1, chain_max + 1):
-        report.add("newton-vs-closed", [n], first_mismatch(
+        yield "newton-vs-closed", [n], first_mismatch(
             [(f"z^{n}", chain.coefficient(n), lowner.chain_poly(n))]
-        ))
-    for id, n_min, zero in (
-        ("ode-residual", 1, lowner.ode_residual),
-        ("system-residual", 2, lowner.system_residual),
-        ("vanishes-at-t0", 2, lambda n: lowner.chain_poly(n)(1)),
-    ):
-        for n in range(n_min, n_max + 1):
-            report.add(id, [n], first_mismatch([(f"n={n}", zero(n), 0)]))
-    return report
+        )
+    for n in range(1, n_max + 1):
+        yield "ode-residual", [n], first_mismatch([(f"n={n}", lowner.ode_residual(n), 0)])
+    for n in range(2, n_max + 1):
+        yield "system-residual", [n], first_mismatch([(f"n={n}", lowner.system_residual(n), 0)])
+    for n in range(2, n_max + 1):
+        yield "vanishes-at-t0", [n], first_mismatch([(f"n={n}", lowner.chain_poly(n)(1), 0)])
 
 
-def _suite_theorem2(n_max: int) -> Report:
-    report = Report("theorem2", n_max)
+def _suite_theorem2(n_max: int):
     for n in range(1, n_max + 1):
         ks = [(f"(n,k)=({n},{k})", k, dbw.debranges_poly(n, k)) for k in range(1, n + 1)]
+        # all three witnesses of n are taken before its first yield: a check is
+        # timed from one Report.add to the next, so n's work stays with slope-identity
         slope = first_mismatch(
             (at, series.time_derivative(tau), -k * dbw.weinstein_poly(n, k)) for at, k, tau in ks
         )
@@ -132,15 +130,14 @@ def _suite_theorem2(n_max: int) -> Report:
             (at, dbw.debranges_slope_at_zero(n, k), -k if (n - k) % 2 == 0 else 0)
             for at, k, tau in ks
         )
-        report.add("slope-identity", [n], slope)
-        report.add("initial-value", [n], init)
-        report.add("slope-parity", [n], parity)
+        yield "slope-identity", [n], slope
+        yield "initial-value", [n], init
+        yield "slope-parity", [n], parity
     series_max = min(n_max, 25)
     for k in range(1, series_max + 1):
-        report.add("weinstein-series-vs-closed", [k], _coefficient_witness(
+        yield "weinstein-series-vs-closed", [k], _coefficient_witness(
             dbw.weinstein_series(k, series_max + 1), dbw.weinstein_poly, k, series_max
-        ))
-    return report
+        )
 
 
 def _coefficient_witness(gen, closed, k: int, n_max: int) -> str | None:
@@ -151,41 +148,35 @@ def _coefficient_witness(gen, closed, k: int, n_max: int) -> str | None:
     )
 
 
-def _suite_theorem3(n_max: int) -> Report:
-    report = Report("theorem3", n_max)
+def _suite_theorem3(n_max: int):
     gen_max = min(n_max, 25)
     for k in range(1, gen_max + 1):
-        report.add("generating-coefficients", [k], _coefficient_witness(
+        yield "generating-coefficients", [k], _coefficient_witness(
             dbw.debranges_generating_series(k, gen_max + 1), dbw.debranges_poly, k, gen_max
-        ))
+        )
     for k in range(1, min(4, n_max) + 1):
-        report.add("y-expansion", [k], dbw.explicit_generating_witness(k, 12, 8))
-    return report
+        yield "y-expansion", [k], dbw.explicit_generating_witness(k, 12, 8)
 
 
-def _suite_gegenbauer(n_max: int) -> Report:
-    report = Report("gegenbauer", n_max)
+def _suite_gegenbauer(n_max: int):
     for n in range(2, min(n_max, 40) + 1):
-        report.add("chain-difference", [n], orthopoly.chain_gegenbauer_witness(n))
+        yield "chain-difference", [n], orthopoly.chain_gegenbauer_witness(n)
     for n in range(2, min(n_max, 25) + 1):
-        report.add("expansion-at-one", [n], orthopoly.gegenbauer_expansion_witness(n))
+        yield "expansion-at-one", [n], orthopoly.gegenbauer_expansion_witness(n)
     # the expansion genuinely fails at n = 1; the suite records that fact
     held = orthopoly.gegenbauer_expansion_witness(1) is None
-    report.add("expansion-at-one-fails-at-n1", [1], (
+    yield "expansion-at-one-fails-at-n1", [1], (
         f"n=1: the expansion reproduces {orthopoly.gegenbauer_minus_half(1)}" if held else None
-    ))
-    return report
+    )
 
 
-def _suite_hypergeometric(n_max: int) -> Report:
-    report = Report("hypergeometric", n_max)
+def _suite_hypergeometric(n_max: int):
     y = Poly.variable("y")
     for n in range(1, min(n_max, 30) + 1):
         value = n * y * hypsum.pfq_terminating([1 - n, n + 1], [3], y)
-        report.add("chain-2f1", [n], first_mismatch([(f"n={n}", value, lowner.chain_poly(n))]))
-    lam_max = min(n_max, 25)
-    for n in range(1, lam_max + 1):
-        report.add("weinstein-3f2", [n], first_mismatch(
+        yield "chain-2f1", [n], first_mismatch([(f"n={n}", value, lowner.chain_poly(n))])
+    for n in range(1, min(n_max, 25) + 1):
+        yield "weinstein-3f2", [n], first_mismatch(
             (
                 f"(n,k)=({n},{k})",
                 Poly.monomial(dbw.binomial(n + k + 1, n - k), k, "y") * hypsum.pfq_terminating(
@@ -195,18 +186,16 @@ def _suite_hypergeometric(n_max: int) -> Report:
                 dbw.weinstein_poly(n, k),
             )
             for k in range(1, n + 1)
-        ))
+        )
     x = Poly.variable("x")
     half_one_minus_x = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")
     for n in range(2, min(n_max, 25) + 1):
         value = (1 - x) * hypsum.pfq_terminating([1 - n, n], [2], half_one_minus_x)
         want = orthopoly.gegenbauer_minus_half(n)
-        report.add("gegenbauer-2f1", [n], first_mismatch([(f"n={n}", value, want)]))
-    return report
+        yield "gegenbauer-2f1", [n], first_mismatch([(f"n={n}", value, want)])
 
 
-def _suite_gosper(n_max: int) -> Report:
-    report = Report("gosper", n_max)
+def _suite_gosper(n_max: int):
     for n in range(1, min(n_max, 10) + 1):
         for j in range(1, n + 1):
             term = hypsum.parse_term(f"({n}+1-l) * binom(l+{j}-1, l-{j})", "l")
@@ -217,16 +206,15 @@ def _suite_gosper(n_max: int) -> Report:
                 ("telescoped sum", hypsum.telescoped_sum(term, cert, j, n), closed),
                 ("direct sum", hypsum.weighted_binomial_sum(n, j), closed),
             ])
-            report.add("telescoping-certificate", [n, j], witness)
+            yield "telescoping-certificate", [n, j], witness
     arith = hypsum.parse_term("l", "l")
-    report.add("arithmetic-series", [], hypsum.certificate_witness(
+    yield "arithmetic-series", [], hypsum.certificate_witness(
         arith, hypsum.gosper(hypsum.term_ratio(arith)), 1, 20
-    ))
+    )
     for id, src in (("factorial-not-summable", "fact(l)"),
                     ("inverse-factorial-not-summable", "1/fact(l)")):
         cert = hypsum.gosper(hypsum.term_ratio(hypsum.parse_term(src, "l")))
-        report.add(id, [], cert and f"unexpected R(l) = {cert.multiplier}")
-    return report
+        yield id, [], cert and f"unexpected R(l) = {cert.multiplier}"
 
 
 def _first_negative(scan) -> str | None:
@@ -234,38 +222,43 @@ def _first_negative(scan) -> str | None:
     return next((f"n={n}, x={x}: {value}" for n, x, value in scan), None)
 
 
-def _suite_positivity(n_max: int) -> Report:
-    report = Report("positivity", n_max)
-    grid = [Fraction(i, 10) for i in range(1, 10)]
-    violations = dbw.positivity_scan(n_max, grid)
-    report.add("positivity-scan", [n_max], "; ".join(map(str, violations[:5])) or None)
-    return report
+def _suite_positivity(n_max: int):
+    violations = dbw.positivity_scan(n_max, [Fraction(i, 10) for i in range(1, 10)])
+    yield "positivity-scan", [n_max], "; ".join(map(str, violations[:5])) or None
 
 
-def _suite_askey_gasper(n_max: int) -> Report:
-    report = Report("askey-gasper", n_max)
+def _suite_askey_gasper(n_max: int):
     grid = [Fraction(i, 10) for i in range(-10, 11)]
     sum_max = min(n_max, 20)
     for k in range(0, 9):
         scan = orthopoly.askey_gasper_scan(sum_max, k, grid)
-        report.add("jacobi-partial-sums", [k], _first_negative(scan))
+        yield "jacobi-partial-sums", [k], _first_negative(scan)
     scan = orthopoly.gegenbauer_partial_sum_scan(sum_max, grid)
-    report.add("sqrt-coefficient-positivity", [sum_max], _first_negative(scan))
+    yield "sqrt-coefficient-positivity", [sum_max], _first_negative(scan)
     for k in range(1, min(3, n_max) + 1):
-        report.add("jacobi-decomposition", [k], dbw.jacobi_decomposition_witness(k, 12))
+        yield "jacobi-decomposition", [k], dbw.jacobi_decomposition_witness(k, 12)
+
+
+def _report(name: str, checks, n_max: int) -> Report:
+    """The Report of suite name, with one Report.add for each check, in order:
+    each _suite_* yields its checks as (id, indices, witness), and a sweep's
+    cap is the min(n_max, c) of its loop."""
+    report = Report(name, n_max)
+    for id, indices, witness in checks(n_max):
+        report.add(id, indices, witness)
     return report
 
 
-_SUITES = {
-    "lowner": _suite_lowner,
-    "theorem2": _suite_theorem2,
-    "theorem3": _suite_theorem3,
-    "gegenbauer": _suite_gegenbauer,
-    "hypergeometric": _suite_hypergeometric,
-    "gosper": _suite_gosper,
-    "positivity": _suite_positivity,
-    "askey-gasper": _suite_askey_gasper,
-}
+_SUITES = {name: functools.partial(_report, name, checks) for name, checks in (
+    ("lowner", _suite_lowner),
+    ("theorem2", _suite_theorem2),
+    ("theorem3", _suite_theorem3),
+    ("gegenbauer", _suite_gegenbauer),
+    ("hypergeometric", _suite_hypergeometric),
+    ("gosper", _suite_gosper),
+    ("positivity", _suite_positivity),
+    ("askey-gasper", _suite_askey_gasper),
+)}
 
 
 def run_suite(name: str, n_max: int) -> Report:

@@ -317,10 +317,14 @@ class Poly(Record):
     canonical, so equality and hashing are structural: there is no trailing
     zero numerator, ``_den`` is coprime to the content of ``_num``, and the
     zero polynomial is ``()`` over 1.  Arithmetic runs on the integers and
-    normalises once per result.  The storage is private to this module:
-    ``coeffs``, ``coeff()``, ``leading`` and ``const_value()`` give the
-    coefficients as ``Fraction``.  Instances are immutable and hashable, so
-    they are safe to share between threads and to use as cache keys.
+    normalises once per result.  ``coeffs``, ``coeff()``, ``leading`` and
+    ``const_value()`` are the public interface: they give the coefficients as
+    ``Fraction``.  ``_num``, ``_den``, ``_make`` and ``_raw`` are the package's
+    integer-row interface: ``series``, ``lowner``, ``dbw``, ``orthopoly`` and
+    ``hypsum`` read rows through the first two and build results with the
+    others, and a row given to ``_raw`` must already be canonical.  Instances
+    are immutable and hashable, so they are safe to share between threads and
+    to use as cache keys.
     """
 
     __slots__ = ("_num", "_den", "var")

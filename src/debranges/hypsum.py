@@ -555,8 +555,12 @@ def _term_parts(term: HypTerm, l: int) -> tuple[int, int]:
         elif p:
             num *= q**-e
             den *= p**-e
-        else:
-            raise ZeroDivisionError(f"pole of {f} at {term.var} = {l}")
+        else:  # p is 0 only for a linear or a binomial factor
+            if isinstance(f, LinearFactor):
+                shown = f"({Poly([f.b, f.a], term.var)})"
+            else:
+                shown = f"binom({Poly([f.b1, f.a1], term.var)}, {Poly([f.b2, f.a2], term.var)})"
+            raise ZeroDivisionError(f"pole of {shown}^{f.exponent} at {term.var} = {l}")
     return num, den
 
 
