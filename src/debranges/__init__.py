@@ -17,9 +17,7 @@ from .dbw import (
     debranges_poly,
     debranges_slope_at_zero,
     debranges_system_residual,
-    explicit_generating_check,
     explicit_generating_witness,
-    jacobi_decomposition_check,
     jacobi_decomposition_witness,
     milin_functional,
     positivity_scan,
@@ -29,9 +27,7 @@ from .dbw import (
 from .orthopoly import (
     askey_gasper_scan,
     askey_gasper_sum,
-    chain_gegenbauer_check,
     chain_gegenbauer_witness,
-    gegenbauer_expansion_check,
     gegenbauer_expansion_witness,
     gegenbauer_minus_half,
     gegenbauer_partial_sum_poly,
@@ -73,7 +69,6 @@ __all__ = [
     "askey_gasper_sum",
     "binomial",
     "certificate_witness",
-    "chain_gegenbauer_check",
     "chain_gegenbauer_witness",
     "chain_poly",
     "coeff_closed",
@@ -82,16 +77,13 @@ __all__ = [
     "debranges_poly",
     "debranges_slope_at_zero",
     "debranges_system_residual",
-    "explicit_generating_check",
     "explicit_generating_witness",
     "format_rational",
-    "gegenbauer_expansion_check",
     "gegenbauer_expansion_witness",
     "gegenbauer_minus_half",
     "gegenbauer_partial_sum_poly",
     "gegenbauer_partial_sum_scan",
     "gosper",
-    "jacobi_decomposition_check",
     "jacobi_decomposition_witness",
     "jacobi_partial_sum_poly",
     "jacobi_poly",

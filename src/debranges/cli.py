@@ -5,7 +5,8 @@ Output is deterministic byte-for-byte: rationals are rendered as ``p/q``
 (or ``p`` when the denominator is 1) in both CSV and JSON, row order is
 lexicographic in the indices, and line endings are LF.  Exit codes: 0 for
 success or a passing verification, 1 for a failing verification, 2 for
-usage or parse errors and for inputs over a stated limit.
+usage or parse errors, for inputs over a stated limit and for a result too
+long to print.
 
 A verification check is recorded by its witness alone and passes exactly
 when that is None; a witness says where and by how much a check failed, as
@@ -36,11 +37,6 @@ class Check(Record):
     id: str
     indices: list[int]
     witness: str | None
-
-    def __init__(self, id: str, indices: list[int], witness: str | None = None):
-        _set_field(self, "id", id)
-        _set_field(self, "indices", indices)
-        _set_field(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -355,10 +351,10 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _at_time(p: Poly, t: float) -> str:
+def _at_time(p: Poly, t: float) -> float:
     """p at y = e^(-t): exact at the binary64 value of y, then rounded once."""
     try:
-        return format(float(p(Fraction(math.exp(-t)))), ".17g")
+        return float(p(Fraction(math.exp(-t))))
     except (OverflowError, ValueError):
         raise ValueError(f"y or the value at t = {t} is not a finite binary64 number") from None
 
@@ -394,7 +390,8 @@ _EVAL_UNREAD = {"A": ("k", "order"), "tau": ("order",), "lambda": ("order",),
 
 def cmd_eval(args, error) -> int:
     """Run `eval`; error(message) reports a usage error and exits 2: an option
-    missing or unread, a value over its limit, or a ValueError or IndexError."""
+    missing or unread, a value over its limit, or a ValueError or IndexError.
+    An exact value too long to print exits 2 with its own message."""
     kind = args.kind
     for name in _EVAL_UNREAD[kind]:
         if getattr(args, name) is not None:
@@ -413,28 +410,36 @@ def cmd_eval(args, error) -> int:
     elif args.k is None:
         error(f"eval {kind} requires --k")
     try:
-        lines = _eval_lines(args)
+        values = _eval_values(args)
     except (ValueError, IndexError) as exc:
         error(str(exc))
-    sys.stdout.write("\n".join(lines) + "\n")
+    render = format_rational if args.y is not None else "{:.17g}".format
+    try:
+        texts = [render(v) for v in values]
+    except ValueError:
+        return _too_long_to_print()
+    if args.kind in ("W", "B"):
+        texts = [f"{m},{text}" for m, text in enumerate(texts)]
+    sys.stdout.write("\n".join(texts) + "\n")
     return 0
 
 
-def _eval_lines(args) -> list[str]:
-    """A checked `eval`'s output: one value, or m,value for each z^m of W or B."""
+def _eval_values(args) -> list:
+    """A checked `eval`'s values, one or one for each z^m of W or B: exact at
+    --y, else binary64 floats at y = e^(-t)."""
     if args.kind in ("W", "B"):
         series_of = dbw.weinstein_series if args.kind == "W" else dbw.debranges_generating_series
         zs = series_of(args.k, args.order)
         if args.y is not None:
-            return [f"{m},{format_rational(v)}" for m, v in enumerate(zs.eval_inner(args.y))]
-        return [f"{m},{_at_time(coeff, args.t)}" for m, coeff in enumerate(zs.coeffs)]
+            return zs.eval_inner(args.y)
+        return [_at_time(coeff, args.t) for coeff in zs.coeffs]
     if args.kind == "A":
         poly = lowner.chain_poly(args.n)
     elif args.kind == "tau":
         poly = dbw.debranges_poly(args.n, args.k)
     else:
         poly = dbw.weinstein_poly(args.n, args.k)
-    return [format_rational(poly(args.y)) if args.y is not None else _at_time(poly, args.t)]
+    return [poly(args.y) if args.y is not None else _at_time(poly, args.t)]
 
 
 # ---------------------------------------------------------------------------

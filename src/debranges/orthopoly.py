@@ -64,11 +64,6 @@ def gegenbauer_minus_half(n: int) -> Poly:
     return _make(nums, d << n, "x")
 
 
-def gegenbauer_expansion_check(n: int) -> bool:
-    """True when gegenbauer_expansion_witness finds no failure."""
-    return gegenbauer_expansion_witness(n) is None
-
-
 def gegenbauer_expansion_witness(n: int) -> str | None:
     """Does the expansion at x = 1,
 
@@ -90,11 +85,6 @@ def gegenbauer_expansion_witness(n: int) -> str | None:
         row.append(row[-1] * (j + 1 - n) * (n + j) // ((j + 1) * (j + 2)))
     got = _make(row, d, "t").subs_linear(Fraction(-1, 2), Fraction(1, 2), "x")  # t = (1 - x)/2
     return first_mismatch([(f"n={n}", got, gegenbauer_minus_half(n))])
-
-
-def chain_gegenbauer_check(n: int) -> bool:
-    """True when chain_gegenbauer_witness finds no failure."""
-    return chain_gegenbauer_witness(n) is None
 
 
 def chain_gegenbauer_witness(n: int) -> str | None:

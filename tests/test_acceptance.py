@@ -72,14 +72,14 @@ def test_05_generating_function():
             for n in range(k, 26):
                 assert gen.coefficient(n + 1) == dbw.debranges_poly(n, k)
         for k in range(1, 5):
-            assert dbw.explicit_generating_check(k, 12, 8)
+            assert dbw.explicit_generating_witness(k, 12, 8) is None
 
 
 def test_06_jacobi_decomposition_and_askey_gasper():
     with criterion(6, "Jacobi/Gegenbauer factorization and positive sums", 60):
         for k in range(1, 4):
             for order in range(k + 1, 13):
-                assert dbw.jacobi_decomposition_check(k, order)
+                assert dbw.jacobi_decomposition_witness(k, order) is None
         grid = [Fraction(i, 10) for i in range(-10, 11)]
         for k in range(0, 9):
             for n in range(0, 21):
@@ -91,11 +91,11 @@ def test_06_jacobi_decomposition_and_askey_gasper():
 def test_07_gegenbauer_bridge():
     with criterion(7, "Gegenbauer difference formula and x=1 expansion", 20):
         for n in range(2, 41):
-            assert orthopoly.chain_gegenbauer_check(n)
+            assert orthopoly.chain_gegenbauer_witness(n) is None
         for n in range(2, 26):
-            assert orthopoly.gegenbauer_expansion_check(n)
+            assert orthopoly.gegenbauer_expansion_witness(n) is None
         # the stated discrepancy at n = 1 is real and stays on record
-        assert not orthopoly.gegenbauer_expansion_check(1)
+        assert orthopoly.gegenbauer_expansion_witness(1) is not None
 
 
 def test_08_hypergeometric_representations():

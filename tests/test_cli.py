@@ -154,6 +154,17 @@ class TestEval:
         assert excinfo.value.code == 2
         assert "not a finite binary64 number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind",
+        [["A", "--n", "50", "--y", str(10**100)], ["W", "--k", "1", "--order", "30", "--y", str(10**200)]],
+        ids=["A", "W"],
+    )
+    def test_exact_value_too_long_to_print_exits_2(self, capsys, kind):
+        # str() refuses the value; the message is gosper's, with no usage line
+        code, out, err = run(capsys, "eval", *kind)
+        assert (code, out) == (2, "")
+        assert err == f"error: result has an integer of more than {sys.get_int_max_str_digits()} digits\n"
+
     def test_weinstein_series_lines(self, capsys):
         code, out, _ = run(
             capsys, "eval", "W", "--k", "1", "--order", "4", "--y", "1/2"

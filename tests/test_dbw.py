@@ -13,8 +13,8 @@ from debranges.dbw import (
     debranges_poly,
     debranges_slope_at_zero,
     debranges_system_residual,
-    explicit_generating_check,
-    jacobi_decomposition_check,
+    explicit_generating_witness,
+    jacobi_decomposition_witness,
     milin_functional,
     positivity_scan,
     weinstein_poly,
@@ -415,8 +415,8 @@ class TestGeneratingSeries:
 
 class TestExplicitGeneratingExpansion:
     def test_small_orders(self):
-        assert explicit_generating_check(1, 6, 3)
-        assert explicit_generating_check(2, 8, 4)
+        assert explicit_generating_witness(1, 6, 3) is None
+        assert explicit_generating_witness(2, 8, 4) is None
 
     def test_coefficient_identity_instance(self):
         # the expansion rewrites the y^j weight (k/j) C(2j, j-k) as
@@ -428,13 +428,13 @@ class TestExplicitGeneratingExpansion:
 
     def test_j_max_validation(self):
         with pytest.raises(ValueError):
-            explicit_generating_check(1, 4, 5)
+            explicit_generating_witness(1, 4, 5)
 
 
 class TestJacobiDecomposition:
     def test_small_orders(self):
-        assert jacobi_decomposition_check(1, 5)
-        assert jacobi_decomposition_check(2, 6)
+        assert jacobi_decomposition_witness(1, 5) is None
+        assert jacobi_decomposition_witness(2, 6) is None
 
     def test_wrong_parameter_detected(self):
         # replacing the Jacobi parameter 2k by 2k+1 must break the identity

@@ -337,6 +337,15 @@ class TestKernelAgainstReference:
         got = Poly(a, "y").subs_linear(s, t, "x")
         self.check(got, ref_compose_linear(ref_trim(a), s, t), "x")
 
+    @given(a=coeff_lists, one=st.sampled_from([1, Fraction(1)]), b=rationals | st.integers(-30, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_subs_linear_at_a_one_is_the_shift(self, a, one, b):
+        # var -> new_var + b is shift(b) under the new variable
+        p = Poly(a, "y")
+        got, want = p.subs_linear(one, b, "x"), p.shift(b)
+        assert (got._num, got._den, got.var) == (want._num, want._den, "x")
+        assert canonical(got)
+
     @given(a=coeff_lists, v=rationals | st.integers(-30, 30))
     @settings(max_examples=25, deadline=None)
     def test_derivative_and_evaluation(self, a, v):

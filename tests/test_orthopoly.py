@@ -20,8 +20,8 @@ from debranges.exact import Poly, pochhammer
 from debranges.orthopoly import (
     askey_gasper_scan,
     askey_gasper_sum,
-    chain_gegenbauer_check,
-    gegenbauer_expansion_check,
+    chain_gegenbauer_witness,
+    gegenbauer_expansion_witness,
     gegenbauer_minus_half,
     gegenbauer_partial_sum_poly,
     gegenbauer_partial_sum_scan,
@@ -126,12 +126,12 @@ class TestGegenbauer:
 
     def test_expansion_at_one_holds_from_two(self):
         for n in range(2, 15):
-            assert gegenbauer_expansion_check(n)
+            assert gegenbauer_expansion_witness(n) is None
 
     def test_expansion_at_one_fails_at_one(self):
         # the formula yields 1 - x while the generating function gives -x;
         # the mismatch is recorded, not patched
-        assert not gegenbauer_expansion_check(1)
+        assert gegenbauer_expansion_witness(1) is not None
         u = Poly([Fraction(1, 2), Fraction(-1, 2)], "x")
         formula_value = 2 * u  # the n = 1 instance of the expansion
         assert formula_value == Poly([1, -1], "x")
@@ -165,10 +165,10 @@ class TestExpansionRow:
 class TestChainDifference:
     def test_holds_from_two(self):
         for n in range(2, 15):
-            assert chain_gegenbauer_check(n)
+            assert chain_gegenbauer_witness(n) is None
 
     def test_fails_at_one(self):
-        assert not chain_gegenbauer_check(1)
+        assert chain_gegenbauer_witness(1) is not None
 
     def test_difference_value_example(self):
         diff = gegenbauer_minus_half(3) - gegenbauer_minus_half(2)
