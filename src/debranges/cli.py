@@ -351,10 +351,10 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _at_time(p: Poly, t: float) -> float:
+def _at_time(p: Poly, t: float) -> str:
     """p at y = e^(-t): exact at the binary64 value of y, then rounded once."""
     try:
-        return float(p(Fraction(math.exp(-t))))
+        return format(float(p(Fraction(math.exp(-t)))), ".17g")
     except (OverflowError, ValueError):
         raise ValueError(f"y or the value at t = {t} is not a finite binary64 number") from None
 
@@ -410,36 +410,42 @@ def cmd_eval(args, error) -> int:
     elif args.k is None:
         error(f"eval {kind} requires --k")
     try:
-        values = _eval_values(args)
+        lines = _eval_lines(args)
+    except _TooLongToPrint:
+        return _too_long_to_print()
     except (ValueError, IndexError) as exc:
         error(str(exc))
-    render = format_rational if args.y is not None else "{:.17g}".format
-    try:
-        texts = [render(v) for v in values]
-    except ValueError:
-        return _too_long_to_print()
-    if args.kind in ("W", "B"):
-        texts = [f"{m},{text}" for m, text in enumerate(texts)]
-    sys.stdout.write("\n".join(texts) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def _eval_values(args) -> list:
-    """A checked `eval`'s values, one or one for each z^m of W or B: exact at
-    --y, else binary64 floats at y = e^(-t)."""
+def _eval_lines(args) -> list[str]:
+    """A checked `eval`'s output: one value, or m,value for each z^m of W or B."""
     if args.kind in ("W", "B"):
         series_of = dbw.weinstein_series if args.kind == "W" else dbw.debranges_generating_series
         zs = series_of(args.k, args.order)
         if args.y is not None:
-            return zs.eval_inner(args.y)
-        return [_at_time(coeff, args.t) for coeff in zs.coeffs]
+            return [f"{m},{_exact_text(v)}" for m, v in enumerate(zs.eval_inner(args.y))]
+        return [f"{m},{_at_time(coeff, args.t)}" for m, coeff in enumerate(zs.coeffs)]
     if args.kind == "A":
         poly = lowner.chain_poly(args.n)
     elif args.kind == "tau":
         poly = dbw.debranges_poly(args.n, args.k)
     else:
         poly = dbw.weinstein_poly(args.n, args.k)
-    return [poly(args.y) if args.y is not None else _at_time(poly, args.t)]
+    return [_exact_text(poly(args.y)) if args.y is not None else _at_time(poly, args.t)]
+
+
+class _TooLongToPrint(Exception):
+    """An exact `eval` value with an integer that str() refuses to print."""
+
+
+def _exact_text(v: Fraction) -> str:
+    """format_rational(v), raising _TooLongToPrint for a too long integer."""
+    try:
+        return format_rational(v)
+    except ValueError:
+        raise _TooLongToPrint from None
 
 
 # ---------------------------------------------------------------------------

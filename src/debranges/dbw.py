@@ -48,7 +48,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    Poly, Record, Scalar, _make, _raw, _unpack, binomial,
+    EvalGrid, Poly, Record, Scalar, _make, _raw, _unpack, binomial,
     first_mismatch, format_rational,
 )
 from .series import ZSeries, _packed_koebe, time_derivative
@@ -251,14 +251,14 @@ def positivity_scan(
     n_max: int, y_grid: Sequence[Scalar]
 ) -> list[PositivityViolation]:
     """Scan L(n, k) >= 0, T(n, k) >= 0 and Tdot(n, k) <= 0 on exact grid
-    points in (0, 1), on the one sign grid of degree n_max that
-    orthopoly's scans share; returns all violations (expected: none)."""
+    points in (0, 1), on one EvalGrid of degree n_max; returns all
+    violations (expected: none)."""
     grid = [Fraction(v) for v in y_grid]
     for v in grid:
         if not 0 < v < 1:
             raise ValueError(f"grid value {v} outside (0, 1)")
     violations: list[PositivityViolation] = []
-    points = orthopoly._sign_grid(tuple(grid), max(n_max, 0))  # exact for every n <= n_max
+    points = EvalGrid(grid, max(n_max, 0))  # exact for every n <= n_max
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             tau = debranges_poly(n, k)

@@ -506,8 +506,6 @@ class Poly(Record):
         """Substitute var -> a*new_var + b, returning a polynomial in new_var."""
         shifted = self.shift(b)
         p, q = _ratio(a)
-        if p == q:  # a = 1: the shifted row is already canonical
-            return _raw(shifted._num, shifted._den, var)
         deg = shifted.degree
         nums = [n * p**j * q ** (deg - j) for j, n in enumerate(shifted._num)]
         return _make(nums, shifted._den * q ** max(deg, 0), var)
