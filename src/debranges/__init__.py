@@ -12,7 +12,6 @@ from .exact import EvalGrid, Poly, RationalFunction, binomial, format_rational, 
 from .series import ZSeries, koebe_chain, time_derivative
 from .lowner import CoeffTable, chain_poly, coeff_closed, coeff_table, ode_residual, system_residual
 from .dbw import (
-    PositivityViolation,
     debranges_generating_series,
     debranges_poly,
     debranges_slope_at_zero,
@@ -62,7 +61,6 @@ __all__ = [
     "CoeffTable",
     "GosperCertificate",
     "HypTerm",
-    "PositivityViolation",
     "TermSemanticError",
     "TermSyntaxError",
     "askey_gasper_scan",

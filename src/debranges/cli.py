@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import dbw, hypsum, lowner, orthopoly, series
-from .exact import Poly, Record, _set_field, binomial, first_mismatch, format_rational
+from .exact import Poly, Record, binomial, first_mismatch, format_rational
 
 
 class Check(Record):
@@ -51,11 +51,6 @@ class Report(Record):
     suite: str
     n_max: int
     checks: list[Check]
-
-    def __init__(self, suite: str, n_max: int, checks: list[Check] | None = None):
-        _set_field(self, "suite", suite)
-        _set_field(self, "n_max", n_max)
-        _set_field(self, "checks", [] if checks is None else checks)
 
     @property
     def passed(self) -> bool:
@@ -220,7 +215,10 @@ def _first_negative(scan) -> str | None:
 
 def _suite_positivity(n_max: int):
     violations = dbw.positivity_scan(n_max, [Fraction(i, 10) for i in range(1, 10)])
-    yield "positivity-scan", [n_max], "; ".join(map(str, violations[:5])) or None
+    yield "positivity-scan", [n_max], "; ".join(
+        f"{q}(n={n}, k={k}) at y={format_rational(y)} -> {format_rational(v)}"
+        for q, n, k, y, v in violations[:5]
+    ) or None
 
 
 def _suite_askey_gasper(n_max: int):
@@ -239,7 +237,7 @@ def _report(name: str, checks, n_max: int) -> Report:
     """The Report of suite name, with one Report.add for each check, in order:
     each _suite_* yields its checks as (id, indices, witness), and a sweep's
     cap is the min(n_max, c) of its loop."""
-    report = Report(name, n_max)
+    report = Report(name, n_max, [])
     for id, indices, witness in checks(n_max):
         report.add(id, indices, witness)
     return report
@@ -260,13 +258,10 @@ _SUITES = {name: functools.partial(_report, name, checks) for name, checks in (
 def run_suite(name: str, n_max: int) -> Report:
     """Run one verification suite (or 'all') and return its report."""
     if name == "all":
-        combined = Report("all", n_max)
-        for suite_name in _SUITES:
-            sub = _SUITES[suite_name](n_max)
-            for check in sub.checks:
-                combined.checks.append(
-                    Check(f"{suite_name}/{check.id}", check.indices, check.witness)
-                )
+        combined = Report("all", n_max, [])
+        for suite_name, suite in _SUITES.items():
+            for check in suite(n_max).checks:
+                combined.add(f"{suite_name}/{check.id}", check.indices, check.witness)
         return combined
     return _SUITES[name](n_max)
 

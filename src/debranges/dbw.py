@@ -48,8 +48,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import (
-    EvalGrid, Poly, Record, Scalar, _make, _raw, _unpack, binomial,
-    first_mismatch, format_rational,
+    EvalGrid, Poly, Scalar, _make, _raw, _unpack, binomial, first_mismatch,
 )
 from .series import ZSeries, _packed_koebe, time_derivative
 from . import orthopoly
@@ -229,35 +228,19 @@ def milin_functional(d: Sequence[Scalar], n: int) -> Fraction:
     return total
 
 
-class PositivityViolation(Record):
-    """A sign failure witnessed at an exact grid point."""
-
-    __slots__ = ("quantity", "n", "k", "y", "value")
-
-    quantity: str  # "weinstein", "debranges" or "debranges_slope"
-    n: int
-    k: int
-    y: Fraction
-    value: Fraction
-
-    def __str__(self) -> str:
-        return (
-            f"{self.quantity}(n={self.n}, k={self.k}) at y={format_rational(self.y)}"
-            f" -> {format_rational(self.value)}"
-        )
-
-
 def positivity_scan(
     n_max: int, y_grid: Sequence[Scalar]
-) -> list[PositivityViolation]:
+) -> list[tuple[str, int, int, Fraction, Fraction]]:
     """Scan L(n, k) >= 0, T(n, k) >= 0 and Tdot(n, k) <= 0 on exact grid
-    points in (0, 1), on one EvalGrid of degree n_max; returns all
-    violations (expected: none)."""
+    points in (0, 1), on one EvalGrid of degree n_max; returns
+    (quantity, n, k, y, value) tuples, quantity "weinstein", "debranges" or
+    "debranges_slope", for each violation (expected: none), ordered by
+    (n, k), then y, then quantity in that order."""
     grid = [Fraction(v) for v in y_grid]
     for v in grid:
         if not 0 < v < 1:
             raise ValueError(f"grid value {v} outside (0, 1)")
-    violations: list[PositivityViolation] = []
+    violations = []
     points = EvalGrid(grid, max(n_max, 0))  # exact for every n <= n_max
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
@@ -270,5 +253,5 @@ def positivity_scan(
                 + [(i, 2, "debranges_slope", -v) for i, v in points.negatives(minus_slope)]
             )
             found.sort(key=lambda f: f[:2])  # by point, then by quantity
-            violations += [PositivityViolation(q, n, k, grid[i], v) for i, _, q, v in found]
+            violations += [(q, n, k, grid[i], v) for i, _, q, v in found]
     return violations

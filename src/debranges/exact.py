@@ -150,11 +150,11 @@ class Record:
     A record's fields are its ``__slots__``, after those of its bases, and
     ``Record(*values)`` sets one value per field, in that order; any other
     number of values raises TypeError.  A subclass writes its own
-    ``__init__`` only to validate its input or to supply a default, and sets
-    its fields there through ``_set_field``.  Setting or deleting a field
-    afterwards raises AttributeError.  Two records are equal when they have
-    the same type and equal fields, the hash is that of the tuple of fields,
-    and the repr is ``Name(field=value, ...)``.  Pickle and copy rebuild a
+    ``__init__`` only to validate its input, and sets its fields there
+    through ``_set_field``.  Setting or deleting a field afterwards raises
+    AttributeError.  Two records are equal when they have the same type and
+    equal fields, the hash is that of the tuple of fields, and the repr is
+    ``Name(field=value, ...)``.  Pickle and copy rebuild a
     record from its fields without calling ``__init__``.
     A value type that overrides ``__eq__``, ``__hash__`` and ``__repr__``
     keeps only the refusals and the rebuilding.

@@ -912,8 +912,9 @@ def telescoped_sum(
 def _undefined_candidates(term: HypTerm, lo: int, hi: int) -> list[int]:
     """The points of [lo, hi], in increasing order, among which the first
     l where the term is undefined lies, if there is one: none when no
-    factor can be undefined, else lo and floor(rho), floor(rho) + 1 for
-    each root rho of a linear argument of such a factor.
+    factor can be undefined, else floor(rho), floor(rho) + 1 for each root
+    rho of a linear argument of such a factor, and lo when lo may lie past
+    the left end of an undefined interval.
 
     Those factors are a factorial, undefined where its argument is negative
     or not an integer; a linear factor under a negative exponent, where it
@@ -922,19 +923,31 @@ def _undefined_candidates(term: HypTerm, lo: int, hi: int) -> list[int]:
     everywhere.  Each of these sets is a union of integer intervals whose
     left ends are -infinity, an integer root, or ceil(rho) or
     floor(rho) + 1 for a root rho of u, v, u - v or the argument.  So the
-    first undefined l of [lo, hi] is lo or the left end of one interval."""
-    roots = []
+    first undefined l of [lo, hi] is lo or the left end of one interval.
+    When every argument of a factorial or binomial has an integer offset and
+    a positive coefficient of l, each interval other than a linear factor's
+    one point ends below a root, so lo > floor(rho) + 1 for every root
+    leaves lo defined, and the term at lo goes uncomputed."""
+    roots, unbounded = [], False
     for f in term.factors:
-        if isinstance(f, FactorialFactor) or (isinstance(f, LinearFactor) and f.exponent < 0):
-            roots.append(-f.b / f.a)
+        if isinstance(f, FactorialFactor):
+            args = ((f.a, f.b),)
         elif isinstance(f, BinomialFactor) and (
             f.exponent < 0 or f.b1.denominator != 1 or f.b2.denominator != 1
         ):
             args = ((f.a1, f.b1), (f.a2, f.b2), (f.a1 - f.a2, f.b1 - f.b2))
-            roots.extend(-b / a for a, b in args if a)
+        else:
+            if isinstance(f, LinearFactor) and f.exponent < 0:
+                roots.append(-f.b / f.a)
+            continue
+        roots.extend(-b / a for a, b in args if a)
+        unbounded |= any(a <= 0 or b.denominator != 1 for a, b in args)
     if not roots:
         return []
-    points = {lo}.union(*((math.floor(r), math.floor(r) + 1) for r in roots))
+    floors = [math.floor(r) for r in roots]
+    points = set(floors).union(p + 1 for p in floors)
+    if unbounded or lo <= max(floors) + 1:
+        points.add(lo)
     return sorted(p for p in points if lo <= p <= hi)
 
 

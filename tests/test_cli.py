@@ -311,6 +311,28 @@ class TestVerify:
         assert check["id"] == "positivity-scan" and not check["pass"]
         assert f"weinstein(n=5, k=2) at y=9/10 -> {format_rational(want)}" in check["witness"]
 
+    def test_positivity_witness_joins_the_first_five_violations(self, capsys, monkeypatch):
+        real = dbw.weinstein_poly
+
+        def broken(n, k):
+            # L(n, k) - 1000y is negative on the whole grid at (7, 2) and (9, 3)
+            return real(n, k) - Poly([0, 1000], "y") if (n, k) in ((7, 2), (9, 3)) else real(n, k)
+
+        dbw.weinstein_poly.cache_clear()
+        dbw.debranges_poly.cache_clear()
+        monkeypatch.setattr(dbw, "weinstein_poly", broken)
+        try:
+            code, out, _ = run(capsys, "verify", "positivity", "--n", "12")
+        finally:
+            dbw.debranges_poly.cache_clear()
+        assert code == 1
+        [check] = json.loads(out)["checks"]
+        witnesses = check["witness"].split("; ")
+        assert len(witnesses) == 5
+        assert witnesses[0] == "weinstein(n=7, k=2) at y=1/10 -> -494654351/5000000"
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "3dbef86b8db0ef26b406865cd2957c7fe22ca4077c8e0c478e69c72c3beafb75"
+
     def test_askey_gasper_witness_names_first_failure(self, capsys, monkeypatch):
         real = orthopoly.jacobi_partial_sum_poly
 
@@ -364,9 +386,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_every_check_is_made_by_report_add(self, monkeypatch):
+        real_add, suites = cli.Report.add, []
+
+        def add(report, *args):
+            suites.append(report.suite)
+            real_add(report, *args)
+
+        monkeypatch.setattr(cli.Report, "add", add)
+        report = cli.run_suite("all", 2)
+        # once in its own suite's report, then once more in the combined one
+        assert suites.count("all") == len(report.checks) > 0
+        assert len(suites) == 2 * len(report.checks)
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         def broken(n_max):
-            report = cli.Report("lowner", n_max)
+            report = cli.Report("lowner", n_max, [])
             report.add("synthetic", [1], "forced failure")
             return report
 
@@ -379,7 +414,7 @@ class TestVerify:
 
     def test_a_check_passes_exactly_when_it_has_no_witness(self, capsys, monkeypatch):
         def mixed(n_max):
-            report = cli.Report("lowner", n_max)
+            report = cli.Report("lowner", n_max, [])
             report.add("held", [1], None)
             report.add("failed", [2], "n=2: 1 != 0")
             report.add("held", [3], None)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -797,6 +798,88 @@ class TestTelescopedSum:
                 telescoped_sum(term, cert, lo, hi)
         else:
             telescoped_sum(term, cert, lo, hi)
+
+
+# linear arguments of factorials and binomials: increasing, decreasing,
+# constant and with a fractional offset
+SPECIAL_ARGS = ["l", "2*l", "-l", "3-l", "l+2", "l-4", "3", "-2", "l+1/2", "1/3-l"]
+MULTIPLIERS = ["", "l*", "(l+1)*", "(l-2)*", "(3-l)*", "(2*l+1)*", "1/(l+1)*", "1/(2-l)*"]
+
+
+def _special_term(rng):
+    """A linear multiplier, or none, times a factorial or a binomial of
+    SPECIAL_ARGS under the exponent 1 or -1."""
+    u, v = rng.choice(SPECIAL_ARGS), rng.choice(SPECIAL_ARGS)
+    special = f"fact({u})" if rng.random() < 0.5 else f"binom({u},{v})"
+    return f"{rng.choice(MULTIPLIERS)}{special}^{rng.choice([1, -1])}"
+
+
+class TestUndefinedCandidates:
+    def test_the_first_term_goes_uncomputed_past_every_root(self):
+        term = parse_term("l*fact(l)", "l")
+        assert hypsum._undefined_candidates(term, 98001, 98100) == []
+        assert hypsum._undefined_candidates(term, 1, 100) == [1]
+
+    @pytest.mark.parametrize("src, lo, error", [
+        # an argument that is constant, decreasing or fractional leaves the
+        # term undefined on all of [lo, 3000], past every root, and the
+        # range is over the terms limit
+        ("1/binom(l,-2)", 3, "pole of binom(l, -2)^-1 at l = 3"),
+        ("l*fact(-l)", 5, "factorial argument -5 at l = 5"),
+        ("(l+1)/fact(-l)", 6, "factorial argument -6 at l = 6"),
+        ("(2*l+1)*fact(l+1/2)", 5, "factorial argument 11/2 at l = 5"),
+    ])
+    def test_a_long_range_names_its_first_undefined_term(self, src, lo, error):
+        term = parse_term(src, "l")
+        with pytest.raises((ValueError, ZeroDivisionError), match=f"^{re.escape(error)}$"):
+            telescoped_sum(term, gosper(term_ratio(term)), lo, 3000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # as the parser builds them: a factorial or binomial of constants is
+        # folded into the term's constant
+        st.lists(hyp_factors, min_size=1, max_size=3).filter(lambda fs: all(
+            f.a if isinstance(f, FactorialFactor) else f.a1 or f.a2
+            for f in fs if isinstance(f, (FactorialFactor, BinomialFactor))
+        )),
+        st.integers(-12, 12),
+        st.integers(0, 12),
+    )
+    def test_lo_is_left_out_only_where_the_term_is_defined(self, factors, lo, width):
+        term = HypTerm("l", Fraction(1), tuple(factors))
+        if lo not in hypsum._undefined_candidates(term, lo, lo + width):
+            term_value(term, lo)  # raises no error
+
+    def test_leaving_lo_out_changes_no_sum_and_no_error(self, monkeypatch):
+        # the rule that always tries lo is right by the docstring's argument
+        # alone; the one that leaves it out past every root must agree with it
+        real = hypsum._undefined_candidates
+
+        def with_lo(term, lo, hi):
+            return sorted({lo, *real(term, lo, hi)})
+
+        rng = random.Random(37)
+        limit = hypsum.GOSPER_TERMS_LIMIT
+        pairs = 0
+        for _ in range(600):
+            src = _special_term(rng)
+            try:
+                term = parse_term(src, "l")
+                cert = gosper(term_ratio(term))
+            except ValueError:  # a constant that is undefined, or a Gosper limit
+                continue
+            if cert is None:
+                continue
+            ends = [sorted(rng.sample(range(-9, 10), 2)) for _ in range(6)]
+            ends += [(end, end + limit + rng.randint(1, 50)) for end in (-9, 0, 9)]
+            ends += [(end - limit - rng.randint(1, 50), end) for end in (-9, 0, 9)]
+            for lo, hi in ends:
+                monkeypatch.setattr(hypsum, "_undefined_candidates", real)
+                got = outcome(telescoped_sum, term, cert, lo, hi)
+                monkeypatch.setattr(hypsum, "_undefined_candidates", with_lo)
+                assert got == outcome(telescoped_sum, term, cert, lo, hi), (src, lo, hi)
+                pairs += 1
+        assert pairs > 1000
 
 
 def _family_sources():
