@@ -355,8 +355,8 @@ def _at_time(p: Poly, t: float) -> str:
 
 
 # The largest --order that `eval W|B` takes.  The slowest lone cold call of
-# W_1, W_2, W_(N/2), W_(N-1), B_(N/2) and B_(N-1) took 0.005-0.008 s at order
-# 30, 0.36-0.38 s at 60 and 1.2-1.6 s at 80 (in process; 2 CPUs, Python 3.11).
+# W_1, W_2, W_(N/2), W_(N-1), B_(N/2) and B_(N-1) took 0.004-0.006 s at order
+# 30, 0.16-0.29 s at 60 and 0.98-1.4 s at 80 (in process; 2 CPUs, Python 3.11).
 SERIES_ORDER_LIMIT = 60
 
 # The largest --n that `eval A|tau|lambda` takes.  The slowest kind is A: a

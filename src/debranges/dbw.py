@@ -28,10 +28,10 @@ K(z) w^k = z/(1-z)^2 w^k two running sums with step 1, of the coefficients
 of w^k.  The powers and their running sums stay packed: they start from the
 chain as :mod:`debranges.series` packed it, each z-coefficient of w/y one
 integer by Kronecker substitution in y at the chain's one base, which is wide
-enough for every digit of every power and every sum, so each power is one
-integer dot product per z^n; each row of W_k is divided by k while it is
-packed, and each output coefficient is unpacked once, with integer
-coefficients that need no normalising.
+enough for every digit of every power and every sum; an even power is the
+folded square of (w/y)^(m/2), an odd one a dot product per z^n with the chain;
+each row of W_k is divided by k while it is packed, and each output
+coefficient is unpacked once, with integer coefficients needing no normalising.
 
 Convention: W_k(z, 0) = z^(k+1)/(1 - z^2), so L(n, k) at y = 1 is 1 when
 n - k is even and 0 when it is odd, matching the slope initial values
@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 from .exact import (
     EvalGrid, Poly, Scalar, _make, _raw, _unpack, binomial, first_mismatch,
 )
-from .series import ZSeries, _packed_koebe, time_derivative
+from .series import ZSeries, _fold, _packed_koebe, time_derivative
 from . import orthopoly
 
 
@@ -59,24 +59,28 @@ def weinstein_poly(n: int, k: int) -> Poly:
     """L(n, k) as a polynomial in y; lowest power y^k, degree n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
-    nums = [
+    nums = tuple(
         (-1) ** (k + j) * binomial(2 * j, j - k) * binomial(n + j + 1, n - j)
         for j in range(k, n + 1)
-    ]
-    return Poly([0] * k + nums, "y")
+    )
+    return _raw((0,) * k + nums, 1, "y")  # canonical: the top one, C(2n, n-k), is not 0
 
 
 @lru_cache(maxsize=None)
 def _chain_power(order: int, m: int) -> tuple[int, ...]:
     """(w/y)^m for m >= 1, its z^n coefficients packed as the chain is in
     ``series._packed_koebe``, whose very tuple is the power m = 1: the only
-    series products of W_k and B_k, each z^n coefficient one dot product of
+    series products of W_k and B_k: an even power the folded square
+    (``series._fold``) of (w/y)^(m/2), an odd one a dot product per z^n of
     the power before with the packed chain."""
     chain = _packed_koebe(order)[1]
     if m == 1:
         return chain
     for j in range(2, m - 1):  # fill the cache upward, so the depth stays constant
         _chain_power(order, j)
+    if m % 2 == 0:
+        half = _chain_power(order, m // 2)[m // 2 :]
+        return (0,) * m + tuple(_fold(half, n) for n in range(order - m + 1))
     prev = _chain_power(order, m - 1)
     return (0,) * m + tuple(
         sum(map(mul, prev[m - 1 : n], chain[n - m + 1 : 0 : -1])) for n in range(m, order + 1)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -289,20 +290,26 @@ def _pack_shifted(digits: Sequence[int], bits: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _offset(bits: int, top: int) -> int:
+    """The repunit 2^(B-1) (2^top - 1)/(2^B - 1), B = bits: 2^(B-1) a word."""
+    return (((1 << top) - 1) // ((1 << bits) - 1)) << (bits - 1)
+
+
 def _unpack(s: int, bits: int) -> list[int]:
     """The digits of s = _pack(digits, B) at B = bits, for digits of size
     under 2^(B-1) whose last one is nonzero, and the signed digits in
     [-2^(B-1), 2^(B-1)) of any s > 0; [] for s = 0.
 
     A sum with L such digits has a bit length from B(L-1) to BL-1, and one
-    offset of 2^(B-1) per digit, the repunit 2^(B-1) (2^(BL) - 1)/(2^B - 1),
-    turns its digits into words of B bits, each read back by a shift and a
-    mask.  A carry past the top word takes one more digit."""
+    offset of 2^(B-1) per digit, ``_offset(B, BL)`` from a memo keyed by width
+    and length, turns its digits into words of B bits, each read back by a
+    shift and a mask.  A carry past the top word takes one more digit."""
     if not s:
         return []
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     top = bits * (s.bit_length() // bits + 1)
-    s += half * (((1 << top) - 1) // mask)
+    s += _offset(bits, top)
     if s.bit_length() > top:
         s += half << top
         top += bits
@@ -664,12 +671,12 @@ class EvalGrid:
 
     def _packed_columns(self, words: int) -> tuple[list[int], int]:
         """The columns packed at B = 64 * words, and the repunit offset
-        2^(B-1) (2^(BP) - 1)/(2^B - 1) for P points; built once per words."""
+        ``_offset(B, BP)`` for P points; built once per words."""
         packed = self._packed.get(words)
         if packed is None:
             bits = 64 * words
-            ones = ((1 << bits * len(self._scales)) - 1) // ((1 << bits) - 1)
-            packed = [_pack(column, bits) for column in self._columns], ones << bits - 1
+            offset = _offset(bits, bits * len(self._scales))
+            packed = [_pack(column, bits) for column in self._columns], offset
             self._packed[words] = packed
         return packed
 

@@ -200,6 +200,13 @@ def _chain_bits(order: int) -> int:
     return ((order + 1) ** 2 * max(g)).bit_length() + 1
 
 
+def _fold(row: Sequence[int], n: int) -> int:
+    """sum_(i=0..n) row[i] row[n-i], the z^n coefficient of the square of
+    sum_i row[i] z^i: each pair taken once and doubled, the middle squared."""
+    square = sum(map(mul, row[: (n + 1) // 2], row[n : n // 2 : -1])) << 1
+    return square + row[n // 2] ** 2 if n % 2 == 0 else square
+
+
 @lru_cache(maxsize=None)
 def _packed_koebe(order: int) -> tuple[int, tuple[int, ...], tuple[Poly, ...]]:
     """(B, packed, w): the chain's coefficients w_n through z^order, and each
@@ -222,12 +229,8 @@ def _packed_koebe(order: int) -> tuple[int, tuple[int, ...], tuple[Poly, ...]]:
     w = [Poly.zero("y"), Poly.variable("y")]
     packed = [0, 1]
     for n in range(2, order + 1):
-        # the square over y^2 at y = 2^B: sum_i packed[i] packed[m - i], m = n - 1
-        m = n - 1
-        square = sum(map(mul, packed[1 : (m + 1) // 2], packed[m - 1 : m // 2 : -1])) << 1
-        if m % 2 == 0:
-            square += packed[m // 2] ** 2
-        y_square = _make([0, 0, 0] + _unpack(square, bits), 1, "y")
+        # the square over y^2 at y = 2^B, packed[0] = 0
+        y_square = _make([0, 0, 0] + _unpack(_fold(packed, n - 1), bits), 1, "y")
         w.append(two_minus_2y * w[n - 1] - w[n - 2] + y_square)
         packed.append(_pack(w[n]._num[1:], bits))
     return bits, tuple(packed), tuple(w)

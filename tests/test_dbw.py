@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, dropwhile
 
 import pytest
 
@@ -210,6 +210,18 @@ def _chain_power_closed_form(m: int, n: int) -> list[int]:
     return [int(c) for c in coeffs]
 
 
+def _powers_by_products(order: int) -> list[list[int]]:
+    """(w/y)^m packed for m = 1 .. order - 1, each the one before times the
+    packed chain, one dot product per z^n: the powers as they were built
+    before the even ones were squares."""
+    chain = series._packed_koebe(order)[1]
+    powers = [list(chain)]
+    while len(powers) < order - 1:
+        prev = powers[-1]
+        powers.append([sum(prev[i] * chain[n - i] for i in range(n + 1)) for n in range(order + 1)])
+    return powers
+
+
 def _drop_y(p):
     """p / y for a polynomial p in y with no constant term."""
     assert p.coeff(0) == 0
@@ -248,6 +260,55 @@ class TestSeriesFromChainPowers:
             debranges_generating_series(k, order)
         assert dbw._chain_power.cache_info().misses == 11
         assert products == []
+
+    def test_powers_equal_the_repeated_products(self):
+        # every (w/y)^m, m < order, cold at every order through 40: the even
+        # ones folded squares, the odd ones one product with the chain
+        for order in range(1, 41):
+            _clear_power_memos()
+            for m, want in enumerate(_powers_by_products(order)[: order - 1], 1):
+                assert list(dbw._chain_power(order, m)) == want, (order, m)
+
+    def test_cold_sweep_squares_the_even_powers(self, monkeypatch):
+        # at order 12 every even (w/y)^m is the fold of (w/y)^(m/2), and its
+        # build never reads (w/y)^(m-1)
+        order = 12
+        koebe_chain(order)
+        _clear_power_memos()
+        real_power, real_fold = dbw._chain_power, dbw._fold
+        folded, reads, building = [], {}, []
+
+        def power_spy(o, m):
+            if building:
+                reads.setdefault(building[-1], set()).add(m)
+            building.append(m)
+            try:
+                return real_power(o, m)
+            finally:
+                building.pop()
+
+        def fold_spy(row, n):
+            folded.append(tuple(row))
+            return real_fold(row, n)
+
+        monkeypatch.setattr(dbw, "_chain_power", power_spy)
+        monkeypatch.setattr(dbw, "_fold", fold_spy)
+        for k in range(1, order):
+            weinstein_series(k, order)
+            debranges_generating_series(k, order)
+        monkeypatch.undo()
+        squared = set()
+        for row in folded:
+            nonzero = tuple(dropwhile(lambda r: r == 0, row))
+            h = [h for h in range(1, order) if real_power(order, h)[h:] == nonzero]
+            assert len(h) == 1, row
+            squared.add(2 * h[0])
+        assert sorted(squared) == [2, 4, 6, 8, 10]
+        assert reads[2] == {1}  # (w/y)^1 is both the half and the power before
+        for m in range(4, order, 2):
+            assert m // 2 in reads[m] and m - 1 not in reads[m], (m, reads[m])
+        powers = _powers_by_products(order)
+        assert [list(real_power(order, m)) for m in range(1, order)] == powers
 
     @pytest.mark.parametrize("k", [1, 2, 30, 59])
     def test_widest_digits_equal_the_closed_forms(self, k):

@@ -385,6 +385,29 @@ class TestKernelAgainstReference:
                 assert _unpack(_pack(d, bits), bits) == d, (bits, d)
             assert _unpack(0, bits) == []
 
+    def test_unpack_with_the_offset_memo_cold_and_warm(self):
+        # the offset comes from a memo keyed by width and length: read warm,
+        # with the offsets of every other length at that width in it, and
+        # cold, cleared before each read, every row comes back the same; a
+        # row of k digits 2^(kB-1) carries into a digit k + 1
+        for bits in range(2, 301):
+            half = 2 ** (bits - 1)
+            lengths = range(1, 81) if bits in (2, 3, 63, 64, 65, 300) else (1, 2, 7, 80)
+            rows = [
+                d
+                for n in lengths
+                for d in ([half - 1] * n, [1 - half] * n, [0] * (n - 1) + [-1],
+                          [0] * (n - 1) + [-half, 1])
+            ]
+            exact._offset.cache_clear()
+            warm = [_unpack(_pack(d, bits), bits) for d in rows]
+            assert warm == rows, bits
+            for d in rows:
+                exact._offset.cache_clear()
+                assert _unpack(_pack(d, bits), bits) == d, (bits, d)
+            for n in (1, 2, 80):
+                assert exact._offset(bits, bits * n) == sum(half << bits * i for i in range(n))
+
     @given(bits=st.integers(2, 300), s=st.integers(1, 2**2000), k=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     @example(bits=2, s=7, k=1)
@@ -742,6 +765,17 @@ class TestEvalGrid:
             (0, -(2**63)), (1, -(2**62))
         ]
         assert sorted(grid._packed) == [1, 2]
+
+    def test_offset_is_the_memo_of_unpack(self):
+        # one 2^(B-1) a point, B = 64 words, from the memo _unpack reads
+        points = [Fraction(i, 7) for i in range(-7, 8)]
+        grid = EvalGrid(points, 5)
+        for words in (1, 2, 5):
+            bits = 64 * words
+            offset = grid._packed_columns(words)[1]
+            assert offset == exact._offset(bits, bits * len(points))
+            assert offset == sum(1 << (bits * i + bits - 1) for i in range(len(points)))
+        assert EvalGrid([], 2)._packed_columns(1)[1] == 0
 
     def test_one_grid_for_several_word_counts(self):
         points = [Fraction(i, 7) for i in range(-7, 8)]

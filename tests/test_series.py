@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from debranges import lowner
 from debranges.exact import Poly
-from debranges.series import ZSeries, _chain_bits, koebe_chain, time_derivative
+from debranges.series import ZSeries, _chain_bits, _fold, koebe_chain, time_derivative
 
 
 class TestRingOperations:
@@ -243,6 +243,31 @@ def _folded_chain(order):
     for n in range(2, order + 1):
         w.append(Poly([2, -2], "y") * w[n - 1] - w[n - 2] + y * Poly(_folded_square(w, n), "y"))
     return w
+
+
+class TestFold:
+    @given(data=st.data(), length=st.integers(1, 40), zero=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    @example(data=None, length=1, zero=True)
+    def test_fold_is_the_unfolded_dot_product(self, data, length, zero):
+        # sum_i row[i] row[n-i] over every i, for n odd and even, on rows of
+        # either sign and on rows of zeros
+        if zero:
+            row = [0] * length
+        else:
+            row = data.draw(st.lists(st.integers(-(2**200), 2**200), min_size=length,
+                                     max_size=length))
+        for n in range(length):
+            want = sum(row[i] * row[n - i] for i in range(n + 1))
+            assert _fold(row, n) == want, (row, n)
+            assert _fold(tuple(row), n) == want, (row, n)
+
+    def test_fold_of_a_row_of_ones_counts_its_pairs(self):
+        # sum_i 1 * 1 over i = 0..n, and the middle of an even n once
+        assert [_fold([1] * 9, n) for n in range(9)] == list(range(1, 10))
+        assert [_fold([1, -1] * 4, n) for n in range(8)] == [
+            (-1) ** n * (n + 1) for n in range(8)
+        ]
 
 
 class TestKoebeChain:
